@@ -39,7 +39,7 @@ use tps_core::rng::Rng;
 use tps_core::{TenantFaultCause, BASE_PAGE_SIZE};
 use tps_os::OsStats;
 use tps_sim::{
-    Machine, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom, Scheduler,
+    Machine, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom, RunStats, Scheduler,
     TenantOutcome, TenantSpec,
 };
 use tps_wl::{Event, Workload, WorkloadProfile};
@@ -367,8 +367,8 @@ fn digest(stats: &MachineRunStats) -> Digest {
 }
 
 /// The books-balance checks shared by both modes: a clean audit of the
-/// final OS state, per-tenant OS attribution summing exactly to the
-/// machine-wide rollup, and per-tenant accesses summing to the global
+/// final OS state, per-tenant OS and hardware counters summing exactly to
+/// the machine-wide rollup, and per-tenant accesses summing to the global
 /// TLB counters.
 fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String> {
     let violations = Auditor::new().audit(machine.os());
@@ -388,6 +388,36 @@ fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String>
             "attribution leak: per-tenant OS stats sum to {os_sum:?} \
              but the machine-wide rollup reads {:?}",
             stats.global.os
+        ));
+    }
+    let sum = |field: fn(&RunStats) -> u64| stats.per_tenant.iter().map(field).sum::<u64>();
+    let hw = &stats.global.hw_faults;
+    let hw_sums = [
+        (sum(|t| t.hw_faults.walk_restarts), hw.walk_restarts),
+        (
+            sum(|t| t.hw_faults.alias_install_retries),
+            hw.alias_install_retries,
+        ),
+        (
+            sum(|t| t.hw_faults.mmu_cache_fill_drops),
+            hw.mmu_cache_fill_drops,
+        ),
+        (sum(|t| t.hw_faults.tlb_fill_drops), hw.tlb_fill_drops),
+        (
+            sum(|t| t.hw_faults.tlb_evict_abandons),
+            hw.tlb_evict_abandons,
+        ),
+        (sum(|t| t.hw_faults.stlb_probe_misses), hw.stlb_probe_misses),
+        (sum(|t| t.mmu_cache_hits.0), stats.global.mmu_cache_hits.0),
+        (sum(|t| t.mmu_cache_hits.1), stats.global.mmu_cache_hits.1),
+        (sum(|t| t.mmu_cache_hits.2), stats.global.mmu_cache_hits.2),
+    ];
+    if hw_sums.iter().any(|(tenants, global)| tenants != global) {
+        return Err(format!(
+            "attribution leak: per-tenant hardware counters sum to {:?} but the rollup \
+             reads {:?} (hw faults, then MMU-cache hits)",
+            hw_sums.map(|(tenants, _)| tenants),
+            hw_sums.map(|(_, global)| global)
         ));
     }
     let accesses: u64 = stats.per_tenant.iter().map(|t| t.mem.accesses).sum();

@@ -15,7 +15,7 @@ use tps_core::rng::Rng;
 use tps_core::{PhysAddr, VirtAddr, BASE_PAGE_SIZE};
 use tps_os::{Os, PolicyConfig, PolicyKind, Vma};
 use tps_pt::{AliasPolicy, MmuCaches, PageTable, Walker};
-use tps_tlb::{AnySizeTlb, Asid, DualStlb, TlbEntry};
+use tps_tlb::{AnySizeTlb, Asid, DualStlb, FillOutcome, StlbProbe, TlbEntry};
 
 /// Knobs for one shadow-walk run.
 #[derive(Copy, Clone, Debug)]
@@ -156,6 +156,15 @@ pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
     }
 
     let mut report = ShadowReport::default();
+    // Degradations as the structures report them, indexed like
+    // `ShadowReport::degradations`.
+    let mut degraded = [0u64; 6];
+    let fill =
+        |tlb: &mut AnySizeTlb, entry: TlbEntry, degraded: &mut [u64; 6]| match tlb.fill(entry) {
+            FillOutcome::Installed => {}
+            FillOutcome::Dropped => degraded[3] += 1,
+            FillOutcome::Abandoned => degraded[4] += 1,
+        };
     for _ in 0..cfg.translations {
         let vma = &vmas[rng.below(vmas.len() as u64) as usize];
         let va = VirtAddr::new(vma.base().value() + rng.below(vma.len()));
@@ -167,21 +176,29 @@ pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
         let product = if let Some(entry) = tlb.lookup(pid, vpn) {
             report.tlb_hits += 1;
             entry_pa(&entry, va)
-        } else if let Some(entry) = stlb.lookup(pid, vpn) {
-            report.stlb_hits += 1;
-            tlb.fill(entry);
-            entry_pa(&entry, va)
         } else {
-            report.walks += 1;
-            let ok = walker
-                .walk_for(pid, os.page_table(pid), va, Some(&mut caches))
-                .expect("every VA in the arena is mapped");
-            let entry = TlbEntry::from_leaf(pid, va, &ok.leaf);
-            tlb.fill(entry);
-            if entry.order == tps_core::PageOrder::P4K || entry.order == tps_core::PageOrder::P2M {
-                stlb.fill(entry);
+            let probe = stlb.lookup(pid, vpn);
+            degraded[5] += u64::from(probe == StlbProbe::ForcedMiss);
+            if let StlbProbe::Hit(entry) = probe {
+                report.stlb_hits += 1;
+                fill(&mut tlb, entry, &mut degraded);
+                entry_pa(&entry, va)
+            } else {
+                report.walks += 1;
+                let ok = walker
+                    .walk_for(pid, os.page_table(pid), va, Some(&mut caches))
+                    .expect("every VA in the arena is mapped");
+                degraded[0] += u64::from(ok.events.restarted);
+                degraded[2] += u64::from(ok.events.cache_fill_drops);
+                let entry = TlbEntry::from_leaf(pid, va, &ok.leaf);
+                fill(&mut tlb, entry, &mut degraded);
+                if entry.order == tps_core::PageOrder::P4K
+                    || entry.order == tps_core::PageOrder::P2M
+                {
+                    stlb.fill(entry);
+                }
+                ok.translate(va)
             }
-            ok.translate(va)
         };
 
         if plan.borrow().injected_total() > injected_before {
@@ -199,14 +216,8 @@ pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
         }
     }
 
-    report.degradations = [
-        walker.walk_restarts(),
-        os.page_table(pid).alias_install_retries(),
-        caches.fill_drops(),
-        tlb.fill_drops(),
-        tlb.evict_abandons(),
-        stlb.probe_misses(),
-    ];
+    degraded[1] = os.page_table(pid).alias_install_retries();
+    report.degradations = degraded;
     report.injected = plan
         .borrow()
         .injected()

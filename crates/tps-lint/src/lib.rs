@@ -16,7 +16,7 @@
 //! guarantees dynamically.
 //!
 //! Std-only by construction — the workspace has no registry access (the
-//! same constraint that produced the proptest/criterion shims).
+//! same constraint that produced the proptest shim).
 //!
 //! Run it as a tier-1 gate:
 //!

@@ -51,7 +51,8 @@ pub fn fault_site_coverage(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
 
 /// [`STATS_COUNTER_COVERAGE`]: every field of `OsStats` must be incremented
 /// (`.field += ...`) somewhere in non-test code, so no degradation counter
-/// can silently read zero forever.
+/// can silently read zero forever. A field-wise sum (`a.field += b.field`)
+/// only moves counts between counter sets and does not count.
 pub fn stats_counter_coverage(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
     let Some((def_file, fields)) = find_struct_fields(files, "tps-os", "OsStats") else {
         return;
@@ -64,6 +65,7 @@ pub fn stats_counter_coverage(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) 
                 && f.sig[i].kind == TokenKind::Ident
                 && f.text(i + 1) == "+="
                 && !f.is_test(i)
+                && !is_fieldwise_sum(f, i + 2, f.sig[i].text)
             {
                 if let Some(hit) = incremented.get_mut(f.sig[i].text) {
                     *hit = true;
@@ -85,6 +87,19 @@ pub fn stats_counter_coverage(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) 
             });
         }
     }
+}
+
+/// True if the right-hand side starting at `start` is a plain field path
+/// naming the same `field` and ending the statement (`x.y.field;`).
+fn is_fieldwise_sum(f: &FileCtx<'_>, start: usize, field: &str) -> bool {
+    let mut j = start;
+    while f.sig.get(j).is_some_and(|t| t.kind == TokenKind::Ident) {
+        if f.text(j + 1) != "." {
+            return j > start && f.text(j) == field && f.text(j + 1) == ";";
+        }
+        j += 2;
+    }
+    false
 }
 
 /// Locates `enum <name>` in `crate_name` and collects its variants as

@@ -83,30 +83,7 @@ pub struct OsStats {
 }
 
 impl OsStats {
-    /// Counter-wise difference `self - earlier`, for attributing OS work
-    /// to the tenant whose event triggered it: the multi-tenant machine
-    /// snapshots the machine-wide counters around each event and charges
-    /// the delta to the acting tenant.
-    pub fn delta_since(&self, earlier: &OsStats) -> OsStats {
-        OsStats {
-            mmaps: self.mmaps - earlier.mmaps,
-            munmaps: self.munmaps - earlier.munmaps,
-            faults: self.faults - earlier.faults,
-            promotions: self.promotions - earlier.promotions,
-            reservations_created: self.reservations_created - earlier.reservations_created,
-            fallback_4k: self.fallback_4k - earlier.fallback_4k,
-            shootdowns: self.shootdowns - earlier.shootdowns,
-            cow_faults: self.cow_faults - earlier.cow_faults,
-            cow_bytes_copied: self.cow_bytes_copied - earlier.cow_bytes_copied,
-            op_cycles: self.op_cycles - earlier.op_cycles,
-            oom_fallbacks: self.oom_fallbacks - earlier.oom_fallbacks,
-            compaction_aborts: self.compaction_aborts - earlier.compaction_aborts,
-            shootdowns_retried: self.shootdowns_retried - earlier.shootdowns_retried,
-        }
-    }
-
-    /// Adds `delta` into this counter set (the accumulation side of
-    /// [`OsStats::delta_since`]).
+    /// Adds `delta` into this counter set, field by field.
     pub fn accumulate(&mut self, delta: &OsStats) {
         self.mmaps += delta.mmaps;
         self.munmaps += delta.munmaps;
@@ -137,12 +114,20 @@ pub struct Process {
     direct_blocks: BTreeMap<u64, Vec<(PhysAddr, PageOrder)>>,
     /// Distinct base pages demand-touched (for footprint accounting).
     touched_pages: u64,
+    /// OS work done for this process, charged as it happens.
+    stats: OsStats,
 }
 
 impl Process {
     /// The process's address-space identifier.
     pub fn asid(&self) -> Asid {
         self.asid
+    }
+
+    /// The OS work done for this process so far: every counter an entry
+    /// point called with this ASID incremented.
+    pub fn stats(&self) -> OsStats {
+        self.stats
     }
 
     /// The process page table.
@@ -203,7 +188,8 @@ pub struct Os {
     policy: PolicyConfig,
     cost: CostModel,
     processes: Vec<Process>,
-    stats: OsStats,
+    /// OS work done for no process (compaction).
+    machine_stats: OsStats,
     /// Every `noise_period` faults the kernel/other tenants take a 2 MB
     /// block of their own (0 = off). A single pristine process would see
     /// unrealistically perfect physical adjacency between its buddy
@@ -238,7 +224,7 @@ impl Os {
             policy,
             cost: CostModel::default(),
             processes: Vec::new(),
-            stats: OsStats::default(),
+            machine_stats: OsStats::default(),
             noise_period: 0,
             noise_counter: 0,
             noise_blocks: Vec::new(),
@@ -303,9 +289,14 @@ impl Os {
         self.cost = cost;
     }
 
-    /// Activity counters so far.
+    /// Machine-wide activity counters so far: every process's account
+    /// ([`Process::stats`]) plus the work done for no process.
     pub fn stats(&self) -> OsStats {
-        self.stats
+        let mut total = self.machine_stats;
+        for proc in &self.processes {
+            total.accumulate(&proc.stats);
+        }
+        total
     }
 
     /// The physical allocator (inspection only).
@@ -328,19 +319,22 @@ impl Os {
     /// injector may drop a delivery, which the OS detects (ack timeout) and
     /// re-issues, counting [`OsStats::shootdowns_retried`]. The returned
     /// shootdown lists are therefore always complete. Bounded retries keep
-    /// a pathological injector from hanging the simulation.
-    fn deliver_shootdowns(&mut self, shootdowns: &[Shootdown]) {
+    /// a pathological injector from hanging the simulation. Re-issues are
+    /// charged to `payer` (see [`Os::ledger`]).
+    fn deliver_shootdowns(&mut self, payer: Option<Asid>, shootdowns: &[Shootdown]) {
         if self.injector.is_none() {
             return;
         }
         const MAX_RETRIES: u32 = 8;
+        let cost = self.cost.shootdown;
         for _ in shootdowns {
             let mut attempts = 0;
             while attempts < MAX_RETRIES
                 && inject::should_fault(&self.injector, FaultSite::ShootdownDeliver)
             {
-                self.stats.shootdowns_retried += 1;
-                self.charge(self.cost.shootdown);
+                let ledger = self.ledger(payer);
+                ledger.shootdowns_retried += 1;
+                ledger.op_cycles += cost;
                 attempts += 1;
             }
         }
@@ -360,6 +354,7 @@ impl Os {
             ranges: Vec::new(),
             direct_blocks: BTreeMap::new(),
             touched_pages: 0,
+            stats: OsStats::default(),
         });
         asid
     }
@@ -430,8 +425,17 @@ impl Os {
         (vpn < r.end_vpn).then_some(r)
     }
 
-    fn charge(&mut self, cycles: u64) {
-        self.stats.op_cycles += cycles;
+    /// The account OS work is charged to: the process it was done for, or
+    /// the machine's own account for work done for no process (`None`).
+    fn ledger(&mut self, payer: Option<Asid>) -> &mut OsStats {
+        match payer {
+            Some(asid) => &mut self.proc_mut(asid).stats,
+            None => &mut self.machine_stats,
+        }
+    }
+
+    fn charge(&mut self, asid: Asid, cycles: u64) {
+        self.proc_mut(asid).stats.op_cycles += cycles;
     }
 
     /// Allocates a block directly (no reservation), recording ownership
@@ -443,7 +447,10 @@ impl Os {
         order: PageOrder,
     ) -> Result<PhysAddr, TpsError> {
         let pa = self.buddy.alloc(order)?;
-        self.charge(self.cost.buddy_op + self.cost.zero_4k * order.base_pages());
+        self.charge(
+            asid,
+            self.cost.buddy_op + self.cost.zero_4k * order.base_pages(),
+        );
         self.proc_mut(asid)
             .direct_blocks
             .entry(vma_base.value())
@@ -468,8 +475,8 @@ impl Os {
         let covering = PageOrder::covering(len_r).unwrap_or(self.policy.max_order);
         let align = covering.min(self.policy.max_order);
         let vma = self.proc_mut(asid).address_space.map_region(len_r, align)?;
-        self.stats.mmaps += 1;
-        self.charge(self.cost.reservation_op);
+        self.proc_mut(asid).stats.mmaps += 1;
+        self.charge(asid, self.cost.reservation_op);
 
         match self.policy.kind {
             PolicyKind::Only4K | PolicyKind::Only2M | PolicyKind::Thp => {}
@@ -485,7 +492,7 @@ impl Os {
                 };
                 match reserve_span(&mut self.buddy, reserve_len, self.policy.max_order) {
                     Ok(segments) => {
-                        self.charge(self.cost.buddy_op * segments.len() as u64);
+                        self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                         let backup = segments.clone();
                         if self
                             .install_reservation(asid, vma.base(), reserve_len, segments)
@@ -497,7 +504,7 @@ impl Os {
                             for s in backup {
                                 let _ = self.buddy.free(s.base, s.order);
                             }
-                            self.stats.fallback_4k += 1;
+                            self.proc_mut(asid).stats.fallback_4k += 1;
                         } else if self.policy.kind == PolicyKind::TpsEager
                             && self.map_reservation_eagerly(asid, vma.base()).is_err()
                         {
@@ -508,14 +515,14 @@ impl Os {
                     Err(_) => {
                         // Degrade to 4 KB demand faulting (fragmentation or
                         // an injected reservation denial).
-                        self.stats.fallback_4k += 1;
-                        self.stats.oom_fallbacks += 1;
+                        self.proc_mut(asid).stats.fallback_4k += 1;
+                        self.proc_mut(asid).stats.oom_fallbacks += 1;
                     }
                 }
             }
             PolicyKind::Rmm => {
                 let segments = reserve_span(&mut self.buddy, len_r, self.policy.max_order)?;
-                self.charge(self.cost.buddy_op * segments.len() as u64);
+                self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                 self.map_rmm_eagerly(asid, &vma, segments)?;
             }
         }
@@ -541,7 +548,7 @@ impl Os {
             }
             let _ = self.buddy.free(seg.base, seg.order);
         }
-        self.stats.fallback_4k += 1;
+        self.proc_mut(asid).stats.fallback_4k += 1;
     }
 
     fn install_reservation(
@@ -554,8 +561,8 @@ impl Os {
         self.proc_mut(asid)
             .reservations
             .insert(va_base, len, segments)?;
-        self.stats.reservations_created += 1;
-        self.charge(self.cost.reservation_op);
+        self.proc_mut(asid).stats.reservations_created += 1;
+        self.charge(asid, self.cost.reservation_op);
         Ok(())
     }
 
@@ -589,7 +596,10 @@ impl Os {
                 zero_pages += seg.order.base_pages();
             }
         }
-        self.charge(self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages);
+        self.charge(
+            asid,
+            self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages,
+        );
         Ok(())
     }
 
@@ -662,7 +672,10 @@ impl Os {
             }
             proc.ranges.sort_by_key(|r| r.start_vpn);
         }
-        self.charge(self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages);
+        self.charge(
+            asid,
+            self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages,
+        );
         Ok(())
     }
 
@@ -683,8 +696,8 @@ impl Os {
             .find(va)
             .cloned()
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
-        self.stats.faults += 1;
-        self.charge(self.cost.fault_base);
+        self.proc_mut(asid).stats.faults += 1;
+        self.charge(asid, self.cost.fault_base);
 
         // Background allocator interference (see `set_background_noise`).
         if self.noise_period > 0 {
@@ -717,7 +730,7 @@ impl Os {
         let before = proc.page_table.pte_writes();
         proc.page_table.map(va, pa, order, flags)?;
         let writes = proc.page_table.pte_writes() - before;
-        self.charge(self.cost.pte_write * writes);
+        self.charge(asid, self.cost.pte_write * writes);
         Ok(())
     }
 
@@ -773,9 +786,9 @@ impl Os {
         // the VMA the only way here is a failed 2 MB allocation.
         let whole_chunk_inside = chunk >= vma.base() && chunk_end <= vma.end().value();
         if whole_chunk_inside {
-            self.stats.oom_fallbacks += 1;
+            self.proc_mut(asid).stats.oom_fallbacks += 1;
         }
-        self.stats.fallback_4k += 1;
+        self.proc_mut(asid).stats.fallback_4k += 1;
         self.fault_direct_4k(asid, vma, va)
     }
 
@@ -791,7 +804,7 @@ impl Os {
                 // Try to reserve a whole 2M frame for this chunk.
                 match self.buddy.alloc(PageOrder::P2M) {
                     Ok(block) => {
-                        self.charge(self.cost.buddy_op);
+                        self.charge(asid, self.cost.buddy_op);
                         self.install_reservation(
                             asid,
                             chunk,
@@ -804,14 +817,14 @@ impl Os {
                         )?;
                     }
                     Err(_) => {
-                        self.stats.fallback_4k += 1;
-                        self.stats.oom_fallbacks += 1;
+                        self.proc_mut(asid).stats.fallback_4k += 1;
+                        self.proc_mut(asid).stats.oom_fallbacks += 1;
                         return self.fault_direct_4k(asid, vma, va);
                     }
                 }
             } else {
                 // VMA tail smaller than 2M: demand 4K.
-                self.stats.fallback_4k += 1;
+                self.proc_mut(asid).stats.fallback_4k += 1;
                 return self.fault_direct_4k(asid, vma, va);
             }
         }
@@ -828,7 +841,7 @@ impl Os {
             self.fault_from_reservation(asid, va, PromotionMode::AnyPowerOfTwo(cap))
         } else {
             // Reservation failed at mmap time (fragmentation fallback).
-            self.stats.fallback_4k += 1;
+            self.proc_mut(asid).stats.fallback_4k += 1;
             self.fault_direct_4k(asid, vma, va)
         }
     }
@@ -869,7 +882,7 @@ impl Os {
             let promotable = res.utilization().promotable_order(page_idx, threshold);
             (res.va_base(), offset, pa, seg_order, promotable)
         };
-        self.charge(self.cost.reservation_op + self.cost.zero_4k);
+        self.charge(asid, self.cost.reservation_op + self.cost.zero_4k);
 
         // Map the demanded base page if nothing covers it yet.
         let page_va = va.align_down(BASE_PAGE_SHIFT);
@@ -929,8 +942,8 @@ impl Os {
             debug_assert!(va_k.is_aligned(order.shift()));
             debug_assert!(pa_k.is_aligned(order.shift()));
             self.map_counted(asid, va_k, pa_k, order, PteFlags::WRITABLE | PteFlags::USER)?;
-            self.charge(self.cost.promote_op);
-            self.stats.promotions += 1;
+            self.charge(asid, self.cost.promote_op);
+            self.proc_mut(asid).stats.promotions += 1;
             mapped_order = order;
             promoted = true;
         }
@@ -996,9 +1009,12 @@ impl Os {
                 }
             }
         }
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.proc_mut(parent).stats.shootdowns += shootdowns.len() as u64;
+        self.charge(
+            parent,
+            self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64,
+        );
+        self.deliver_shootdowns(Some(parent), &shootdowns);
         (child, shootdowns)
     }
 
@@ -1031,8 +1047,8 @@ impl Os {
             .lookup(va)
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
         debug_assert!(!leaf.flags.contains(PteFlags::WRITABLE));
-        self.stats.cow_faults += 1;
-        self.charge(self.cost.fault_base);
+        self.proc_mut(asid).stats.cow_faults += 1;
+        self.charge(asid, self.cost.fault_base);
         let order = leaf.order;
         let va_page = va.align_down(order.shift());
         let pfn = leaf.base.base_page_number();
@@ -1051,17 +1067,17 @@ impl Os {
         if self.shares.count(pfn, order) <= 1 {
             // Sole owner: regain write permission in place.
             self.map_counted(asid, va_page, leaf.base, order, rw)?;
-            self.stats.shootdowns += 1;
-            self.charge(self.cost.shootdown);
-            self.deliver_shootdowns(&shootdowns);
+            self.proc_mut(asid).stats.shootdowns += 1;
+            self.charge(asid, self.cost.shootdown);
+            self.deliver_shootdowns(Some(asid), &shootdowns);
             return Ok(shootdowns);
         }
 
         match self.cow_policy {
             CowPolicy::CopyWholePage => {
                 let new = self.alloc_direct(asid, vma_base, order)?;
-                self.stats.cow_bytes_copied += order.bytes();
-                self.charge(self.cost.zero_4k * order.base_pages()); // the copy
+                self.proc_mut(asid).stats.cow_bytes_copied += order.bytes();
+                self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
                 self.map_counted(asid, va_page, new, order, rw)?;
                 self.shares.release(pfn, order);
             }
@@ -1078,20 +1094,20 @@ impl Os {
                 let fault_va = va.align_down(BASE_PAGE_SHIFT);
                 let fault_sub = (fault_va - va_page) >> BASE_PAGE_SHIFT;
                 let new = self.alloc_direct(asid, vma_base, PageOrder::P4K)?;
-                self.stats.cow_bytes_copied += BASE_PAGE_SIZE;
-                self.charge(self.cost.zero_4k);
+                self.proc_mut(asid).stats.cow_bytes_copied += BASE_PAGE_SIZE;
+                self.charge(asid, self.cost.zero_4k);
                 self.map_counted(asid, fault_va, new, PageOrder::P4K, rw)?;
                 self.shares.release(pfn + fault_sub, PageOrder::P4K);
             }
         }
-        self.stats.shootdowns += 1;
-        self.charge(self.cost.shootdown);
+        self.proc_mut(asid).stats.shootdowns += 1;
+        self.charge(asid, self.cost.shootdown);
         shootdowns.push(Shootdown {
             asid,
             va: va_page,
             order,
         });
-        self.deliver_shootdowns(&shootdowns);
+        self.deliver_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 
@@ -1184,9 +1200,9 @@ impl Os {
             });
             cursor = VirtAddr::new(leaf_end);
         }
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.proc_mut(asid).stats.shootdowns += shootdowns.len() as u64;
+        self.charge(asid, self.cost.shootdown * shootdowns.len() as u64);
+        self.deliver_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 
@@ -1237,10 +1253,12 @@ impl Os {
             }
         }
         let outcome = compact(&mut self.buddy, &movable)?;
+        // Compaction acts for no process: its work lands in the machine's
+        // own account.
         if outcome.interrupted {
-            self.stats.compaction_aborts += 1;
+            self.machine_stats.compaction_aborts += 1;
         }
-        self.charge(self.cost.compact_page * outcome.pages_moved);
+        self.machine_stats.op_cycles += self.cost.compact_page * outcome.pages_moved;
 
         // Relocation lookup, sorted by source base.
         let mut relocs: Vec<(u64, u64, u64)> = outcome
@@ -1307,9 +1325,10 @@ impl Os {
                 }
             }
         }
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.machine_stats.shootdowns += shootdowns.len() as u64;
+        self.machine_stats.op_cycles +=
+            self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64;
+        self.deliver_shootdowns(None, &shootdowns);
         Ok((outcome, shootdowns))
     }
 
@@ -1360,7 +1379,7 @@ impl Os {
                         let merged_order = PageOrder::new_unchecked(next);
                         self.map_counted(asid, va, leaf.base, merged_order, leaf.flags)
                             .expect("merge remaps existing leaves");
-                        self.charge(self.cost.promote_op);
+                        self.charge(asid, self.cost.promote_op);
                         merged_this_pass += 1;
                         va = VirtAddr::new(va.value() + merged_order.bytes());
                     } else {
@@ -1373,7 +1392,7 @@ impl Os {
                 break;
             }
         }
-        self.stats.promotions += total;
+        self.proc_mut(asid).stats.promotions += total;
         total
     }
 
@@ -1423,7 +1442,7 @@ impl Os {
             }
         }
         let vma = self.proc_mut(asid).address_space.unmap_region(base)?;
-        self.stats.munmaps += 1;
+        self.proc_mut(asid).stats.munmaps += 1;
         let mut shootdowns = Vec::new();
 
         // Unmap every leaf in the range.
@@ -1467,7 +1486,7 @@ impl Os {
                         format!("munmap free of reserved block {:?} failed: {e}", seg.base),
                     )
                 })?;
-                self.charge(self.cost.buddy_op);
+                self.charge(asid, self.cost.buddy_op);
             }
         }
 
@@ -1484,7 +1503,7 @@ impl Os {
                         format!("munmap free of direct block {pa:?} failed: {e}"),
                     )
                 })?;
-                self.charge(self.cost.buddy_op);
+                self.charge(asid, self.cost.buddy_op);
             }
         }
 
@@ -1497,9 +1516,12 @@ impl Os {
                 .retain(|r| r.end_vpn <= start || r.start_vpn >= end);
         }
 
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.proc_mut(asid).stats.shootdowns += shootdowns.len() as u64;
+        self.charge(
+            asid,
+            self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64,
+        );
+        self.deliver_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 }
@@ -1764,6 +1786,33 @@ mod tests {
         assert!(s.promotions >= 4);
         assert_eq!(s.reservations_created, 1);
         assert!(s.op_cycles > 0);
+    }
+
+    #[test]
+    fn work_is_charged_to_its_process_and_compaction_to_the_machine() {
+        let mut os = Os::new(256 << 20, PolicyConfig::new(PolicyKind::Tps));
+        let a = os.spawn();
+        let b = os.spawn();
+        let vma_a = os.mmap(a, 256 << 10).unwrap();
+        let vma_b = os.mmap(b, 64 << 10).unwrap();
+        touch_all(&mut os, a, &vma_a);
+        touch_all(&mut os, b, &vma_b);
+        os.munmap(a, vma_a.base()).unwrap();
+        let (sa, sb) = (os.process(a).stats(), os.process(b).stats());
+        assert_eq!((sa.mmaps, sa.munmaps, sa.faults), (1, 1, 64));
+        assert_eq!((sb.mmaps, sb.munmaps, sb.faults), (1, 0, 16));
+        let mut sum = sa;
+        sum.accumulate(&sb);
+        assert_eq!(os.stats(), sum, "every counter so far belongs to a process");
+
+        // b's frames sit above the hole a left: compaction moves them, and
+        // the work lands in the machine total only.
+        let (outcome, shootdowns) = os.compact().unwrap();
+        assert!(outcome.pages_moved > 0);
+        assert_eq!((os.process(a).stats(), os.process(b).stats()), (sa, sb));
+        let machine = os.stats();
+        assert_eq!(machine.shootdowns, sum.shootdowns + shootdowns.len() as u64);
+        assert!(machine.op_cycles > sum.op_cycles);
     }
 
     #[test]

@@ -44,4 +44,4 @@ mod walker;
 
 pub use mmu_cache::{Asid as PtAsid, MmuCacheConfig, MmuCaches};
 pub use table::{PageTable, PT_POOL_BASE};
-pub use walker::{AliasPolicy, WalkFault, WalkOk, WalkRefs, Walker};
+pub use walker::{AliasPolicy, WalkEvents, WalkFault, WalkOk, WalkRefs, Walker};

@@ -41,16 +41,14 @@ impl Default for MmuCacheConfig {
     }
 }
 
-/// The per-level MMU caches plus hit statistics.
+/// The per-level MMU caches. Hits and dropped fills are reported through
+/// return values, so the walker can charge them to the walking ASID.
 #[derive(Clone, Debug)]
 pub struct MmuCaches {
     /// caches[0] = PDE (level 2), caches[1] = PDPTE (level 3),
     /// caches[2] = PML4E (level 4). Value = node of the next-lower level.
     caches: [LruCache<(Asid, u64), PhysAddr>; 3],
-    hits: [u64; 3],
-    misses: u64,
     injector: Option<InjectorHandle>,
-    fill_drops: u64,
 }
 
 impl Default for MmuCaches {
@@ -68,10 +66,7 @@ impl MmuCaches {
                 LruCache::new(config.pdpte_entries),
                 LruCache::new(config.pml4e_entries),
             ],
-            hits: [0; 3],
-            misses: 0,
             injector: None,
-            fill_drops: 0,
         }
     }
 
@@ -80,12 +75,6 @@ impl MmuCaches {
     /// miss and re-reference the page table — slower, never incorrect.
     pub fn set_fault_injector(&mut self, injector: Option<InjectorHandle>) {
         self.injector = injector;
-    }
-
-    /// How many fills were dropped by injected [`FaultSite::MmuCacheFill`]
-    /// faults (degradation counter).
-    pub fn fill_drops(&self) -> u64 {
-        self.fill_drops
     }
 
     fn tag(asid: Asid, va: VirtAddr, level: u8) -> (Asid, u64) {
@@ -98,17 +87,15 @@ impl MmuCaches {
     ///
     /// Returns `(resume_level, node)`: the walk should next read the entry
     /// at `resume_level` inside `node`. With no hit the caller resumes at
-    /// level 4 from the root (and this records a miss).
+    /// the root.
     pub fn lookup(&mut self, asid: Asid, va: VirtAddr) -> Option<(u8, PhysAddr)> {
         // Deepest first: PDE (level-2 entries) lets us skip 3 accesses.
         for (slot, level) in [(0usize, 2u8), (1, 3), (2, 4)] {
             if let Some(&node) = self.caches[slot].get(&Self::tag(asid, va, level)) {
-                self.hits[slot] += 1;
                 // A cached level-L entry points at the level L-1 node.
                 return Some((level - 1, node));
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -116,9 +103,9 @@ impl MmuCaches {
     /// points to `next_node`.
     ///
     /// Levels outside 2..=4 are ignored (leaf levels are cached by TLBs,
-    /// not MMU caches), as are fills dropped by an injected
-    /// [`FaultSite::MmuCacheFill`] fault.
-    pub fn insert(&mut self, asid: Asid, va: VirtAddr, level: u8, next_node: PhysAddr) {
+    /// not MMU caches). Returns `true` when an injected
+    /// [`FaultSite::MmuCacheFill`] fault dropped the fill.
+    pub fn insert(&mut self, asid: Asid, va: VirtAddr, level: u8, next_node: PhysAddr) -> bool {
         let slot = match level {
             2 => 0,
             3 => 1,
@@ -128,14 +115,14 @@ impl MmuCaches {
                     false,
                     "MMU caches hold only level 2..=4 entries, not {other}"
                 );
-                return;
+                return false;
             }
         };
         if should_fault(&self.injector, FaultSite::MmuCacheFill) {
-            self.fill_drops += 1;
-            return;
+            return true;
         }
         self.caches[slot].insert(Self::tag(asid, va, level), next_node);
+        false
     }
 
     /// Flushes everything (TLB shootdown / CR3 write).
@@ -143,16 +130,6 @@ impl MmuCaches {
         for c in &mut self.caches {
             c.clear();
         }
-    }
-
-    /// Hits in the PDE / PDPTE / PML4E caches respectively.
-    pub fn hit_counts(&self) -> (u64, u64, u64) {
-        (self.hits[0], self.hits[1], self.hits[2])
-    }
-
-    /// Walks that found no cached prefix at all.
-    pub fn miss_count(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -173,7 +150,6 @@ mod tests {
         assert_eq!(c.lookup(0, va), Some((1, PhysAddr::new(0x3000))));
         // A different ASID with the same VA prefix misses.
         assert!(c.lookup(1, va).is_none());
-        assert_eq!(c.hit_counts().0, 1);
     }
 
     #[test]
@@ -224,7 +200,6 @@ mod tests {
         c.insert(0, VirtAddr::new(0), 2, PhysAddr::new(BASE_PAGE_SIZE));
         c.invalidate_all();
         assert!(c.lookup(0, VirtAddr::new(0)).is_none());
-        assert_eq!(c.miss_count(), 1);
     }
 
     #[test]
@@ -239,13 +214,15 @@ mod tests {
             ..FaultPlanConfig::disabled(11)
         })));
         c.set_fault_injector(Some(plan.clone() as InjectorHandle));
-        c.insert(0, VirtAddr::new(0), 2, PhysAddr::new(BASE_PAGE_SIZE));
-        assert_eq!(c.fill_drops(), 1);
+        assert!(
+            c.insert(0, VirtAddr::new(0), 2, PhysAddr::new(BASE_PAGE_SIZE)),
+            "the fill reports its drop"
+        );
         assert!(c.lookup(0, VirtAddr::new(0)).is_none(), "fill was dropped");
         assert_eq!(plan.borrow().injected_at("mmu-cache-fill"), 1);
         // Removing the injector restores normal fills.
         c.set_fault_injector(None);
-        c.insert(0, VirtAddr::new(0), 2, PhysAddr::new(BASE_PAGE_SIZE));
+        assert!(!c.insert(0, VirtAddr::new(0), 2, PhysAddr::new(BASE_PAGE_SIZE)));
         assert!(c.lookup(0, VirtAddr::new(0)).is_some());
     }
 }

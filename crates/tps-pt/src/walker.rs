@@ -97,6 +97,8 @@ pub struct WalkOk {
     /// True if the final access landed on an alias PTE and (under
     /// [`AliasPolicy::Pointer`]) an extra access to the true PTE occurred.
     pub alias_extra: bool,
+    /// MMU-cache and injected-fault events of the walk.
+    pub events: WalkEvents,
 }
 
 impl WalkOk {
@@ -113,6 +115,25 @@ pub struct WalkFault {
     pub level: u8,
     /// Page-table accesses performed before faulting.
     pub refs: WalkRefs,
+    /// MMU-cache and injected-fault events of the walk.
+    pub events: WalkEvents,
+}
+
+/// What a walk did to the translation hardware besides reading the page
+/// table, reported with its result so the caller can charge it to the
+/// address space that walked.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalkEvents {
+    /// The level the walk resumed at after an MMU-cache hit: 1 for a PDE
+    /// hit, 2 for a PDPTE hit, 3 for a PML4E hit; `None` on a miss or
+    /// without caches.
+    pub cache_resume: Option<u8>,
+    /// True if an injected [`FaultSite::WalkStep`] fault restarted the
+    /// walk from the root.
+    pub restarted: bool,
+    /// MMU-cache fills dropped by injected [`FaultSite::MmuCacheFill`]
+    /// faults.
+    pub cache_fill_drops: u32,
 }
 
 /// The hardware page-table walker.
@@ -135,7 +156,6 @@ pub struct WalkFault {
 pub struct Walker {
     alias_policy: AliasPolicy,
     injector: Option<InjectorHandle>,
-    walk_restarts: u64,
 }
 
 impl Walker {
@@ -144,7 +164,6 @@ impl Walker {
         Walker {
             alias_policy,
             injector: None,
-            walk_restarts: 0,
         }
     }
 
@@ -156,15 +175,10 @@ impl Walker {
     /// Installs (or removes) a fault injector consulted at every walk
     /// step. A [`FaultSite::WalkStep`] hit models a transient translation
     /// error: the walk restarts from the root, bypassing the MMU caches,
-    /// at most once per walk — slower, never incorrect.
+    /// at most once per walk — slower, never incorrect. The walk reports
+    /// the restart in [`WalkEvents::restarted`].
     pub fn set_fault_injector(&mut self, injector: Option<InjectorHandle>) {
         self.injector = injector;
-    }
-
-    /// How many walks restarted from the root due to an injected
-    /// [`FaultSite::WalkStep`] fault (degradation counter).
-    pub fn walk_restarts(&self) -> u64 {
-        self.walk_restarts
     }
 
     /// Walks the page table for `va`.
@@ -198,18 +212,19 @@ impl Walker {
         mut caches: Option<&mut MmuCaches>,
     ) -> Result<WalkOk, WalkFault> {
         let mut refs = WalkRefs::new();
-        let (mut level, mut node) = match caches.as_deref_mut().and_then(|c| c.lookup(asid, va)) {
-            Some((lvl, node)) => (lvl, node),
-            None => (pt.levels(), pt.root()),
+        let cached = caches.as_deref_mut().and_then(|c| c.lookup(asid, va));
+        let mut events = WalkEvents {
+            cache_resume: cached.map(|(lvl, _)| lvl),
+            restarted: false,
+            cache_fill_drops: 0,
         };
-        let mut restarted = false;
+        let (mut level, mut node) = cached.unwrap_or((pt.levels(), pt.root()));
         loop {
-            if !restarted && should_fault(&self.injector, FaultSite::WalkStep { level }) {
+            if !events.restarted && should_fault(&self.injector, FaultSite::WalkStep { level }) {
                 // Transient step fault: restart from the root, bypassing
                 // the MMU caches. At most one restart per walk keeps the
                 // walk finite under a pathological (p = 1.0) plan.
-                restarted = true;
-                self.walk_restarts += 1;
+                events.restarted = true;
                 (level, node) = (pt.levels(), pt.root());
             }
             let idx = va.pt_index(level);
@@ -217,13 +232,21 @@ impl Walker {
             refs.push(entry_pa);
             let pte = pt.read_entry(node, idx);
             if !pte.is_present() {
-                return Err(WalkFault { level, refs });
+                return Err(WalkFault {
+                    level,
+                    refs,
+                    events,
+                });
             }
             if pte.is_leaf(level) {
                 // `is_leaf` passed, so decode cannot fail; treat a decode
                 // error as a not-present entry rather than panicking.
                 let Ok(leaf) = pte.decode_leaf(level) else {
-                    return Err(WalkFault { level, refs });
+                    return Err(WalkFault {
+                        level,
+                        refs,
+                        events,
+                    });
                 };
                 // Alias detection: the index bits that are really page
                 // offset must be zero in the true PTE's slot.
@@ -239,6 +262,7 @@ impl Walker {
                     leaf,
                     refs,
                     alias_extra,
+                    events,
                 });
             }
             // Non-leaf: record in the MMU caches and descend.
@@ -246,8 +270,8 @@ impl Walker {
             if let Some(c) = caches.as_deref_mut() {
                 // Only levels 2..=4 have page-structure caches; the extra
                 // fifth level is the uncached access LA57 pays for.
-                if (2..=4).contains(&level) {
-                    c.insert(asid, va, level, next);
+                if (2..=4).contains(&level) && c.insert(asid, va, level, next) {
+                    events.cache_fill_drops += 1;
                 }
             }
             node = next;
@@ -482,7 +506,7 @@ mod tests {
         let ok = w.walk(&pt, va, None).unwrap();
         // One restart: the first step faulted, the rerun's four accesses
         // follow the aborted attempt's zero accesses.
-        assert_eq!(w.walk_restarts(), 1);
+        assert!(ok.events.restarted);
         assert_eq!(ok.refs.len(), 4);
         assert_eq!(Some(ok.translate(va)), pt.translate(va));
         assert_eq!(plan.borrow().injected_at("walk-step"), 1);
@@ -491,6 +515,33 @@ mod tests {
         let mut caches = MmuCaches::default();
         let warm = w.walk(&pt, va, Some(&mut caches)).unwrap();
         assert_eq!(Some(warm.translate(va)), pt.translate(va));
-        assert_eq!(w.walk_restarts(), 2);
+        assert!(warm.events.restarted);
+    }
+
+    #[test]
+    fn walks_report_their_mmu_cache_resume_level() {
+        let pt = mapped_pt();
+        let mut caches = MmuCaches::default();
+        let mut w = Walker::default();
+        let cold = w
+            .walk(&pt, VirtAddr::new(0x1123), Some(&mut caches))
+            .unwrap();
+        assert_eq!(cold.events, WalkEvents::default(), "cold walk: no hit");
+        let pde = w
+            .walk(&pt, VirtAddr::new(0x1456), Some(&mut caches))
+            .unwrap();
+        assert_eq!(pde.events.cache_resume, Some(1), "PDE hit");
+        let pml4e = w
+            .walk(&pt, VirtAddr::new(0x4000_0123), Some(&mut caches))
+            .unwrap();
+        assert_eq!(pml4e.events.cache_resume, Some(3), "PML4E hit");
+        let fault = w
+            .walk(&pt, VirtAddr::new(0x3000), Some(&mut caches))
+            .unwrap_err();
+        assert_eq!(
+            fault.events.cache_resume,
+            Some(1),
+            "faulting walks report too"
+        );
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use tps_core::rng::SplitMix64;
 use tps_core::{InjectorHandle, TenantFault, TenantFaultCause, TpsError, VirtAddr};
 use tps_mem::BuddyAllocator;
-use tps_os::{Os, OsStats};
+use tps_os::Os;
 use tps_tlb::{Asid, TlbStats};
 use tps_wl::{build_seeded, Event, SuiteScale, Workload, WorkloadProfile};
 
@@ -410,10 +410,11 @@ impl MachineBuilder {
             os.set_page_table_levels(5);
         }
         os.set_fine_grained_ad(self.config.fine_grained_ad);
-        let mmu = Mmu::new(&self.config);
+        let mut mmu = Mmu::new(&self.config);
         let mut tenants = Vec::with_capacity(self.tenants.len());
         for spec in self.tenants {
             let asid = os.spawn();
+            mmu.open_ledger(asid);
             let workload: Box<dyn Workload> = match spec.source {
                 WorkloadSource::Boxed(workload) => workload,
                 WorkloadSource::Suite { name, scale, seed } => build_seeded(&name, scale, seed),
@@ -430,8 +431,6 @@ impl MachineBuilder {
                 mapped_bytes: 0,
                 regions: BTreeMap::new(),
                 counters: RunCounters::default(),
-                os_attr: OsStats::default(),
-                hw_attr: HwAttribution::default(),
                 events: 0,
                 killed: None,
                 final_stats: None,
@@ -464,18 +463,6 @@ impl Workload for ExternalTenant {
     }
 }
 
-/// Hardware counters attributed to one tenant by delta-snapshotting the
-/// machine-wide monotone counters around each of its events.
-#[derive(Clone, Copy, Debug, Default)]
-struct HwAttribution {
-    walk_restarts: u64,
-    mmu_cache_fill_drops: u64,
-    tlb_fill_drops: u64,
-    tlb_evict_abandons: u64,
-    stlb_probe_misses: u64,
-    cache_hits: (u64, u64, u64),
-}
-
 /// One tenant's run-time state.
 struct Tenant {
     asid: Asid,
@@ -485,8 +472,6 @@ struct Tenant {
     mapped_bytes: u64,
     regions: BTreeMap<u32, (VirtAddr, u64)>,
     counters: RunCounters,
-    os_attr: OsStats,
-    hw_attr: HwAttribution,
     /// Events executed so far (the 0-based index of the next event).
     events: u64,
     /// Set when the machine killed this tenant: the fault cause and the
@@ -494,17 +479,6 @@ struct Tenant {
     /// number of events it had executed when it was chosen).
     killed: Option<(TenantFaultCause, u64)>,
     final_stats: Option<RunStats>,
-}
-
-/// Machine-wide monotone counter snapshot, taken around each event so the
-/// delta can be charged to the acting tenant.
-#[derive(Clone, Copy)]
-struct HwSnapshot {
-    os: OsStats,
-    walk_restarts: u64,
-    mmu_cache_fill_drops: u64,
-    tlb: tps_tlb::TlbFaultStats,
-    cache_hits: (u64, u64, u64),
 }
 
 /// One simulated machine: N tenant processes sharing the OS, the physical
@@ -606,42 +580,11 @@ impl Machine {
     ///
     /// Panics if `tenant` is out of range.
     pub fn merge_pages(&mut self, tenant: usize) -> u64 {
-        let snap = self.snapshot();
         let merges = self.os.merge_pages(self.tenants[tenant].asid);
         if merges > 0 {
             self.mmu.flush_structure_caches();
         }
-        self.attribute(tenant, &snap);
         merges
-    }
-
-    fn snapshot(&self) -> HwSnapshot {
-        let (walk_restarts, mmu_cache_fill_drops, tlb) = self.mmu.hw_fault_counters();
-        HwSnapshot {
-            os: self.os.stats(),
-            walk_restarts,
-            mmu_cache_fill_drops,
-            tlb,
-            cache_hits: self.mmu.mmu_cache_hits(),
-        }
-    }
-
-    /// Charges every machine-wide counter movement since `snap` to
-    /// `tenant`.
-    fn attribute(&mut self, tenant: usize, snap: &HwSnapshot) {
-        let os_now = self.os.stats();
-        let (walk_restarts, mmu_cache_fill_drops, tlb) = self.mmu.hw_fault_counters();
-        let cache_hits = self.mmu.mmu_cache_hits();
-        let t = &mut self.tenants[tenant];
-        t.os_attr.accumulate(&os_now.delta_since(&snap.os));
-        t.hw_attr.walk_restarts += walk_restarts - snap.walk_restarts;
-        t.hw_attr.mmu_cache_fill_drops += mmu_cache_fill_drops - snap.mmu_cache_fill_drops;
-        t.hw_attr.tlb_fill_drops += tlb.fill_drops - snap.tlb.fill_drops;
-        t.hw_attr.tlb_evict_abandons += tlb.evict_abandons - snap.tlb.evict_abandons;
-        t.hw_attr.stlb_probe_misses += tlb.stlb_probe_misses - snap.tlb.stlb_probe_misses;
-        t.hw_attr.cache_hits.0 += cache_hits.0 - snap.cache_hits.0;
-        t.hw_attr.cache_hits.1 += cache_hits.1 - snap.cache_hits.1;
-        t.hw_attr.cache_hits.2 += cache_hits.2 - snap.cache_hits.2;
     }
 
     /// Executes one event on behalf of `tenant`. Exposed for custom
@@ -654,11 +597,10 @@ impl Machine {
     /// out-of-bounds access offset, exceeding the tenant's memory cap,
     /// exhausting shared physical memory, or stepping a tenant that
     /// already retired (`tenant` out of range reports the same way). A
-    /// faulting event leaves the tenant's regions untouched; whatever
-    /// machine-wide counter movement the attempt caused is still
-    /// attributed to the tenant. The machine itself never panics on a
-    /// tenant-originated fault — [`Machine::run`] contains it by killing
-    /// the tenant.
+    /// faulting event leaves the tenant's regions untouched; whatever OS
+    /// and hardware work the attempt did stays charged to the tenant. The
+    /// machine itself never panics on a tenant-originated fault —
+    /// [`Machine::run`] contains it by killing the tenant.
     pub fn step(&mut self, tenant: usize, event: Event) -> Result<(), TenantFault> {
         if tenant >= self.tenants.len() {
             return Err(TenantFault::new(
@@ -672,12 +614,7 @@ impl Machine {
                 format!("tenant {tenant} already retired"),
             ));
         }
-        let snap = self.snapshot();
         let result = self.dispatch(tenant, event);
-        // Partial machine-wide movement (e.g. a failed eager mmap's
-        // alloc-then-rollback churn) is charged to the tenant that
-        // caused it, fault or not.
-        self.attribute(tenant, &snap);
         if result.is_ok() {
             self.tenants[tenant].events += 1;
         }
@@ -927,43 +864,35 @@ impl Machine {
     }
 
     /// Shared retire/kill mechanics: freeze statistics first (footprint
-    /// and census are reported as of the exit point), then optionally
-    /// reclaim the tenant's regions, charging the munmaps and shootdowns
-    /// to the departing tenant so the per-tenant rollup still sums
-    /// exactly to the machine-wide counters, and finally retire the
-    /// ASID. The frozen statistics are patched with the reclaim work
-    /// before being returned.
+    /// and census are reported as of the exit point), retire the ASID,
+    /// then optionally reclaim the tenant's regions. The reclaim munmaps
+    /// run under the tenant's ASID, so the OS charges them to its account,
+    /// which is read again once they are done.
     fn finalize(&mut self, slot: usize, reclaim: bool) -> RunStats {
-        let mut stats = self.freeze(slot);
+        let stats = self.freeze(slot);
         let asid = self.tenants[slot].asid;
         self.mmu.retire_asid(asid);
-        if reclaim {
-            let snap = self.snapshot();
-            let regions = std::mem::take(&mut self.tenants[slot].regions);
-            for (base, _) in regions.into_values() {
-                // A region recorded here is mapped by construction; if
-                // the OS disagrees the munmap is skipped rather than
-                // panicking mid-reclaim.
-                if let Ok(shootdowns) = self.os.munmap(asid, base) {
-                    self.mmu.apply_shootdowns(&shootdowns);
-                }
-            }
-            self.tenants[slot].mapped_bytes = 0;
-            self.attribute(slot, &snap);
-            let t = &self.tenants[slot];
-            stats.os = t.os_attr;
-            stats.mmu_cache_hits = t.hw_attr.cache_hits;
-            stats.hw_faults.walk_restarts = t.hw_attr.walk_restarts;
-            stats.hw_faults.mmu_cache_fill_drops = t.hw_attr.mmu_cache_fill_drops;
-            stats.hw_faults.tlb_fill_drops = t.hw_attr.tlb_fill_drops;
-            stats.hw_faults.tlb_evict_abandons = t.hw_attr.tlb_evict_abandons;
-            stats.hw_faults.stlb_probe_misses = t.hw_attr.stlb_probe_misses;
+        if !reclaim {
+            return stats;
         }
-        stats
+        let regions = std::mem::take(&mut self.tenants[slot].regions);
+        for (base, _) in regions.into_values() {
+            // A region recorded here is mapped by construction; if the OS
+            // disagrees the munmap is skipped rather than panicking
+            // mid-reclaim.
+            if let Ok(shootdowns) = self.os.munmap(asid, base) {
+                self.mmu.apply_shootdowns(&shootdowns);
+            }
+        }
+        self.tenants[slot].mapped_bytes = 0;
+        RunStats {
+            os: self.os.process(asid).stats(),
+            ..stats
+        }
     }
 
-    /// Builds one tenant's final [`RunStats`] from its own counters and
-    /// the machine-wide work attributed to its events.
+    /// Builds one tenant's final [`RunStats`] from its own counters, its
+    /// process's OS account and its ASID's hardware ledger.
     fn freeze(&self, slot: usize) -> RunStats {
         let t = &self.tenants[slot];
         let profile = t.workload.profile();
@@ -971,13 +900,10 @@ impl Machine {
             (c.accesses as f64 * profile.insts_per_access) as u64 + c.extra_insts
         };
         let process = self.os.process(t.asid);
+        let ledger = self.mmu.ledger(t.asid);
         let hw_faults = HwFaultStats {
-            walk_restarts: t.hw_attr.walk_restarts,
             alias_install_retries: process.page_table().alias_install_retries(),
-            mmu_cache_fill_drops: t.hw_attr.mmu_cache_fill_drops,
-            tlb_fill_drops: t.hw_attr.tlb_fill_drops,
-            tlb_evict_abandons: t.hw_attr.tlb_evict_abandons,
-            stlb_probe_misses: t.hw_attr.stlb_probe_misses,
+            ..ledger.faults
         };
         RunStats {
             name: profile.name.clone(),
@@ -991,42 +917,26 @@ impl Machine {
             ad_updates: t.counters.measured.ad_updates,
             full_mem: t.counters.full.mem,
             full_walk_refs: t.counters.full.walk_refs,
-            os: t.os_attr,
+            os: process.stats(),
             page_census: process.page_table().page_census(),
             resident_bytes: process.resident_bytes(),
             touched_bytes: process.touched_bytes(),
-            mmu_cache_hits: t.hw_attr.cache_hits,
+            mmu_cache_hits: ledger.mmu_cache_hits,
             hw_faults,
         }
     }
 
-    /// The machine-wide rollup: counter sums across tenants, with the OS,
-    /// MMU-cache and hardware-fault counters read machine-wide (for a
-    /// single tenant this is exactly what the old solo driver reported).
+    /// The machine-wide rollup: counter sums across tenants, plus the OS
+    /// work done for no tenant (compaction) in `os`. For a single tenant
+    /// this is exactly what the old solo driver reported.
     fn rollup(&self, per_tenant: &[RunStats]) -> RunStats {
-        let (walk_restarts, mmu_cache_fill_drops, tlb) = self.mmu.hw_fault_counters();
-        let hw_faults = HwFaultStats {
-            walk_restarts,
-            alias_install_retries: self
-                .tenants
-                .iter()
-                .map(|t| self.os.process(t.asid).page_table().alias_install_retries())
-                .sum(),
-            mmu_cache_fill_drops,
-            tlb_fill_drops: tlb.fill_drops,
-            tlb_evict_abandons: tlb.evict_abandons,
-            stlb_probe_misses: tlb.stlb_probe_misses,
-        };
         if let [solo] = per_tenant {
-            // Byte-exact continuity with the old single-process driver:
-            // the rollup is the tenant's stats with the shared counters
-            // read machine-wide.
-            let mut global = solo.clone();
-            global.os = self.os.stats();
-            global.mmu_cache_hits = self.mmu.mmu_cache_hits();
-            global.hw_faults = hw_faults;
-            return global;
+            return RunStats {
+                os: self.os.stats(),
+                ..solo.clone()
+            };
         }
+        let sum = |field: fn(&RunStats) -> u64| per_tenant.iter().map(field).sum::<u64>();
         let sum_tlb = |field: fn(&RunStats) -> &TlbStats| {
             let mut total = TlbStats::default();
             for s in per_tenant {
@@ -1054,20 +964,31 @@ impl Machine {
             name: name.clone(),
             profile: weighted_profile(name, per_tenant),
             mem: sum_tlb(|s| &s.mem),
-            walks: per_tenant.iter().map(|s| s.walks).sum(),
-            walk_refs: per_tenant.iter().map(|s| s.walk_refs).sum(),
-            alias_extras: per_tenant.iter().map(|s| s.alias_extras).sum(),
-            ad_updates: per_tenant.iter().map(|s| s.ad_updates).sum(),
+            walks: sum(|s| s.walks),
+            walk_refs: sum(|s| s.walk_refs),
+            alias_extras: sum(|s| s.alias_extras),
+            ad_updates: sum(|s| s.ad_updates),
             os: self.os.stats(),
-            instructions: per_tenant.iter().map(|s| s.instructions).sum(),
-            full_instructions: per_tenant.iter().map(|s| s.full_instructions).sum(),
+            instructions: sum(|s| s.instructions),
+            full_instructions: sum(|s| s.full_instructions),
             full_mem: sum_tlb(|s| &s.full_mem),
-            full_walk_refs: per_tenant.iter().map(|s| s.full_walk_refs).sum(),
+            full_walk_refs: sum(|s| s.full_walk_refs),
             page_census,
-            resident_bytes: per_tenant.iter().map(|s| s.resident_bytes).sum(),
-            touched_bytes: per_tenant.iter().map(|s| s.touched_bytes).sum(),
-            mmu_cache_hits: self.mmu.mmu_cache_hits(),
-            hw_faults,
+            resident_bytes: sum(|s| s.resident_bytes),
+            touched_bytes: sum(|s| s.touched_bytes),
+            mmu_cache_hits: (
+                sum(|s| s.mmu_cache_hits.0),
+                sum(|s| s.mmu_cache_hits.1),
+                sum(|s| s.mmu_cache_hits.2),
+            ),
+            hw_faults: HwFaultStats {
+                walk_restarts: sum(|s| s.hw_faults.walk_restarts),
+                alias_install_retries: sum(|s| s.hw_faults.alias_install_retries),
+                mmu_cache_fill_drops: sum(|s| s.hw_faults.mmu_cache_fill_drops),
+                tlb_fill_drops: sum(|s| s.hw_faults.tlb_fill_drops),
+                tlb_evict_abandons: sum(|s| s.hw_faults.tlb_evict_abandons),
+                stlb_probe_misses: sum(|s| s.hw_faults.stlb_probe_misses),
+            },
         }
     }
 }
@@ -1105,6 +1026,7 @@ mod tests {
     use super::*;
     use crate::config::Mechanism;
     use tps_core::BASE_PAGE_SIZE;
+    use tps_os::OsStats;
     use tps_wl::{Gups, GupsParams, Initialized};
 
     fn gups(updates: u64) -> Initialized<Gups> {

@@ -3,10 +3,11 @@
 
 use crate::config::MachineConfig;
 use crate::nested::NestedWalkModel;
+use crate::stats::HwFaultStats;
 use tps_core::{LeafInfo, PageOrder, PteFlags, TpsError, VirtAddr};
 use tps_os::{Os, Shootdown};
-use tps_pt::{MmuCaches, Walker};
-use tps_tlb::{Asid, L2Hit, TlbHierarchy};
+use tps_pt::{MmuCaches, WalkEvents, Walker};
+use tps_tlb::{Asid, FillOutcome, L2Hit, TlbHierarchy};
 
 /// Where an access found its translation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -40,6 +41,38 @@ pub struct AccessOutcome {
     pub ad_updates: u64,
 }
 
+/// Hardware work charged to one ASID: MMU-cache hits and the
+/// degradations of absorbed injected faults.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct HwLedger {
+    /// Injected-fault degradations. `alias_install_retries` stays zero
+    /// here: alias installs are page-table work, counted by the page table.
+    pub faults: HwFaultStats,
+    /// MMU-cache hits (PDE, PDPTE, PML4E).
+    pub mmu_cache_hits: (u64, u64, u64),
+}
+
+impl HwLedger {
+    fn charge_walk(&mut self, events: &WalkEvents) {
+        self.faults.walk_restarts += u64::from(events.restarted);
+        self.faults.mmu_cache_fill_drops += u64::from(events.cache_fill_drops);
+        match events.cache_resume {
+            Some(1) => self.mmu_cache_hits.0 += 1,
+            Some(2) => self.mmu_cache_hits.1 += 1,
+            Some(3) => self.mmu_cache_hits.2 += 1,
+            _ => {}
+        }
+    }
+
+    fn charge_fill(&mut self, fill: FillOutcome) {
+        match fill {
+            FillOutcome::Installed => {}
+            FillOutcome::Dropped => self.faults.tlb_fill_drops += 1,
+            FillOutcome::Abandoned => self.faults.tlb_evict_abandons += 1,
+        }
+    }
+}
+
 /// The core's translation machinery.
 #[derive(Clone, Debug)]
 pub struct Mmu {
@@ -50,6 +83,11 @@ pub struct Mmu {
     perfect_l1: bool,
     perfect_l2: bool,
     verify: bool,
+    /// One ledger per ASID opened with [`Mmu::open_ledger`].
+    ledgers: Vec<HwLedger>,
+    /// Where charges for an ASID without an open ledger land; never
+    /// reported.
+    unopened: HwLedger,
 }
 
 impl Mmu {
@@ -65,6 +103,8 @@ impl Mmu {
             perfect_l1: config.perfect_l1,
             perfect_l2: config.perfect_l2,
             verify: config.verify_translations,
+            ledgers: Vec::new(),
+            unopened: HwLedger::default(),
         }
     }
 
@@ -73,9 +113,30 @@ impl Mmu {
         &self.tlb
     }
 
-    /// MMU-cache hit counters (PDE, PDPTE, PML4E).
-    pub fn mmu_cache_hits(&self) -> (u64, u64, u64) {
-        self.caches.hit_counts()
+    /// Opens a hardware ledger for `asid` (and for every lower ASID
+    /// without one). Call it when the address space is created: the
+    /// storage is sized here, so translation never allocates.
+    pub fn open_ledger(&mut self, asid: Asid) {
+        let len = usize::from(asid) + 1;
+        if self.ledgers.len() < len {
+            self.ledgers.resize(len, HwLedger::default());
+        }
+    }
+
+    /// The hardware work charged to `asid` so far; all zero for an ASID
+    /// without an open ledger.
+    pub fn ledger(&self, asid: Asid) -> HwLedger {
+        self.ledgers
+            .get(usize::from(asid))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn ledger_mut(&mut self, asid: Asid) -> &mut HwLedger {
+        match self.ledgers.get_mut(usize::from(asid)) {
+            Some(ledger) => ledger,
+            None => &mut self.unopened,
+        }
     }
 
     /// Installs (or removes) a fault injector on every hardware structure
@@ -86,16 +147,6 @@ impl Mmu {
         self.walker.set_fault_injector(injector.clone());
         self.caches.set_fault_injector(injector.clone());
         self.tlb.set_fault_injector(injector);
-    }
-
-    /// Degradation counters from injected hardware faults: walk restarts,
-    /// dropped MMU-cache fills, and the TLB hierarchy's fault stats.
-    pub fn hw_fault_counters(&self) -> (u64, u64, tps_tlb::TlbFaultStats) {
-        (
-            self.walker.walk_restarts(),
-            self.caches.fill_drops(),
-            self.tlb.fault_stats(),
-        )
     }
 
     /// Flushes the paging-structure caches only (page merges free
@@ -123,29 +174,30 @@ impl Mmu {
         }
     }
 
-    /// Makes sure `va` is mapped, faulting as needed. Returns the covering
-    /// leaf, the number of faults taken, and whether a promotion happened.
+    /// Makes sure `va` is mapped, faulting as needed, and returns the
+    /// covering leaf. Faults and promotions are added to `out`.
     fn ensure_mapped(
         &mut self,
         os: &mut Os,
         asid: Asid,
         va: VirtAddr,
         write: bool,
-    ) -> Result<(LeafInfo, u32, bool), TpsError> {
-        let mut faults = 0u32;
-        let mut promoted = false;
+        out: &mut AccessOutcome,
+    ) -> Result<LeafInfo, TpsError> {
         loop {
             if let Some(leaf) = os.page_table(asid).lookup(va) {
-                return Ok((leaf, faults, promoted));
+                return Ok(leaf);
             }
-            let outcome = os.handle_fault(asid, va, write)?;
-            faults += 1;
-            promoted |= outcome.promoted;
+            let fault = os.handle_fault(asid, va, write)?;
+            out.faults += 1;
+            out.promoted |= fault.promoted;
         }
     }
 
     /// Translates one access, performing fills, walks, faults and
-    /// copy-on-write resolution.
+    /// copy-on-write resolution. Hardware work — MMU-cache hits and
+    /// absorbed injected faults — is charged to `asid`'s ledger as it
+    /// happens, so a failed access keeps its partial charges.
     ///
     /// # Errors
     ///
@@ -166,114 +218,71 @@ impl Mmu {
         va: VirtAddr,
         write: bool,
     ) -> Result<AccessOutcome, TpsError> {
-        let mut agg: Option<AccessOutcome> = None;
-        loop {
-            let (outcome, writable) = self.access_attempt(os, asid, va, write)?;
-            let merged = match agg.take() {
-                None => outcome,
-                Some(prev) => AccessOutcome {
-                    level: prev.level,
-                    walk_refs: prev.walk_refs + outcome.walk_refs,
-                    alias_extra: prev.alias_extra | outcome.alias_extra,
-                    faults: prev.faults + outcome.faults,
-                    promoted: prev.promoted | outcome.promoted,
-                    ad_updates: prev.ad_updates + outcome.ad_updates,
-                },
-            };
-            if write && !writable {
-                // Protection fault: resolve copy-on-write and retry.
-                let shootdowns = os.handle_cow_fault(asid, va)?;
-                self.apply_shootdowns(&shootdowns);
-                agg = Some(AccessOutcome {
-                    faults: merged.faults + 1,
-                    ..merged
-                });
-                continue;
-            }
-            return Ok(merged);
+        let mut outcome = AccessOutcome {
+            level: AccessLevel::L1,
+            walk_refs: 0,
+            alias_extra: false,
+            faults: 0,
+            promoted: false,
+            ad_updates: 0,
+        };
+        let (level, mut writable) = self.access_attempt(os, asid, va, write, &mut outcome)?;
+        outcome.level = level;
+        while write && !writable {
+            // Protection fault: resolve copy-on-write and retry. The access
+            // keeps the level its first attempt found.
+            let shootdowns = os.handle_cow_fault(asid, va)?;
+            self.apply_shootdowns(&shootdowns);
+            outcome.faults += 1;
+            (_, writable) = self.access_attempt(os, asid, va, write, &mut outcome)?;
         }
+        Ok(outcome)
     }
 
-    /// One translation attempt; returns the outcome plus whether the
-    /// mapping used permits writes.
+    /// One translation attempt, adding its counts into `out`; returns
+    /// where the translation came from and whether the mapping used
+    /// permits writes.
     fn access_attempt(
         &mut self,
         os: &mut Os,
         asid: Asid,
         va: VirtAddr,
         write: bool,
-    ) -> Result<(AccessOutcome, bool), TpsError> {
+        out: &mut AccessOutcome,
+    ) -> Result<(AccessLevel, bool), TpsError> {
         if self.perfect_l1 {
-            let (leaf, faults, promoted) = self.ensure_mapped(os, asid, va, write)?;
-            let writable = leaf.flags.contains(PteFlags::WRITABLE);
-            return Ok((
-                AccessOutcome {
-                    level: AccessLevel::L1,
-                    walk_refs: 0,
-                    alias_extra: false,
-                    faults,
-                    promoted,
-                    ad_updates: 0,
-                },
-                writable,
-            ));
+            let leaf = self.ensure_mapped(os, asid, va, write, out)?;
+            return Ok((AccessLevel::L1, leaf.flags.contains(PteFlags::WRITABLE)));
         }
 
         if let Some(t) = self.tlb.lookup_l1(asid, va) {
             if self.verify {
                 self.verify_translation(os, asid, va, t.pfn);
             }
-            return Ok((
-                AccessOutcome {
-                    level: AccessLevel::L1,
-                    walk_refs: 0,
-                    alias_extra: false,
-                    faults: 0,
-                    promoted: false,
-                    ad_updates: 0,
-                },
-                t.writable,
-            ));
+            return Ok((AccessLevel::L1, t.writable));
         }
 
         if self.perfect_l2 {
-            let (leaf, faults, promoted) = self.ensure_mapped(os, asid, va, write)?;
-            self.tlb.fill_l1(asid, va, &leaf);
-            let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-            return Ok((
-                AccessOutcome {
-                    level: AccessLevel::Stlb,
-                    walk_refs: 0,
-                    alias_extra: false,
-                    faults,
-                    promoted,
-                    ad_updates: ad,
-                },
-                leaf.flags.contains(PteFlags::WRITABLE),
-            ));
+            let leaf = self.ensure_mapped(os, asid, va, write, out)?;
+            let fill = self.tlb.fill_l1(asid, va, &leaf);
+            self.ledger_mut(asid).charge_fill(fill);
+            out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
+            return Ok((AccessLevel::Stlb, leaf.flags.contains(PteFlags::WRITABLE)));
         }
 
-        let attempt = match self.tlb.lookup_l2(asid, va) {
+        let (l2, forced_miss) = self.tlb.lookup_l2(asid, va);
+        self.ledger_mut(asid).faults.stlb_probe_misses += u64::from(forced_miss);
+        match l2 {
             L2Hit::Stlb(t) => {
                 // Refill L1 from the (functionally looked-up) leaf: the
                 // hardware already has everything it needs in the entry.
-                let (leaf, faults, promoted) = self.ensure_mapped(os, asid, va, write)?;
+                let leaf = self.ensure_mapped(os, asid, va, write, out)?;
                 self.fill_l1(os, asid, va, &leaf);
                 if self.verify {
                     self.verify_translation(os, asid, va, t.pfn);
                 }
-                let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-                (
-                    AccessOutcome {
-                        level: AccessLevel::Stlb,
-                        walk_refs: 0,
-                        alias_extra: false,
-                        faults,
-                        promoted,
-                        ad_updates: ad,
-                    },
-                    t.writable,
-                )
+                out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
+                Ok((AccessLevel::Stlb, t.writable))
             }
             L2Hit::Range(t) => {
                 // RMM: construct the 4 KB PTE from the range, no walk.
@@ -286,26 +295,16 @@ impl Mmu {
                         PteFlags::PRESENT | PteFlags::USER
                     },
                 };
-                self.tlb.fill_l1(asid, va.align_down(12), &leaf);
+                let fill = self.tlb.fill_l1(asid, va.align_down(12), &leaf);
+                self.ledger_mut(asid).charge_fill(fill);
                 if self.verify {
                     self.verify_translation(os, asid, va, t.pfn);
                 }
-                let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-                (
-                    AccessOutcome {
-                        level: AccessLevel::Range,
-                        walk_refs: 0,
-                        alias_extra: false,
-                        faults: 0,
-                        promoted: false,
-                        ad_updates: ad,
-                    },
-                    t.writable,
-                )
+                out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
+                Ok((AccessLevel::Range, t.writable))
             }
-            L2Hit::Miss => self.walk_and_fill(os, asid, va, write)?,
-        };
-        Ok(attempt)
+            L2Hit::Miss => self.walk_and_fill(os, asid, va, write, out),
+        }
     }
 
     /// Page walk, handling faults and promotions, then fill all levels.
@@ -315,37 +314,35 @@ impl Mmu {
         asid: Asid,
         va: VirtAddr,
         write: bool,
-    ) -> Result<(AccessOutcome, bool), TpsError> {
-        let mut walk_refs = 0u64;
-        let mut faults = 0u32;
-        let mut promoted = false;
-        let leaf;
-        let alias_extra;
-        loop {
+        out: &mut AccessOutcome,
+    ) -> Result<(AccessLevel, bool), TpsError> {
+        let leaf = loop {
             let result =
                 self.walker
                     .walk_for(asid, os.page_table(asid), va, Some(&mut self.caches));
             match result {
                 Ok(ok) => {
-                    walk_refs += self.charge_refs(&ok.refs);
-                    leaf = ok.leaf;
-                    alias_extra = ok.alias_extra;
-                    break;
+                    self.ledger_mut(asid).charge_walk(&ok.events);
+                    out.walk_refs += self.charge_refs(&ok.refs);
+                    out.alias_extra |= ok.alias_extra;
+                    break ok.leaf;
                 }
                 Err(fault) => {
-                    walk_refs += self.charge_refs(&fault.refs);
+                    self.ledger_mut(asid).charge_walk(&fault.events);
+                    out.walk_refs += self.charge_refs(&fault.refs);
                     let outcome = os.handle_fault(asid, va, write)?;
-                    faults += 1;
+                    out.faults += 1;
                     if outcome.promoted {
-                        promoted = true;
+                        out.promoted = true;
                         // Cross-level promotion may free page-table nodes:
                         // the OS flushes the paging-structure caches.
                         self.caches.invalidate_all();
                     }
                 }
             }
-        }
-        self.tlb.fill_l2(asid, va, &leaf);
+        };
+        let fill = self.tlb.fill_l2(asid, va, &leaf);
+        self.ledger_mut(asid).charge_fill(fill);
         self.fill_l1(os, asid, va, &leaf);
         // RMM refills its Range TLB from the OS range table after the walk
         // (off the critical path).
@@ -359,18 +356,8 @@ impl Mmu {
                 + (va.base_page_number() - va.align_down(leaf.order.shift()).base_page_number());
             self.verify_translation(os, asid, va, pfn);
         }
-        let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-        Ok((
-            AccessOutcome {
-                level: AccessLevel::Walk,
-                walk_refs,
-                alias_extra,
-                faults,
-                promoted,
-                ad_updates: ad,
-            },
-            leaf.flags.contains(PteFlags::WRITABLE),
-        ))
+        out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
+        Ok((AccessLevel::Walk, leaf.flags.contains(PteFlags::WRITABLE)))
     }
 
     /// Counts guest refs plus nested (host) amplification when virtualized.
@@ -388,10 +375,12 @@ impl Mmu {
     /// probe closure is passed as a generic parameter so the per-fill
     /// neighbor checks inline into the run detection.
     fn fill_l1(&mut self, os: &Os, asid: Asid, va: VirtAddr, leaf: &LeafInfo) {
-        self.tlb
+        let fill = self
+            .tlb
             .fill_l1_with_probe(asid, va, leaf, |upn: u64, order: PageOrder| {
                 os.probe_mapping_order(asid, upn, order)
             });
+        self.ledger_mut(asid).charge_fill(fill);
     }
 
     fn verify_translation(&self, os: &Os, asid: Asid, va: VirtAddr, pfn: u64) {
@@ -468,6 +457,27 @@ mod tests {
                 .faults,
             0
         );
+    }
+
+    #[test]
+    fn hardware_work_is_charged_to_the_translating_asid() {
+        let (mut os, mut mmu, a) = setup();
+        let b = os.spawn();
+        mmu.open_ledger(a);
+        mmu.open_ledger(b);
+        let (handle, _plan) =
+            tps_core::FaultPlan::handles(tps_core::FaultPlanConfig::uniform_hw(9, 0.2));
+        mmu.set_fault_injector(Some(handle));
+        let vma = os.mmap(a, 4 << 20).unwrap();
+        for i in 0..1024u64 {
+            let va = VirtAddr::new(vma.base().value() + (i * 0x9_1000) % (4 << 20));
+            mmu.access(&mut os, a, va, i % 3 == 0).unwrap();
+        }
+        let ledger = mmu.ledger(a);
+        assert!(ledger.faults.total() > 0, "{ledger:?}");
+        assert!(ledger.mmu_cache_hits.0 > 0, "{ledger:?}");
+        assert_eq!(mmu.ledger(b), HwLedger::default(), "b never translated");
+        assert_eq!(mmu.ledger(7), HwLedger::default(), "no ledger was opened");
     }
 
     #[test]

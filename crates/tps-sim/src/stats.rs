@@ -118,8 +118,8 @@ pub struct RunStats {
 /// replacement for the previous `Machine::run` return value.
 #[derive(Clone, Debug)]
 pub struct MachineRunStats {
-    /// Machine-wide rollup: counter sums across tenants, with the OS,
-    /// MMU-cache and hardware-fault counters read machine-wide.
+    /// Machine-wide rollup: counter sums across tenants, plus the OS work
+    /// done for no tenant (compaction).
     pub global: RunStats,
     /// Per-tenant statistics, indexed by tenant slot (== ASID).
     pub per_tenant: Vec<RunStats>,

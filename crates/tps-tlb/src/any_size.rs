@@ -10,6 +10,18 @@ use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
 use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
 
+/// What a fill did: installed the entry, or absorbed an injected fault.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum FillOutcome {
+    /// The entry was installed (or updated in place).
+    Installed,
+    /// An injected [`FaultSite::AnySizeFill`] fault dropped the fill.
+    Dropped,
+    /// An injected [`FaultSite::AnySizeEvict`] fault evicted the LRU
+    /// victim but abandoned the incoming entry.
+    Abandoned,
+}
+
 /// Fully-associative TLB accepting entries of any page order.
 ///
 /// # Example
@@ -34,8 +46,6 @@ pub struct AnySizeTlb {
     entries: Vec<(TlbEntry, u64)>,
     clock: u64,
     injector: Option<InjectorHandle>,
-    fill_drops: u64,
-    evict_abandons: u64,
 }
 
 impl AnySizeTlb {
@@ -51,29 +61,16 @@ impl AnySizeTlb {
             entries: Vec::with_capacity(capacity),
             clock: 0,
             injector: None,
-            fill_drops: 0,
-            evict_abandons: 0,
         }
     }
 
     /// Installs (or removes) a fault injector consulted at every fill and
     /// eviction. A [`FaultSite::AnySizeFill`] hit drops the fill; an
     /// [`FaultSite::AnySizeEvict`] hit evicts the LRU victim but abandons
-    /// the incoming entry. Both only lower the hit rate.
+    /// the incoming entry. Both only lower the hit rate; [`Self::fill`]
+    /// reports them in its [`FillOutcome`].
     pub fn set_fault_injector(&mut self, injector: Option<InjectorHandle>) {
         self.injector = injector;
-    }
-
-    /// Fills dropped by injected [`FaultSite::AnySizeFill`] faults
-    /// (degradation counter).
-    pub fn fill_drops(&self) -> u64 {
-        self.fill_drops
-    }
-
-    /// Evictions whose incoming entry was abandoned by injected
-    /// [`FaultSite::AnySizeEvict`] faults (degradation counter).
-    pub fn evict_abandons(&self) -> u64 {
-        self.evict_abandons
     }
 
     /// Entry capacity.
@@ -108,10 +105,9 @@ impl AnySizeTlb {
     ///
     /// If an existing entry covers the same page start at the same order it
     /// is updated in place.
-    pub fn fill(&mut self, entry: TlbEntry) {
+    pub fn fill(&mut self, entry: TlbEntry) -> FillOutcome {
         if should_fault(&self.injector, FaultSite::AnySizeFill) {
-            self.fill_drops += 1;
-            return;
+            return FillOutcome::Dropped;
         }
         self.clock += 1;
         if let Some((e, stamp)) = self
@@ -121,11 +117,11 @@ impl AnySizeTlb {
         {
             *e = entry;
             *stamp = self.clock;
-            return;
+            return FillOutcome::Installed;
         }
         if self.entries.len() < self.capacity {
             self.entries.push((entry, self.clock));
-            return;
+            return FillOutcome::Installed;
         }
         // A full TLB with positive capacity always yields a victim; fall
         // back to a plain push rather than panicking if it somehow cannot.
@@ -137,16 +133,16 @@ impl AnySizeTlb {
             .map(|(i, _)| i)
         else {
             self.entries.push((entry, self.clock));
-            return;
+            return FillOutcome::Installed;
         };
         if should_fault(&self.injector, FaultSite::AnySizeEvict) {
             // The victim is already gone when the install fails: the slot
             // ends up empty until a later fill reuses it.
-            self.evict_abandons += 1;
             self.entries.remove(victim);
-            return;
+            return FillOutcome::Abandoned;
         }
         self.entries[victim] = (entry, self.clock);
+        FillOutcome::Installed
     }
 
     /// Shoots down entries overlapping the given page range for the ASID.
@@ -275,8 +271,7 @@ mod tests {
             ..FaultPlanConfig::disabled(31)
         });
         t.set_fault_injector(Some(plan.clone() as InjectorHandle));
-        t.fill(e(0, 0));
-        assert_eq!(t.fill_drops(), 1);
+        assert_eq!(t.fill(e(0, 0)), FillOutcome::Dropped);
         assert!(t.is_empty(), "fill was dropped");
         assert!(t.lookup(0, 0).is_none());
         assert_eq!(plan.borrow().injected_at("any-size-fill"), 1);
@@ -293,9 +288,8 @@ mod tests {
             ..FaultPlanConfig::disabled(32)
         });
         t.set_fault_injector(Some(plan.clone() as InjectorHandle));
-        t.fill(e(2, 0));
         // The LRU victim (vpn 0) is gone, the incoming entry never landed.
-        assert_eq!(t.evict_abandons(), 1);
+        assert_eq!(t.fill(e(2, 0)), FillOutcome::Abandoned);
         assert_eq!(t.len(), 1);
         assert!(t.lookup(0, 0).is_none(), "victim evicted");
         assert!(t.lookup(0, 2).is_none(), "incoming abandoned");

@@ -8,6 +8,27 @@ use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
 use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
 
+/// What a dual-STLB probe found.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum StlbProbe {
+    /// An entry covers the address.
+    Hit(TlbEntry),
+    /// No entry covers the address.
+    Miss,
+    /// An injected [`FaultSite::StlbProbe`] fault forced the probe to miss.
+    ForcedMiss,
+}
+
+impl StlbProbe {
+    /// The entry found, if any.
+    pub fn hit(self) -> Option<TlbEntry> {
+        match self {
+            StlbProbe::Hit(entry) => Some(entry),
+            StlbProbe::Miss | StlbProbe::ForcedMiss => None,
+        }
+    }
+}
+
 /// Set-associative second-level TLB with 4 KB / 2 MB dual-probe lookup.
 ///
 /// # Example
@@ -21,8 +42,8 @@ use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
 /// let e2m = TlbEntry { asid: 0, vpn: 1024, order: PageOrder::P2M, pfn: 2048, writable: true };
 /// stlb.fill(e4k);
 /// stlb.fill(e2m);
-/// assert!(stlb.lookup(0, 7).is_some());
-/// assert!(stlb.lookup(0, 1500).is_some()); // inside the 2M page
+/// assert!(stlb.lookup(0, 7).hit().is_some());
+/// assert!(stlb.lookup(0, 1500).hit().is_some()); // inside the 2M page
 /// ```
 #[derive(Clone, Debug)]
 pub struct DualStlb {
@@ -31,7 +52,6 @@ pub struct DualStlb {
     entries: Vec<Vec<(TlbEntry, u64)>>,
     clock: u64,
     injector: Option<InjectorHandle>,
-    probe_misses: u64,
 }
 
 impl DualStlb {
@@ -49,21 +69,15 @@ impl DualStlb {
             entries: vec![Vec::with_capacity(ways); sets],
             clock: 0,
             injector: None,
-            probe_misses: 0,
         }
     }
 
     /// Installs (or removes) a fault injector consulted at every lookup.
     /// A [`FaultSite::StlbProbe`] hit forces the dual probe to miss, so
     /// the access falls through to the walk path — slower, never wrong.
+    /// The probe reports it as [`StlbProbe::ForcedMiss`].
     pub fn set_fault_injector(&mut self, injector: Option<InjectorHandle>) {
         self.injector = injector;
-    }
-
-    /// Lookups forced to miss by injected [`FaultSite::StlbProbe`] faults
-    /// (degradation counter).
-    pub fn probe_misses(&self) -> u64 {
-        self.probe_misses
     }
 
     /// Total entry capacity.
@@ -85,10 +99,9 @@ impl DualStlb {
     }
 
     /// Dual-probe lookup: tries the 4 KB index then the 2 MB index.
-    pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<TlbEntry> {
+    pub fn lookup(&mut self, asid: Asid, vpn: u64) -> StlbProbe {
         if should_fault(&self.injector, FaultSite::StlbProbe) {
-            self.probe_misses += 1;
-            return None;
+            return StlbProbe::ForcedMiss;
         }
         self.clock += 1;
         let clock = self.clock;
@@ -99,10 +112,10 @@ impl DualStlb {
                 .find(|(e, _)| e.order == order && e.covers(asid, vpn))
             {
                 *stamp = clock;
-                return Some(*e);
+                return StlbProbe::Hit(*e);
             }
         }
-        None
+        StlbProbe::Miss
     }
 
     /// Installs a 4 KB or 2 MB entry.
@@ -211,8 +224,8 @@ mod tests {
         let mut s = DualStlb::new(8, 2);
         s.fill(e4k(3));
         s.fill(e2m(5));
-        assert_eq!(s.lookup(0, 3).unwrap().order, PageOrder::P4K);
-        let hit = s.lookup(0, 5 * 512 + 99).unwrap();
+        assert_eq!(s.lookup(0, 3).hit().unwrap().order, PageOrder::P4K);
+        let hit = s.lookup(0, 5 * 512 + 99).hit().unwrap();
         assert_eq!(hit.order, PageOrder::P2M);
         assert_eq!(hit.translate(5 * 512 + 99), 5 * 512 + 512 + 99);
     }
@@ -223,8 +236,8 @@ mod tests {
         s.fill(e4k(0));
         s.fill(e2m(0));
         s.fill(e4k(1)); // evicts LRU (e4k(0))
-        assert!(s.lookup(0, 0).is_some(), "covered by the 2M entry");
-        assert!(s.lookup(0, 1).is_some());
+        assert!(s.lookup(0, 0).hit().is_some(), "covered by the 2M entry");
+        assert!(s.lookup(0, 1).hit().is_some());
         assert_eq!(s.len(), 2);
     }
 
@@ -244,10 +257,10 @@ mod tests {
         s.fill(e2m(0));
         // Shooting down one 4K page inside the 2M entry kills it.
         s.invalidate(0, VirtAddr::new(7 << 12), PageOrder::P4K);
-        assert!(s.lookup(0, 7).is_none());
-        assert!(s.lookup(0, 3).is_some());
+        assert!(s.lookup(0, 7).hit().is_none());
+        assert!(s.lookup(0, 3).hit().is_some());
         s.invalidate(0, VirtAddr::new(3 << 12), PageOrder::P4K);
-        assert!(s.lookup(0, 3).is_none());
+        assert!(s.lookup(0, 3).hit().is_none());
     }
 
     #[test]
@@ -268,11 +281,10 @@ mod tests {
             ..FaultPlanConfig::disabled(41)
         })));
         s.set_fault_injector(Some(plan.clone() as InjectorHandle));
-        assert!(s.lookup(0, 3).is_none(), "probe forced to miss");
-        assert_eq!(s.probe_misses(), 1);
+        assert_eq!(s.lookup(0, 3), StlbProbe::ForcedMiss);
         assert_eq!(plan.borrow().injected_at("stlb-probe"), 1);
         // The entry itself is untouched: removing the injector hits again.
         s.set_fault_injector(None);
-        assert!(s.lookup(0, 3).is_some());
+        assert!(s.lookup(0, 3).hit().is_some());
     }
 }

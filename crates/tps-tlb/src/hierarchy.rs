@@ -12,9 +12,9 @@
 //! capacity — the paper leaves its indexing unspecified, and TPS almost
 //! never reaches the STLB anyway.
 
-use crate::any_size::AnySizeTlb;
+use crate::any_size::{AnySizeTlb, FillOutcome};
 use crate::colt::{detect_run, ColtTlb};
-use crate::dual_stlb::DualStlb;
+use crate::dual_stlb::{DualStlb, StlbProbe};
 use crate::entry::{Asid, TlbEntry};
 use crate::range_tlb::{RangeEntry, RangeTlb};
 use crate::set_assoc::SetAssocTlb;
@@ -152,27 +152,6 @@ impl TlbStats {
     }
 }
 
-/// Degradation counters accumulated by injected TLB faults, summed over
-/// every any-size structure and the dual STLB of one hierarchy.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct TlbFaultStats {
-    /// Any-size fills dropped ([`tps_core::FaultSite::AnySizeFill`]).
-    pub fill_drops: u64,
-    /// Evictions whose incoming entry was abandoned
-    /// ([`tps_core::FaultSite::AnySizeEvict`]).
-    pub evict_abandons: u64,
-    /// Dual-STLB probes forced to miss
-    /// ([`tps_core::FaultSite::StlbProbe`]).
-    pub stlb_probe_misses: u64,
-}
-
-impl TlbFaultStats {
-    /// Total injected TLB degradations.
-    pub fn total(&self) -> u64 {
-        self.fill_drops + self.evict_abandons + self.stlb_probe_misses
-    }
-}
-
 /// The full two-level TLB hierarchy of one core.
 ///
 /// The hierarchy performs lookups and fills; *when* to fill which level is
@@ -278,39 +257,42 @@ impl TlbHierarchy {
     }
 
     /// Probes the L2 structures (STLB — and, under RMM, the Range TLB in
-    /// parallel). Counts hits/misses.
-    pub fn lookup_l2(&mut self, asid: Asid, va: VirtAddr) -> L2Hit {
+    /// parallel). Counts hits/misses. The flag is `true` when an injected
+    /// fault forced the dual-STLB probe to miss.
+    pub fn lookup_l2(&mut self, asid: Asid, va: VirtAddr) -> (L2Hit, bool) {
         let vpn = va.base_page_number();
-        let stlb_hit = self
-            .stlb
-            .as_mut()
-            .and_then(|s| s.lookup(asid, vpn))
+        let probe = self.stlb.as_mut().map(|s| s.lookup(asid, vpn));
+        let forced_miss = probe == Some(StlbProbe::ForcedMiss);
+        let stlb_hit = probe
+            .and_then(StlbProbe::hit)
             .or_else(|| self.stlb_1g.as_mut().and_then(|s| s.lookup(asid, vpn)))
             .or_else(|| self.tps_stlb.as_mut().and_then(|s| s.lookup(asid, vpn)));
         if let Some(e) = stlb_hit {
             self.stats.stlb_hits += 1;
-            return L2Hit::Stlb(Translation {
+            let hit = L2Hit::Stlb(Translation {
                 pfn: e.translate(vpn),
                 writable: e.writable,
             });
+            return (hit, forced_miss);
         }
         if let Some(range) = &mut self.range {
             if let Some(r) = range.lookup(asid, vpn) {
                 self.stats.range_hits += 1;
-                return L2Hit::Range(Translation {
+                let hit = L2Hit::Range(Translation {
                     pfn: r.translate(vpn),
                     writable: r.writable,
                 });
+                return (hit, forced_miss);
             }
         }
         self.stats.l2_misses += 1;
-        L2Hit::Miss
+        (L2Hit::Miss, forced_miss)
     }
 
     /// Installs a walked leaf into the appropriate L1 structure with no
     /// contiguity information: CoLT fills degrade to single-page runs.
-    pub fn fill_l1(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) {
-        self.fill_l1_with_probe(asid, va, leaf, |_, _| None);
+    pub fn fill_l1(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) -> FillOutcome {
+        self.fill_l1_with_probe(asid, va, leaf, |_, _| None)
     }
 
     /// [`Self::fill_l1`] with CoLT's PTE-cache-line contiguity probe: for
@@ -318,21 +300,23 @@ impl TlbHierarchy {
     /// `(frame, writable)` mapping of that neighbor if one of exactly that
     /// size exists. Ignored by the other organizations. The probe is a
     /// generic parameter (not `dyn`) so the per-fill neighbor checks
-    /// inline into the CoLT run detection.
+    /// inline into the CoLT run detection. Only the any-size structures
+    /// can absorb an injected fault; every other fill reports
+    /// [`FillOutcome::Installed`].
     pub fn fill_l1_with_probe(
         &mut self,
         asid: Asid,
         va: VirtAddr,
         leaf: &LeafInfo,
         contiguity: impl Fn(u64, PageOrder) -> Option<(u64, bool)>,
-    ) {
+    ) -> FillOutcome {
         let entry = TlbEntry::from_leaf(asid, va, leaf);
         match self.kind {
             HierarchyKind::Tps => {
                 if entry.order == PageOrder::P4K {
                     self.l1_4k.fill(entry);
                 } else if let Some(t) = &mut self.tps_l1 {
-                    t.fill(entry);
+                    return t.fill(entry);
                 } else {
                     self.tps_l1_skewed
                         .as_mut()
@@ -356,20 +340,21 @@ impl TlbHierarchy {
                             .fill(run);
                     }
                 } else {
-                    self.fill_l1_conventional_large(entry);
+                    return self.fill_l1_conventional_large(entry);
                 }
             }
             HierarchyKind::Baseline | HierarchyKind::Rmm => {
                 if entry.order == PageOrder::P4K {
                     self.l1_4k.fill(entry);
                 } else {
-                    self.fill_l1_conventional_large(entry);
+                    return self.fill_l1_conventional_large(entry);
                 }
             }
         }
+        FillOutcome::Installed
     }
 
-    fn fill_l1_conventional_large(&mut self, entry: TlbEntry) {
+    fn fill_l1_conventional_large(&mut self, entry: TlbEntry) -> FillOutcome {
         match entry.order {
             PageOrder::P2M => self.l1_2m.as_mut().expect("2M L1 exists").fill(entry),
             PageOrder::P1G => self.l1_1g.as_mut().expect("1G L1 exists").fill(entry),
@@ -378,15 +363,15 @@ impl TlbHierarchy {
     }
 
     /// Installs a walked leaf into the L2 level.
-    pub fn fill_l2(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) {
+    pub fn fill_l2(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) -> FillOutcome {
         let entry = TlbEntry::from_leaf(asid, va, leaf);
         if let Some(stlb) = &mut self.tps_stlb {
-            stlb.fill(entry);
-            return;
+            return stlb.fill(entry);
         }
         match entry.order {
             PageOrder::P4K | PageOrder::P2M => {
-                self.stlb.as_mut().expect("dual STLB exists").fill(entry)
+                self.stlb.as_mut().expect("dual STLB exists").fill(entry);
+                FillOutcome::Installed
             }
             PageOrder::P1G => self.stlb_1g.as_mut().expect("1G STLB exists").fill(entry),
             other => panic!("conventional STLB cannot hold a {other} page"),
@@ -523,29 +508,6 @@ impl TlbHierarchy {
         }
     }
 
-    /// Degradation counters from injected TLB faults, summed across the
-    /// instrumented structures.
-    pub fn fault_stats(&self) -> TlbFaultStats {
-        let mut out = TlbFaultStats::default();
-        for t in [
-            &self.l1_2m,
-            &self.l1_1g,
-            &self.tps_l1,
-            &self.stlb_1g,
-            &self.tps_stlb,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            out.fill_drops += t.fill_drops();
-            out.evict_abandons += t.evict_abandons();
-        }
-        if let Some(s) = &self.stlb {
-            out.stlb_probe_misses += s.probe_misses();
-        }
-        out
-    }
-
     /// Current counters.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -581,7 +543,7 @@ mod tests {
         let mut h = TlbHierarchy::new(TlbConfig::default());
         let va = VirtAddr::new(0x1234_5000);
         assert!(h.lookup_l1(0, va).is_none());
-        assert_eq!(h.lookup_l2(0, va), L2Hit::Miss);
+        assert_eq!(h.lookup_l2(0, va).0, L2Hit::Miss);
         let l = leaf(0x8000_0000, 0);
         h.fill_l1(0, va, &l);
         h.fill_l2(0, va, &l);
@@ -606,7 +568,7 @@ mod tests {
         // Page 0 was evicted from L1 but lives in the STLB.
         let va0 = VirtAddr::new(0);
         assert!(h.lookup_l1(0, va0).is_none());
-        assert!(matches!(h.lookup_l2(0, va0), L2Hit::Stlb(_)));
+        assert!(matches!(h.lookup_l2(0, va0).0, L2Hit::Stlb(_)));
     }
 
     #[test]
@@ -656,7 +618,7 @@ mod tests {
         });
         let va = VirtAddr::new(0x8765 << 12);
         assert!(h.lookup_l1(0, va).is_none());
-        match h.lookup_l2(0, va) {
+        match h.lookup_l2(0, va).0 {
             L2Hit::Range(t) => assert_eq!(t.pfn, 0x8765 + 0x5000),
             other => panic!("expected range hit, got {other:?}"),
         }
@@ -674,7 +636,7 @@ mod tests {
             delta: 0,
             writable: true,
         });
-        assert_eq!(h.lookup_l2(0, VirtAddr::new(0x5000)), L2Hit::Miss);
+        assert_eq!(h.lookup_l2(0, VirtAddr::new(0x5000)).0, L2Hit::Miss);
     }
 
     #[test]
@@ -686,7 +648,7 @@ mod tests {
         h.fill_l2(0, va, &l);
         h.invalidate_page(0, va, PageOrder::P4K);
         assert!(h.lookup_l1(0, va).is_none());
-        assert_eq!(h.lookup_l2(0, va), L2Hit::Miss);
+        assert_eq!(h.lookup_l2(0, va).0, L2Hit::Miss);
     }
 
     #[test]

@@ -40,13 +40,11 @@ mod range_tlb;
 mod set_assoc;
 mod skewed;
 
-pub use any_size::AnySizeTlb;
+pub use any_size::{AnySizeTlb, FillOutcome};
 pub use colt::{detect_run, ColtEntry, ColtTlb, COLT_WINDOW};
-pub use dual_stlb::DualStlb;
+pub use dual_stlb::{DualStlb, StlbProbe};
 pub use entry::{Asid, TlbEntry};
-pub use hierarchy::{
-    HierarchyKind, L2Hit, TlbConfig, TlbFaultStats, TlbHierarchy, TlbStats, Translation,
-};
+pub use hierarchy::{HierarchyKind, L2Hit, TlbConfig, TlbHierarchy, TlbStats, Translation};
 pub use range_tlb::{RangeEntry, RangeTlb};
 pub use set_assoc::SetAssocTlb;
 pub use skewed::SkewedTlb;

@@ -82,7 +82,7 @@ proptest! {
                 (rng.below(2) as u16, rng.below(1 << 24))
             };
             let covered = shadow.iter().any(|e| e.covers(asid, vpn));
-            match tlb.lookup(asid, vpn) {
+            match tlb.lookup(asid, vpn).hit() {
                 Some(hit) => {
                     let justified = shadow.iter().any(|e| {
                         e.covers(asid, vpn) && e.translate(vpn) == hit.translate(vpn)

@@ -119,7 +119,7 @@ proptest! {
             } else {
                 let asid = rng.below(2) as u16;
                 let vpn = rng.below(1 << 20);
-                if let Some(hit) = tlb.lookup(asid, vpn) {
+                if let Some(hit) = tlb.lookup(asid, vpn).hit() {
                     let valid = shadow.entries.iter().any(|e| {
                         e.covers(asid, vpn) && e.translate(vpn) == hit.translate(vpn)
                     });

@@ -2,9 +2,9 @@
 # Tier-1 verification gate for the TPS reproduction.
 #
 # Runs the four checks CI and reviewers rely on, in order of increasing
-# strictness. Fully offline: the workspace vendors shim crates for its
-# only external dev-dependencies (see crates/proptest-shim,
-# crates/criterion-shim), so no registry access is needed or attempted.
+# strictness. Fully offline: the workspace vendors a shim crate for its
+# only external dev-dependency (see crates/proptest-shim), so no registry
+# access is needed or attempted.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -144,6 +144,17 @@ set -e
     --threads 4 --resume "$tmpdir/cap.ckpt" --json "$tmpdir/cap-resumed.json" >/dev/null
 cmp "$tmpdir/cap-t1.json" "$tmpdir/cap-resumed.json" \
     || { echo "verify: capped-tenant resume differs from the uninterrupted run" >&2; exit 1; }
+
+echo "==> benchmark package gate (tps-perf unit tests + golden digests)"
+# crates/tps-bench/perf is its own Cargo workspace, so `--workspace`
+# above never builds it; these steps keep it compiling against the
+# simulator crates. Its tests include traced counters == Machine::run.
+cargo test --release -q --manifest-path crates/tps-bench/perf/Cargo.toml
+# Report CRC32s and per-cell counters at seed 7 must match the committed
+# digests byte for byte.
+cargo run --release -q --manifest-path crates/tps-bench/perf/Cargo.toml -- golden \
+    | diff - crates/tps-bench/perf/golden-seed-7.txt \
+    || { echo "verify: tps-perf golden digests differ from golden-seed-7.txt" >&2; exit 1; }
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
