@@ -374,7 +374,6 @@ mod tests {
     fn failing_case_reports_inputs() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
-            #[test]
             fn inner(x in 0u64..10) {
                 prop_assert!(x > 100, "x was {x}");
             }

@@ -22,11 +22,16 @@ pub const PT_POOL_BASE: u64 = 1 << 38;
 ///
 /// All mutation counters (`pte_writes`, node allocations) are exposed so the
 /// OS model can charge system time for page-table maintenance.
+///
+/// Nodes live in a dense arena: the node at `PT_POOL_BASE + k * 4K` is slot
+/// `k`. Slots are never reused — a freed node leaves an empty slot — so
+/// every node keeps the physical address it was allocated at, which the
+/// MMU-cache tags, walk references and nested-walk costs all depend on.
 #[derive(Clone, Debug)]
 pub struct PageTable {
-    nodes: HashMap<u64, Vec<Pte>>,
+    nodes: Vec<Option<Box<[Pte; PT_ENTRIES]>>>,
+    live_nodes: usize,
     root: PhysAddr,
-    next_node: u64,
     pte_writes: u64,
     levels: u8,
     /// Fine-grained A/D tracking (paper §III-C1): when enabled, a tailored
@@ -61,9 +66,9 @@ impl PageTable {
     pub fn with_levels(levels: u8) -> Self {
         assert!(levels == 4 || levels == 5, "only 4- or 5-level paging");
         let mut pt = PageTable {
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
+            live_nodes: 0,
             root: PhysAddr::new(PT_POOL_BASE),
-            next_node: 0,
             pte_writes: 0,
             levels,
             fine_grained_ad: false,
@@ -105,7 +110,7 @@ impl PageTable {
 
     /// Number of live page-table nodes (each 4 KB).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.live_nodes
     }
 
     /// Cumulative count of PTE stores performed (incl. alias PTEs) — cost
@@ -127,20 +132,40 @@ impl PageTable {
         self.alias_install_retries
     }
 
+    /// Allocates a zeroed node at the next, never-used pool address.
     fn alloc_node(&mut self) -> PhysAddr {
-        let pa = PhysAddr::new(PT_POOL_BASE + self.next_node * BASE_PAGE_SIZE);
-        self.next_node += 1;
-        self.nodes.insert(pa.value(), vec![Pte::EMPTY; PT_ENTRIES]);
+        let pa = PhysAddr::new(PT_POOL_BASE + self.nodes.len() as u64 * BASE_PAGE_SIZE);
+        self.nodes.push(Some(Box::new([Pte::EMPTY; PT_ENTRIES])));
+        self.live_nodes += 1;
         pa
     }
 
+    /// Arena slot of the node at `node`: `None` below the pool or for an
+    /// address that is not 4 KB-aligned.
+    fn slot(node: PhysAddr) -> Option<usize> {
+        let offset = node.value().checked_sub(PT_POOL_BASE)?;
+        if !offset.is_multiple_of(BASE_PAGE_SIZE) {
+            return None;
+        }
+        usize::try_from(offset / BASE_PAGE_SIZE).ok()
+    }
+
+    /// The entries of the live node at `node`, if any.
+    fn node(&self, node: PhysAddr) -> Option<&[Pte; PT_ENTRIES]> {
+        self.nodes.get(Self::slot(node)?)?.as_deref()
+    }
+
+    fn node_mut(&mut self, node: PhysAddr) -> Option<&mut [Pte; PT_ENTRIES]> {
+        self.nodes.get_mut(Self::slot(node)?)?.as_deref_mut()
+    }
+
     /// Reads the entry at `(node, index)` the way the walker does. A dead
-    /// node or out-of-range index reads as [`Pte::EMPTY`]: the walker sees
-    /// not-present and faults, the correct degradation for a stale node
-    /// reference mid-campaign (a panic here would corrupt replay state).
+    /// node, an address outside the pool or an out-of-range index reads as
+    /// [`Pte::EMPTY`]: the walker sees not-present and faults, the correct
+    /// degradation for a stale node reference mid-campaign (a panic here
+    /// would corrupt replay state).
     pub fn read_entry(&self, node: PhysAddr, index: usize) -> Pte {
-        self.nodes
-            .get(&node.value())
+        self.node(node)
             .and_then(|entries| entries.get(index))
             .copied()
             .unwrap_or(Pte::EMPTY)
@@ -151,14 +176,32 @@ impl PageTable {
     /// [`Self::read_entry`] then reads not-present, so the table stays
     /// self-consistent instead of panicking on the fault path.
     fn write_entry(&mut self, node: PhysAddr, index: usize, pte: Pte) {
-        if let Some(slot) = self
-            .nodes
-            .get_mut(&node.value())
+        if let Some(entry) = self
+            .node_mut(node)
             .and_then(|entries| entries.get_mut(index))
         {
-            *slot = pte;
+            *entry = pte;
             self.pte_writes += 1;
         }
+    }
+
+    /// Descends from the root to the leaf covering `va`, returning the node
+    /// holding it, its slot index, its level and the PTE found there (the
+    /// slot may be an alias). `None` if a non-present entry ends the walk.
+    fn find_leaf(&self, va: VirtAddr) -> Option<(PhysAddr, usize, u8, Pte)> {
+        let mut node = self.root;
+        for level in (1..=self.levels).rev() {
+            let idx = va.pt_index(level);
+            let pte = self.read_entry(node, idx);
+            if !pte.is_present() {
+                return None;
+            }
+            if pte.is_leaf(level) {
+                return Some((node, idx, level, pte));
+            }
+            node = pte.next_table();
+        }
+        None
     }
 
     /// Ensures intermediate nodes exist down to `target_level`, returning
@@ -194,7 +237,10 @@ impl PageTable {
     ///
     /// Writes the true PTE and all alias PTEs for tailored orders. If the
     /// target slots currently hold smaller-page subtrees (the page-promotion
-    /// path), those subtrees are replaced and their nodes freed.
+    /// path), those subtrees are replaced and their nodes freed. A larger
+    /// tailored leaf at the same level is overwritten in place over just
+    /// this page's slots (the page-split path); the caller then maps the
+    /// rest of the old leaf's slots.
     ///
     /// # Errors
     ///
@@ -229,7 +275,7 @@ impl PageTable {
             first,
             "va aligned implies index aligned"
         );
-        self.ad_vectors.remove(&va.value());
+        self.forget_dirty_vector(va);
         let pte = Pte::leaf(pa, order, flags);
         for i in 0..(1usize << rel) {
             let old = self.read_entry(node, first + i);
@@ -249,14 +295,28 @@ impl PageTable {
         Ok(())
     }
 
+    /// Drops the dirty vector recorded for the page at `va`. Skips the hash
+    /// entirely while fine-grained tracking has recorded nothing.
+    fn forget_dirty_vector(&mut self, va: VirtAddr) {
+        if !self.ad_vectors.is_empty() {
+            self.ad_vectors.remove(&va.value());
+        }
+    }
+
     /// Recursively frees the node `node` (at `level`) and its descendants.
+    /// The freed slot stays empty: its address is never handed out again.
     fn free_subtree(&mut self, node: PhysAddr, level: u8) {
-        if let Some(entries) = self.nodes.remove(&node.value()) {
-            if level > 1 {
-                for pte in entries {
-                    if pte.is_present() && !pte.is_leaf(level) {
-                        self.free_subtree(pte.next_table(), level - 1);
-                    }
+        let Some(entries) = Self::slot(node)
+            .and_then(|slot| self.nodes.get_mut(slot))
+            .and_then(Option::take)
+        else {
+            return;
+        };
+        self.live_nodes -= 1;
+        if level > 1 {
+            for pte in entries.iter() {
+                if pte.is_present() && !pte.is_leaf(level) {
+                    self.free_subtree(pte.next_table(), level - 1);
                 }
             }
         }
@@ -275,46 +335,25 @@ impl PageTable {
                 shift: order.shift(),
             });
         }
-        let level = level_for_order(order);
-        let mut node = self.root;
-        for l in (level + 1..=self.levels).rev() {
-            let pte = self.read_entry(node, va.pt_index(l));
-            if !pte.is_present() || pte.is_leaf(l) {
-                return Err(TpsError::Unmapped { vaddr: va.value() });
-            }
-            node = pte.next_table();
-        }
-        let idx = va.pt_index(level);
-        let pte = self.read_entry(node, idx);
-        let leaf = pte
-            .decode_leaf(level)
-            .map_err(|_| TpsError::Unmapped { vaddr: va.value() })?;
+        let unmapped = || TpsError::Unmapped { vaddr: va.value() };
+        let (node, idx, level, pte) = self.find_leaf(va).ok_or_else(unmapped)?;
+        let leaf = pte.decode_leaf(level).map_err(|_| unmapped())?;
         if leaf.order != order {
-            return Err(TpsError::Unmapped { vaddr: va.value() });
+            return Err(unmapped());
         }
         let rel = order.get() - level_base_order(level);
         let first = idx & !((1usize << rel) - 1);
         for i in 0..(1usize << rel) {
             self.write_entry(node, first + i, Pte::EMPTY);
         }
-        self.ad_vectors.remove(&va.value());
+        self.forget_dirty_vector(va);
         Ok(())
     }
 
     /// Functional (timing-free) lookup: the leaf covering `va`, if mapped.
     pub fn lookup(&self, va: VirtAddr) -> Option<LeafInfo> {
-        let mut node = self.root;
-        for level in (1..=self.levels).rev() {
-            let pte = self.read_entry(node, va.pt_index(level));
-            if !pte.is_present() {
-                return None;
-            }
-            if pte.is_leaf(level) {
-                return pte.decode_leaf(level).ok();
-            }
-            node = pte.next_table();
-        }
-        None
+        let (_, _, level, pte) = self.find_leaf(va)?;
+        pte.decode_leaf(level).ok()
     }
 
     /// Functional translation of `va` to a physical address.
@@ -329,50 +368,40 @@ impl PageTable {
     /// `va`. Returns `true` if any bit actually changed (i.e. hardware would
     /// have performed a memory store).
     pub fn mark_accessed(&mut self, va: VirtAddr, dirty: bool) -> bool {
-        let mut node = self.root;
-        for level in (1..=self.levels).rev() {
-            let idx = va.pt_index(level);
-            let pte = self.read_entry(node, idx);
-            if !pte.is_present() {
-                return false;
+        let Some((node, idx, level, pte)) = self.find_leaf(va) else {
+            return false;
+        };
+        // A leaf that fails to decode is a corrupt entry; hardware would
+        // fault, the model simply performs no store.
+        let Ok(leaf) = pte.decode_leaf(level) else {
+            return false;
+        };
+        let mut stored = false;
+        if dirty && self.fine_grained_ad && leaf.order.is_tailored() {
+            // Record which sixteenth of the page was written.
+            let base = va.align_down(leaf.order.shift());
+            let off = va.page_offset(leaf.order.shift());
+            let bit = ((off * 16) >> leaf.order.shift()).min(15) as u16;
+            let vector = self.ad_vectors.entry(base.value()).or_insert(0);
+            if *vector & (1 << bit) == 0 {
+                *vector |= 1 << bit;
+                stored = true;
             }
-            if pte.is_leaf(level) {
-                let mut stored = false;
-                // A leaf that fails to decode is a corrupt entry; hardware
-                // would fault, the model simply performs no store.
-                let Ok(leaf) = pte.decode_leaf(level) else {
-                    return false;
-                };
-                if dirty && self.fine_grained_ad && leaf.order.is_tailored() {
-                    // Record which sixteenth of the page was written.
-                    let base = va.align_down(leaf.order.shift());
-                    let off = va.page_offset(leaf.order.shift());
-                    let bit = ((off * 16) >> leaf.order.shift()).min(15) as u16;
-                    let vector = self.ad_vectors.entry(base.value()).or_insert(0);
-                    if *vector & (1 << bit) == 0 {
-                        *vector |= 1 << bit;
-                        stored = true;
-                    }
-                }
-                // A/D bits live in the *true* PTE (the walker may have
-                // landed on an alias slot, but the true PTE is the
-                // authority for bookkeeping).
-                let rel = leaf.order.get() - level_base_order(level);
-                let true_idx = idx & !((1usize << rel) - 1);
-                let true_pte = self.read_entry(node, true_idx);
-                let mut updated = true_pte.with_accessed();
-                if dirty {
-                    updated = updated.with_dirty();
-                }
-                if updated != true_pte {
-                    self.write_entry(node, true_idx, updated);
-                    return true;
-                }
-                return stored;
-            }
-            node = pte.next_table();
         }
-        false
+        // A/D bits live in the *true* PTE (the walker may have landed on an
+        // alias slot, but the true PTE is the authority for bookkeeping).
+        let rel = leaf.order.get() - level_base_order(level);
+        let true_idx = idx & !((1usize << rel) - 1);
+        let true_pte = self.read_entry(node, true_idx);
+        let mut updated = true_pte.with_accessed();
+        if dirty {
+            updated = updated.with_dirty();
+        }
+        if updated != true_pte {
+            self.write_entry(node, true_idx, updated);
+            return true;
+        }
+        stored
     }
 
     /// Counts distinct mapped pages per order (paper Fig. 18). Alias PTEs
@@ -384,7 +413,11 @@ impl PageTable {
     }
 
     fn census_node(&self, node: PhysAddr, level: u8, census: &mut BTreeMap<PageOrder, u64>) {
-        let entries = &self.nodes[&node.value()];
+        // A dangling table pointer has nothing to count; the auditor
+        // (`check_invariants`) is what reports it.
+        let Some(entries) = self.node(node) else {
+            return;
+        };
         let mut idx = 0usize;
         while idx < PT_ENTRIES {
             let pte = entries[idx];
@@ -428,10 +461,10 @@ impl PageTable {
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         self.check_node(self.root, self.levels, &mut seen)?;
-        if seen.len() != self.nodes.len() {
+        if seen.len() != self.live_nodes {
             return Err(format!(
                 "{} page-table nodes unreachable from the root",
-                self.nodes.len() - seen.len()
+                self.live_nodes - seen.len()
             ));
         }
         Ok(())
@@ -446,7 +479,7 @@ impl PageTable {
         if !seen.insert(node.value()) {
             return Err(format!("node {:#x} reachable twice", node.value()));
         }
-        let Some(entries) = self.nodes.get(&node.value()) else {
+        let Some(entries) = self.node(node) else {
             return Err(format!("dangling table pointer to {:#x}", node.value()));
         };
         let mut idx = 0usize;
@@ -796,6 +829,35 @@ mod tests {
             .unwrap();
         assert_eq!(plan.borrow().consultations(), consults);
     }
+
+    #[test]
+    fn addresses_outside_the_arena_read_empty_and_drop_writes() {
+        let mut pt = PageTable::new();
+        pt.map(
+            VirtAddr::new(BASE_PAGE_SIZE),
+            PhysAddr::new(0x5000),
+            o(0),
+            w(),
+        )
+        .unwrap();
+        let root = pt.root();
+        assert!(pt.read_entry(root, 0).is_present());
+        let below_pool = PhysAddr::new(PT_POOL_BASE - BASE_PAGE_SIZE);
+        let misaligned = PhysAddr::new(root.value() + 8);
+        let past_end = PhysAddr::new(PT_POOL_BASE + 64 * BASE_PAGE_SIZE);
+        for node in [below_pool, misaligned, past_end, PhysAddr::new(0)] {
+            assert_eq!(pt.read_entry(node, 0), Pte::EMPTY, "{:#x}", node.value());
+        }
+        assert_eq!(pt.read_entry(root, PT_ENTRIES), Pte::EMPTY);
+        let before = pt.pte_writes();
+        let leaf = Pte::leaf(PhysAddr::new(0x5000), o(0), w());
+        for node in [below_pool, misaligned, past_end] {
+            pt.write_entry(node, 0, leaf);
+        }
+        pt.write_entry(root, PT_ENTRIES, leaf);
+        assert_eq!(pt.pte_writes(), before, "dropped stores are not counted");
+        pt.check_invariants().unwrap();
+    }
 }
 
 #[cfg(test)]
@@ -943,6 +1005,7 @@ mod five_level_tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn o(x: u8) -> PageOrder {
         PageOrder::new(x).unwrap()
@@ -987,5 +1050,83 @@ mod proptests {
             prop_assert!(pt.translate(va).is_none());
             prop_assert_eq!(pt.page_census().values().sum::<u64>(), 0);
         }
+
+        /// Over random map / promote / unmap sequences, the arena hands out
+        /// node addresses `PT_POOL_BASE + k * 4K` with `k` strictly
+        /// increasing and never reused, `node_count` tracks the reachable
+        /// nodes, and a freed node reads as empty.
+        #[test]
+        fn arena_never_reuses_node_addresses(
+            ops in prop::collection::vec((0u8..6, 0u64..1024), 1..48),
+        ) {
+            let window = VirtAddr::new(tps_core::GIB);
+            let mut pt = PageTable::new();
+            let mut live = reachable_nodes(&pt);
+            let mut freed = BTreeSet::new();
+            let mut next_k = 1;
+            for (kind, slot) in ops {
+                let va = VirtAddr::new(window.value() + slot * BASE_PAGE_SIZE);
+                let order = match kind {
+                    0 => Some(0),
+                    1 => Some(3),
+                    2 => Some(9),
+                    3 => Some(10),
+                    4 => Some(18),
+                    _ => None,
+                };
+                match order.map(o) {
+                    Some(order) => {
+                        let va = va.align_down(order.shift());
+                        // Remap the way the OS does: a larger page covering
+                        // this one goes first.
+                        if let Some(cover) = pt.lookup(va).filter(|l| l.order > order) {
+                            pt.unmap(va.align_down(cover.order.shift()), cover.order).unwrap();
+                        }
+                        let pa = PhysAddr::new(va.value());
+                        pt.map(va, pa, order, PteFlags::WRITABLE).unwrap();
+                    }
+                    None => {
+                        if let Some(leaf) = pt.lookup(va) {
+                            let base = va.align_down(leaf.order.shift());
+                            pt.unmap(base, leaf.order).unwrap();
+                        }
+                    }
+                }
+                let now = reachable_nodes(&pt);
+                for &pa in now.difference(&live) {
+                    let offset = pa - PT_POOL_BASE;
+                    prop_assert_eq!(offset % BASE_PAGE_SIZE, 0);
+                    let k = offset / BASE_PAGE_SIZE;
+                    prop_assert!(k >= next_k, "node k={} handed out again", k);
+                    next_k = k + 1;
+                }
+                freed.extend(live.difference(&now).copied());
+                prop_assert!(now.is_disjoint(&freed), "a freed node address came back");
+                prop_assert_eq!(pt.node_count(), now.len());
+                pt.check_invariants().map_err(TestCaseError::fail)?;
+                for &pa in &freed {
+                    for idx in [0, 1, PT_ENTRIES / 2, PT_ENTRIES - 1] {
+                        prop_assert_eq!(pt.read_entry(PhysAddr::new(pa), idx), Pte::EMPTY);
+                    }
+                }
+                live = now;
+            }
+        }
+    }
+
+    /// Node addresses reachable from the root, found through `read_entry`.
+    fn reachable_nodes(pt: &PageTable) -> BTreeSet<u64> {
+        fn visit(pt: &PageTable, node: PhysAddr, level: u8, out: &mut BTreeSet<u64>) {
+            out.insert(node.value());
+            for idx in 0..PT_ENTRIES {
+                let pte = pt.read_entry(node, idx);
+                if level > 1 && pte.is_present() && !pte.is_leaf(level) {
+                    visit(pt, pte.next_table(), level - 1, out);
+                }
+            }
+        }
+        let mut out = BTreeSet::new();
+        visit(pt, pt.root(), pt.levels(), &mut out);
+        out
     }
 }

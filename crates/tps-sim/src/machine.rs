@@ -1655,7 +1655,7 @@ mod tests {
                         let i = (rng.next_u64() % live[tenant].len() as u64) as usize;
                         let (region, bytes) = live[tenant][i];
                         let offset = rng.next_u64() % bytes;
-                        let write = rng.next_u64() % 2 == 0;
+                        let write = rng.next_u64().is_multiple_of(2);
                         m.step(tenant, Event::Access { region, offset, write })
                             .unwrap();
                     }

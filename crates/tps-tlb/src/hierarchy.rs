@@ -597,7 +597,7 @@ mod tests {
         let mut h = TlbHierarchy::new(TlbConfig::with_kind(HierarchyKind::Colt));
         // Pages 0..8 map contiguously to frames 0..8.
         let probe = |v: u64, g: PageOrder| (g == PageOrder::P4K && v < 8).then_some((v, true));
-        h.fill_l1_with_probe(0, VirtAddr::new(0x3000), &leaf(0x3000, 0), &probe);
+        h.fill_l1_with_probe(0, VirtAddr::new(0x3000), &leaf(0x3000, 0), probe);
         // The single fill covers the whole window.
         for i in 0..8u64 {
             assert!(h.lookup_l1(0, VirtAddr::new(i << 12)).is_some(), "page {i}");

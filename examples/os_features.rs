@@ -110,9 +110,8 @@ fn trace_demo() {
     while let Some(e) = recorder.next_event() {
         machine.step(0, e).expect("replayed event is well-formed");
     }
-    let live = machine.counters(0).measured.mem.clone();
+    let live = machine.counters(0).measured.mem;
     let events = recorder.events_recorded();
-    drop(recorder);
     println!(
         "  recorded {events} events ({} KB of trace) while simulating: {} L1 misses",
         buf.len() >> 10,

@@ -156,8 +156,10 @@ cargo run --release -q --manifest-path crates/tps-bench/perf/Cargo.toml -- golde
     | diff - crates/tps-bench/perf/golden-seed-7.txt \
     || { echo "verify: tps-perf golden digests differ from golden-seed-7.txt" >&2; exit 1; }
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints tests, examples and benches too, not just the
+# library and binary targets.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tps-lint --workspace (workspace invariants, ratcheted)"
 cargo run -q --release -p tps-lint -- --workspace
