@@ -7,7 +7,7 @@
 //! 3. MMU cache sizing: how much page-structure caching shortens walks.
 //! 4. Four- vs five-level paging: the walk-cost growth the paper's
 //!    introduction warns about — and how TPS neutralizes it.
-use tps_bench::{pct, print_table, run_one_with, scale_from_env};
+use tps_bench::{pct, print_table, run_bench, scale_from_env};
 use tps_os::{AliasPolicy, PolicyConfig, PolicyKind};
 use tps_pt::MmuCacheConfig;
 use tps_sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec};
@@ -17,11 +17,11 @@ fn alias_policy_ablation() {
     let scale = scale_from_env();
     let mut rows = Vec::new();
     for name in ["gcc", "xsbench", "dbx1000"] {
-        let pointer = run_one_with(name, Mechanism::Tps, scale, |c| MachineConfig {
+        let pointer = run_bench(name, Mechanism::Tps, scale, 1, |c| MachineConfig {
             alias: AliasPolicy::Pointer,
             ..c
         });
-        let fullcopy = run_one_with(name, Mechanism::Tps, scale, |c| MachineConfig {
+        let fullcopy = run_bench(name, Mechanism::Tps, scale, 1, |c| MachineConfig {
             alias: AliasPolicy::FullCopy,
             ..c
         });
@@ -152,8 +152,8 @@ fn five_level_ablation() {
     let mut rows = Vec::new();
     for name in ["gups", "xsbench"] {
         for mech in [Mechanism::Only4K, Mechanism::Tps] {
-            let four = run_one_with(name, mech, scale, |c| c);
-            let five = run_one_with(name, mech, scale, |c| MachineConfig {
+            let four = run_bench(name, mech, scale, 1, |c| c);
+            let five = run_bench(name, mech, scale, 1, |c| MachineConfig {
                 five_level_paging: true,
                 ..c
             });
@@ -179,8 +179,8 @@ fn skewed_tlb_ablation() {
     let scale = scale_from_env();
     let mut rows = Vec::new();
     for name in ["gcc", "gups", "xsbench"] {
-        let fa = run_one_with(name, Mechanism::Tps, scale, |c| c);
-        let skewed = run_one_with(name, Mechanism::Tps, scale, |mut c| {
+        let fa = run_bench(name, Mechanism::Tps, scale, 1, |c| c);
+        let skewed = run_bench(name, Mechanism::Tps, scale, 1, |mut c| {
             c.tlb.tps_l1_skewed = true;
             c
         });

@@ -1,8 +1,8 @@
 //! Fig. 2: percent of execution time spent page walking, with THP active,
 //! for native, native+SMT, and virtualized execution.
-use tps_bench::{mean, pct, print_table, run_one, run_one_with, scale_from_env};
-use tps_sim::{run_smt, MachineConfig, Mechanism, TimingModel};
-use tps_wl::{build, suite_names};
+use tps_bench::{mean, pct, print_table, run_bench, scale_from_env};
+use tps_sim::{MachineConfig, Mechanism, TimingModel};
+use tps_wl::suite_names;
 
 fn main() {
     let scale = scale_from_env();
@@ -10,17 +10,13 @@ fn main() {
     let mut rows = Vec::new();
     let (mut n_col, mut s_col, mut v_col) = (Vec::new(), Vec::new(), Vec::new());
     for name in suite_names() {
-        let native = run_one(name, Mechanism::Thp, scale);
+        let native = run_bench(name, Mechanism::Thp, scale, 1, |c| c);
         let native_frac = model.evaluate(&native, false).walk_active_fraction();
 
-        let config = MachineConfig::for_mechanism(Mechanism::Thp)
-            .with_memory(2 * scale.recommended_memory());
-        let a = build(name, scale);
-        let b = build(name, scale);
-        let smt = run_smt(config, a, b);
-        let smt_frac = model.evaluate(&smt.primary, true).walk_active_fraction();
+        let smt = run_bench(name, Mechanism::Thp, scale, 2, |c| c);
+        let smt_frac = model.evaluate(&smt, true).walk_active_fraction();
 
-        let virt = run_one_with(name, Mechanism::Thp, scale, |c| MachineConfig {
+        let virt = run_bench(name, Mechanism::Thp, scale, 1, |c| MachineConfig {
             virtualized: true,
             ..c
         });

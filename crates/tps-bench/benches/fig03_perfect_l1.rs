@@ -1,5 +1,5 @@
 //! Fig. 3: speedup of a perfect L1 TLB over a perfect L2 TLB baseline.
-use tps_bench::{geomean, print_table, run_one_with, scale_from_env};
+use tps_bench::{geomean, print_table, run_bench, scale_from_env};
 use tps_sim::{MachineConfig, Mechanism, TimingModel};
 use tps_wl::suite_names;
 
@@ -9,11 +9,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for name in suite_names() {
-        let perfect_l2 = run_one_with(name, Mechanism::Thp, scale, |c| MachineConfig {
+        let perfect_l2 = run_bench(name, Mechanism::Thp, scale, 1, |c| MachineConfig {
             perfect_l2: true,
             ..c
         });
-        let perfect_l1 = run_one_with(name, Mechanism::Thp, scale, |c| MachineConfig {
+        let perfect_l1 = run_bench(name, Mechanism::Thp, scale, 1, |c| MachineConfig {
             perfect_l1: true,
             ..c
         });

@@ -1,7 +1,7 @@
 //! Fig. 8: L1 DTLB misses per thousand instructions across the full
 //! profiling sweep (4 KB demand paging, as when characterizing TLB
 //! pressure). Benchmarks above MPKI 5 form the evaluation suite.
-use tps_bench::{print_table, run_one, scale_from_env};
+use tps_bench::{print_table, run_bench, scale_from_env};
 use tps_sim::Mechanism;
 use tps_wl::{profiling_names, suite_names};
 
@@ -9,7 +9,7 @@ fn main() {
     let scale = scale_from_env();
     let mut rows = Vec::new();
     for name in profiling_names() {
-        let stats = run_one(name, Mechanism::Only4K, scale);
+        let stats = run_bench(name, Mechanism::Only4K, scale, 1, |c| c);
         let mpki = stats.l1_mpki();
         let selected = if suite_names().contains(&name) {
             "yes"

@@ -1,6 +1,6 @@
 //! Fig. 9: increase in memory utilization running with exclusive 2 MB
 //! pages, relative to 4 KB demand paging.
-use tps_bench::{mean, pct, print_table, run_one, scale_from_env};
+use tps_bench::{mean, pct, print_table, run_bench, scale_from_env};
 use tps_sim::Mechanism;
 use tps_wl::suite_names;
 
@@ -9,8 +9,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut increases = Vec::new();
     for name in suite_names() {
-        let only4k = run_one(name, Mechanism::Only4K, scale);
-        let only2m = run_one(name, Mechanism::Only2M, scale);
+        let only4k = run_bench(name, Mechanism::Only4K, scale, 1, |c| c);
+        let only2m = run_bench(name, Mechanism::Only2M, scale, 1, |c| c);
         let increase = only2m.resident_bytes as f64 / only4k.resident_bytes as f64 - 1.0;
         increases.push(increase);
         rows.push(vec![

@@ -4,7 +4,7 @@
 //! The paper derives this from performance counters at two configurations
 //! (THP off/on); we derive it the same way from our simulated runs and
 //! print the workload-profile parameter it recovers.
-use tps_bench::{pct, print_table, run_one, scale_from_env};
+use tps_bench::{pct, print_table, run_bench, scale_from_env};
 use tps_sim::{Mechanism, TimingModel};
 use tps_wl::suite_names;
 
@@ -13,8 +13,8 @@ fn main() {
     let model = TimingModel::default();
     let mut rows = Vec::new();
     for name in suite_names() {
-        let thp_off = run_one(name, Mechanism::Only4K, scale);
-        let thp_on = run_one(name, Mechanism::Thp, scale);
+        let thp_off = run_bench(name, Mechanism::Only4K, scale, 1, |c| c);
+        let thp_on = run_bench(name, Mechanism::Thp, scale, 1, |c| c);
         let t_off = model.evaluate(&thp_off, false);
         let t_on = model.evaluate(&thp_on, false);
         // Savable = dTC / dPWC between the two configurations.

@@ -1,18 +1,14 @@
 //! Fig. 14: speedup over the reservation-THP baseline with an SMT sibling
 //! competing for TLB resources. Paper: TPS 21.6 % > RMM 15.2 % > CoLT 4.7 %.
-use tps_bench::{geomean, print_table, scale_from_env};
-use tps_sim::{run_smt, MachineConfig, Mechanism, RunStats, TimingModel};
-use tps_wl::{build, suite_names};
+use tps_bench::{geomean, print_table, run_bench, scale_from_env};
+use tps_sim::{Mechanism, RunStats, TimingModel};
+use tps_wl::suite_names;
 
 fn main() {
     let scale = scale_from_env();
     let model = TimingModel::default();
-    let run = |name: &str, mech: Mechanism| -> RunStats {
-        let config = MachineConfig::for_mechanism(mech).with_memory(2 * scale.recommended_memory());
-        let a = build(name, scale);
-        let b = build(name, scale);
-        run_smt(config, a, b).primary
-    };
+    // Two SMT hardware threads; the figure reports the primary.
+    let run = |name: &str, mech: Mechanism| -> RunStats { run_bench(name, mech, scale, 2, |c| c) };
     let mechs = Mechanism::contenders();
     let mut rows = Vec::new();
     let mut cols = vec![Vec::new(); mechs.len()];

@@ -1,7 +1,7 @@
 //! Fig. 16: % L1 DTLB misses eliminated under heavy external
 //! fragmentation (no compaction). GUPS collapses (no locality, no large
 //! reservations possible); benchmarks with locality keep most of the win.
-use tps_bench::{pct, print_table, run_one_with, scale_from_env};
+use tps_bench::{pct, print_table, run_bench, scale_from_env};
 use tps_mem::{BuddyAllocator, FragmentParams, Fragmenter};
 use tps_sim::Mechanism;
 use tps_wl::suite_names;
@@ -20,10 +20,10 @@ fn main() {
     };
     let mut rows = Vec::new();
     for name in suite_names() {
-        let base = run_one_with(name, Mechanism::Thp, scale, |c| {
+        let base = run_bench(name, Mechanism::Thp, scale, 1, |c| {
             c.with_initial_memory(fragmented())
         });
-        let tps = run_one_with(name, Mechanism::Tps, scale, |c| {
+        let tps = run_bench(name, Mechanism::Tps, scale, 1, |c| {
             c.with_initial_memory(fragmented())
         });
         rows.push(vec![

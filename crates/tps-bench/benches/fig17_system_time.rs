@@ -10,7 +10,7 @@
 //! denominator with a documented per-page instruction density and also
 //! print the raw ratio (OS cycles per resident page) so readers can apply
 //! their own.
-use tps_bench::{mean, print_table, scale_from_env, SuiteCache};
+use tps_bench::{mean, print_table, run_bench, scale_from_env};
 use tps_sim::Mechanism;
 use tps_wl::suite_names;
 
@@ -19,14 +19,14 @@ use tps_wl::suite_names;
 const INSTS_PER_PAGE_FULL_RUN: f64 = 2_000_000.0;
 
 fn main() {
-    let mut cache = SuiteCache::new(scale_from_env());
+    let scale = scale_from_env();
     let mut rows = Vec::new();
     let (mut thp_col, mut tps_col) = (Vec::new(), Vec::new());
     for name in suite_names() {
         let mut fracs = Vec::new();
         let mut per_page = Vec::new();
         for mech in [Mechanism::Thp, Mechanism::Tps] {
-            let stats = cache.get(name, mech);
+            let stats = run_bench(name, mech, scale, 1, |c| c);
             let pages = (stats.resident_bytes >> 12).max(1) as f64;
             let cpp = stats.os.op_cycles as f64 / pages;
             let t_app = pages * INSTS_PER_PAGE_FULL_RUN * stats.profile.base_cpi;

@@ -1,15 +1,15 @@
 //! Fig. 18: pages in use per page size under TPS, per benchmark. The
 //! small total page counts are what let TPS eliminate nearly all misses.
-use tps_bench::{print_table, scale_from_env, SuiteCache};
+use tps_bench::{print_table, run_bench, scale_from_env};
 use tps_core::PageOrder;
 use tps_sim::Mechanism;
 use tps_wl::suite_names;
 
 fn main() {
-    let mut cache = SuiteCache::new(scale_from_env());
+    let scale = scale_from_env();
     let mut rows = Vec::new();
     for name in suite_names() {
-        let stats = cache.get(name, Mechanism::Tps).clone();
+        let stats = run_bench(name, Mechanism::Tps, scale, 1, |c| c);
         let total: u64 = stats.page_census.values().sum();
         let sizes = stats
             .page_census

@@ -11,49 +11,53 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use tps_sim::{
     ExperimentReport, ExperimentSpec, MachineBuilder, MachineConfig, Mechanism, RunStats,
     TenantSpec,
 };
-use tps_wl::{build, SuiteScale};
+use tps_wl::{default_suite_seed, SuiteScale};
 
-/// Reads the suite scale from the `TPS_SCALE` environment variable.
+/// Reads the suite scale from the `TPS_SCALE` environment variable
+/// (default `small`). An unknown value exits with status 2, naming the
+/// valid ones.
 pub fn scale_from_env() -> SuiteScale {
-    match std::env::var("TPS_SCALE").as_deref() {
-        Ok("test") => SuiteScale::Test,
-        Ok("paper") => SuiteScale::Paper,
-        _ => SuiteScale::Small,
+    match std::env::var("TPS_SCALE") {
+        Err(_) => SuiteScale::Small,
+        Ok(value) => value.parse().unwrap_or_else(|_| {
+            let valid: Vec<&str> = SuiteScale::all().iter().map(|s| s.label()).collect();
+            eprintln!(
+                "unknown TPS_SCALE {value:?} (expected one of: {})",
+                valid.join(", ")
+            );
+            std::process::exit(2)
+        }),
     }
 }
 
-/// Runs one suite benchmark under one mechanism.
-pub fn run_one(name: &str, mechanism: Mechanism, scale: SuiteScale) -> RunStats {
-    let config = MachineConfig::for_mechanism(mechanism).with_memory(scale.recommended_memory());
-    MachineBuilder::new(config)
-        .tenant(TenantSpec::boxed(build(name, scale)))
-        .build()
-        .expect("one tenant builds")
-        .run()
-        .into_solo()
-}
-
-/// Runs one benchmark under one mechanism with a customized config
-/// (memory size and policy/TLB are still taken from the mechanism).
-pub fn run_one_with(
+/// Runs `tenants` copies of one suite benchmark, each built from
+/// [`default_suite_seed`], on one machine under `mechanism`, and returns
+/// the primary (first) tenant's statistics. One tenant is a native run;
+/// two are SMT hardware threads sharing one core's translation hardware.
+///
+/// The machine models `tenants` × [`SuiteScale::recommended_memory`]
+/// before `tweak` adjusts its configuration. Every mechanism runs the
+/// same access stream, so figures can pair mechanisms run by run.
+pub fn run_bench(
     name: &str,
     mechanism: Mechanism,
     scale: SuiteScale,
+    tenants: u32,
     tweak: impl FnOnce(MachineConfig) -> MachineConfig,
 ) -> RunStats {
-    let config =
-        tweak(MachineConfig::for_mechanism(mechanism).with_memory(scale.recommended_memory()));
-    MachineBuilder::new(config)
-        .tenant(TenantSpec::boxed(build(name, scale)))
+    let memory = u64::from(tenants) * scale.recommended_memory();
+    let config = tweak(MachineConfig::for_mechanism(mechanism).with_memory(memory));
+    let seed = default_suite_seed(name);
+    let mut stats = MachineBuilder::new(config)
+        .tenants((0..tenants).map(|_| TenantSpec::suite(name, scale, seed)))
         .build()
-        .expect("one tenant builds")
-        .run()
-        .into_solo()
+        .expect("a suite benchmark on at least one tenant builds")
+        .run();
+    stats.per_tenant.swap_remove(0)
 }
 
 /// Expands and runs one experiment spec on the worker pool.
@@ -79,37 +83,6 @@ pub fn suite_matrix(
             .mechanisms(mechanisms)
             .scale(scale),
     )
-}
-
-/// A lazily filled cache of `(benchmark, mechanism) -> RunStats` so one
-/// figure can reuse another mechanism's runs without re-simulating.
-#[derive(Default)]
-pub struct SuiteCache {
-    scale: Option<SuiteScale>,
-    runs: BTreeMap<(String, Mechanism), RunStats>,
-}
-
-impl SuiteCache {
-    /// Creates an empty cache for the given scale.
-    pub fn new(scale: SuiteScale) -> Self {
-        SuiteCache {
-            scale: Some(scale),
-            runs: BTreeMap::new(),
-        }
-    }
-
-    /// The cache's scale.
-    pub fn scale(&self) -> SuiteScale {
-        self.scale.unwrap_or(SuiteScale::Small)
-    }
-
-    /// Returns (running on first use) the stats of one combination.
-    pub fn get(&mut self, name: &str, mechanism: Mechanism) -> &RunStats {
-        let scale = self.scale();
-        self.runs
-            .entry((name.to_string(), mechanism))
-            .or_insert_with(|| run_one(name, mechanism, scale))
-    }
 }
 
 /// Geometric mean of positive values (the paper's speedup aggregation).
@@ -175,11 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn suite_cache_runs_once() {
-        let mut cache = SuiteCache::new(SuiteScale::Test);
-        let a = cache.get("gups", Mechanism::Tps).mem.accesses;
-        let b = cache.get("gups", Mechanism::Tps).mem.accesses;
-        assert_eq!(a, b);
-        assert!(a > 0);
+    fn smt_pair_reports_the_primary_thread() {
+        let solo = run_bench("gups", Mechanism::Thp, SuiteScale::Test, 1, |c| c);
+        let smt = run_bench("gups", Mechanism::Thp, SuiteScale::Test, 2, |c| c);
+        assert!(solo.mem.accesses > 0);
+        assert_eq!(smt.mem.accesses, solo.mem.accesses);
     }
 }

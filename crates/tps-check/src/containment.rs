@@ -39,7 +39,7 @@ use tps_core::rng::Rng;
 use tps_core::{TenantFaultCause, BASE_PAGE_SIZE};
 use tps_os::OsStats;
 use tps_sim::{
-    Machine, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom, RunStats, Scheduler,
+    Machine, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom, RunStats,
     TenantOutcome, TenantSpec,
 };
 use tps_wl::{Event, Workload, WorkloadProfile};
@@ -327,9 +327,7 @@ fn derive_plan(seed: u64, schedule: u64) -> SchedulePlan {
 /// shells stepped by the campaign itself (manual mode).
 fn build_machine(plan: &SchedulePlan, scripted: bool) -> Result<Machine, String> {
     let config = MachineConfig::for_mechanism(plan.mechanism).with_memory(plan.mem_bytes);
-    let mut builder = MachineBuilder::new(config)
-        .scheduler(Scheduler::RoundRobin)
-        .on_oom(plan.on_oom);
+    let mut builder = MachineBuilder::new(config).on_oom(plan.on_oom);
     for tenant in &plan.tenants {
         let mut spec = if scripted {
             TenantSpec::workload(Scripted {

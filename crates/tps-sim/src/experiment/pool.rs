@@ -14,8 +14,7 @@
 #[cfg(test)]
 use crate::config::Mechanism;
 use crate::machine::{MachineBuilder, TenantSpec};
-use crate::smt::run_smt;
-use crate::stats::{MachineRunStats, TenantOutcome};
+use crate::stats::MachineRunStats;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -24,7 +23,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 use tps_core::rng::SplitMix64;
 use tps_core::{FaultPlan, InjectorHandle};
-use tps_wl::{build_seeded, tenant_seeds};
+use tps_wl::tenant_seeds;
 
 use super::checkpoint::{CheckpointWriter, ResumeMap};
 use super::report::{CellFailure, FailureCause};
@@ -227,58 +226,43 @@ fn run_attempt_caught(
 }
 
 /// Executes one cell attempt: a fresh machine, freshly seeded workloads
-/// (one per tenant), and (when configured) a fresh fault plan pinned to
-/// (cell, attempt).
+/// (one per tenant or SMT thread), and (when configured) a fresh fault
+/// plan pinned to (cell, attempt).
 fn run_cell(spec: &ExperimentSpec, cell: &ExperimentCell, attempt: u32) -> MachineRunStats {
     let config = spec.machine_config(cell.mechanism());
     let scale = spec.suite_scale();
-    if spec.is_smt() {
-        // Derive both sibling seeds from the cell seed so the pair is as
-        // pinned as a native run. (Faults + SMT is rejected at build time.)
-        let mut sm = SplitMix64::new(cell.seed());
-        let primary = build_seeded(cell.benchmark(), scale, sm.next_u64());
-        let sibling = build_seeded(cell.benchmark(), scale, sm.next_u64());
-        let smt = run_smt(config, primary, sibling);
-        // SMT cells report the primary thread, as they always have; the
-        // sibling rides along as the second tenant entry.
-        MachineRunStats {
-            global: smt.primary.clone(),
-            per_tenant: vec![smt.primary],
-            outcomes: vec![TenantOutcome::Completed],
+    let seeds = match spec.cell_tenants() {
+        // The classic single-process cell: the workload runs from the
+        // cell seed itself, byte-identical with the pre-tenant runner.
+        1 => vec![cell.seed()],
+        n => tenant_seeds(cell.seed(), n),
+    };
+    let cap = spec.tenant_cap_config();
+    let specs = seeds.into_iter().enumerate().map(|(slot, seed)| {
+        let tenant = TenantSpec::suite(cell.benchmark(), scale, seed);
+        match cap {
+            Some((capped, bytes)) if slot == capped as usize => tenant.memory_cap(bytes),
+            _ => tenant,
         }
-    } else {
-        let tenants = spec.tenant_count();
-        let specs: Vec<TenantSpec> = if tenants.is_solo() {
-            // The classic single-process cell: the workload runs from the
-            // cell seed itself, byte-identical with the pre-tenant runner.
-            vec![TenantSpec::suite(cell.benchmark(), scale, cell.seed())]
-        } else {
-            tenant_seeds(cell.seed(), tenants.get())
-                .into_iter()
-                .map(|seed| TenantSpec::suite(cell.benchmark(), scale, seed))
-                .collect()
-        };
-        let cap = spec.tenant_cap_config();
-        let specs: Vec<TenantSpec> = specs
-            .into_iter()
-            .enumerate()
-            .map(|(slot, tenant)| match cap {
-                Some((capped, bytes)) if slot == capped as usize => tenant.memory_cap(bytes),
-                _ => tenant,
-            })
-            .collect();
-        let mut machine = MachineBuilder::new(config)
-            .tenants(specs)
-            .on_oom(spec.oom_policy())
-            .build()
-            .expect("a validated spec builds a non-empty machine");
-        if let Some(mut fault_cfg) = spec.fault_config() {
-            fault_cfg.seed = attempt_fault_seed(fault_cfg.seed, cell.seed(), attempt);
-            let plan = Rc::new(RefCell::new(FaultPlan::new(fault_cfg)));
-            machine.set_fault_injector(Some(plan as InjectorHandle));
-        }
-        machine.run()
+    });
+    let mut machine = MachineBuilder::new(config)
+        .tenants(specs)
+        .on_oom(spec.oom_policy())
+        .build()
+        .expect("a validated spec builds a non-empty machine");
+    if let Some(mut fault_cfg) = spec.fault_config() {
+        fault_cfg.seed = attempt_fault_seed(fault_cfg.seed, cell.seed(), attempt);
+        let plan = Rc::new(RefCell::new(FaultPlan::new(fault_cfg)));
+        machine.set_fault_injector(Some(plan as InjectorHandle));
     }
+    let mut stats = machine.run();
+    if spec.is_smt() {
+        // SMT cells report the primary thread's statistics but keep both
+        // threads' outcomes, so a killed sibling still shows.
+        stats.per_tenant.truncate(1);
+        stats.global = stats.per_tenant[0].clone();
+    }
+    stats
 }
 
 /// The fault-plan seed of one (cell, attempt) pair. Pinned to the plan's

@@ -397,6 +397,16 @@ impl ExperimentSpec {
         self.tenants
     }
 
+    /// How many processes each cell's machine runs: the tenant count, or
+    /// the two hardware threads of an SMT cell.
+    pub(crate) fn cell_tenants(&self) -> u32 {
+        if self.smt {
+            2
+        } else {
+            self.tenants.get()
+        }
+    }
+
     /// The machine-level OOM policy cells run under.
     pub fn oom_policy(&self) -> OnOom {
         self.on_oom
@@ -448,14 +458,9 @@ impl ExperimentSpec {
     /// The machine configuration one cell under `mech` runs.
     pub fn machine_config(&self, mech: Mechanism) -> MachineConfig {
         let memory = self.memory_bytes.unwrap_or_else(|| {
-            let base = self.scale.recommended_memory();
             // Each co-scheduled process (SMT sibling or tenant) brings its
             // own working set, so the modeled memory scales with them.
-            if self.smt {
-                2 * base
-            } else {
-                base * u64::from(self.tenants.get())
-            }
+            self.scale.recommended_memory() * u64::from(self.cell_tenants())
         });
         let mut config = MachineConfig::for_mechanism(mech).with_memory(memory);
         config.virtualized = self.virtualized;

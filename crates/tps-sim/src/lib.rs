@@ -4,13 +4,12 @@
 //!
 //! * [`Machine`] — N tenant address spaces over one shared OS, buddy
 //!   allocator and MMU (TLB hierarchy + MMU caches + page walker), built
-//!   with [`MachineBuilder`] from [`TenantSpec`]s and interleaved by a
-//!   deterministic [`Scheduler`], producing [`MachineRunStats`]
-//!   (per-tenant [`RunStats`] plus the machine-wide rollup).
+//!   with [`MachineBuilder`] from [`TenantSpec`]s and interleaved
+//!   round-robin, producing [`MachineRunStats`] (per-tenant [`RunStats`]
+//!   plus the machine-wide rollup). Two tenants are two SMT hardware
+//!   threads sharing one core's translation hardware.
 //! * [`Mechanism`] / [`MachineConfig`] — the compared systems (THP
 //!   baseline, CoLT, RMM, TPS) over the paper's Table I hardware.
-//! * [`run_smt`] — two hardware threads sharing translation hardware
-//!   (the degenerate two-tenant round-robin case).
 //! * [`NestedWalkModel`] — two-dimensional (virtualized) page walks.
 //! * [`TimingModel`] — the paper's `T = T_IDEAL + T_L1DTLBM + T_PW`
 //!   execution-time decomposition.
@@ -44,7 +43,6 @@ pub mod experiment;
 mod machine;
 mod mmu;
 mod nested;
-mod smt;
 mod stats;
 mod timing;
 
@@ -56,11 +54,9 @@ pub use experiment::{
     DEFAULT_EXPERIMENT_SEED, HALT_EXIT_CODE, MAX_TENANTS, REPORT_SCHEMA, REPORT_VERSION,
 };
 pub use machine::{
-    Machine, MachineBuilder, OnOom, RunCounters, Scheduler, TenantScheduler, TenantSpec,
-    ThreadCounters,
+    Machine, MachineBuilder, OnOom, RunCounters, TenantScheduler, TenantSpec, ThreadCounters,
 };
 pub use mmu::{AccessLevel, AccessOutcome, Mmu};
 pub use nested::NestedWalkModel;
-pub use smt::{run_smt, SmtRunStats};
 pub use stats::{HwFaultStats, MachineRunStats, RunStats, TenantOutcome};
 pub use timing::{TimingBreakdown, TimingModel};

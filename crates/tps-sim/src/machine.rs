@@ -11,7 +11,6 @@ use crate::config::MachineConfig;
 use crate::mmu::{AccessLevel, Mmu};
 use crate::stats::{HwFaultStats, MachineRunStats, RunStats, TenantOutcome};
 use std::collections::BTreeMap;
-use tps_core::rng::SplitMix64;
 use tps_core::{InjectorHandle, TenantFault, TenantFaultCause, TpsError, VirtAddr};
 use tps_mem::BuddyAllocator;
 use tps_os::Os;
@@ -141,64 +140,32 @@ impl std::str::FromStr for OnOom {
     }
 }
 
-/// Which deterministic interleaving the machine uses to pick the next
-/// tenant to run one event from.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Strict rotation over the live tenants, in tenant order. A retired
-    /// tenant drops out of the rotation; the order of the survivors is
-    /// preserved. With two tenants this is exactly the SMT alternation of
-    /// [`crate::run_smt`]; with one it degenerates to the old solo loop.
-    #[default]
-    RoundRobin,
-    /// Seeded uniform pick among the live tenants on every step (a
-    /// SplitMix64 stream over the given seed). Same seed, same tenant
-    /// set, same interleaving — byte-deterministic like `RoundRobin`,
-    /// but without rotation artifacts.
-    Seeded(u64),
-}
-
-/// The scheduler's run-time state: decides, per event slot, which live
-/// tenant executes next.
+/// The machine's scheduler: a strict round-robin rotation over the live
+/// tenants, in tenant order, deciding per event slot which tenant runs
+/// next. A retired tenant drops out of the rotation; the order of the
+/// survivors is preserved. With two tenants this is exactly the
+/// fine-grained SMT alternation; with one it degenerates to the solo
+/// loop.
 ///
 /// Declared as a hot-path entry point in `hot-paths.toml`: the decision
 /// sits on the per-event dispatch loop, so it must stay free of
 /// allocation, locks and dynamic dispatch.
 #[derive(Clone, Debug)]
 pub struct TenantScheduler {
-    kind: Scheduler,
-    rng: SplitMix64,
     cursor: usize,
 }
 
 impl TenantScheduler {
-    fn new(kind: Scheduler) -> Self {
-        let seed = match kind {
-            Scheduler::RoundRobin => 0,
-            Scheduler::Seeded(seed) => seed,
-        };
-        TenantScheduler {
-            kind,
-            rng: SplitMix64::new(seed),
-            cursor: 0,
-        }
-    }
-
     /// Picks the next tenant as an index into the machine's live list
     /// (`0..live`). `live` must be non-zero.
     #[inline]
     pub fn next_tenant(&mut self, live: usize) -> usize {
-        match self.kind {
-            Scheduler::RoundRobin => {
-                if self.cursor >= live {
-                    self.cursor = 0;
-                }
-                let pick = self.cursor;
-                self.cursor += 1;
-                pick
-            }
-            Scheduler::Seeded(_) => (self.rng.next_u64() % live as u64) as usize,
+        if self.cursor >= live {
+            self.cursor = 0;
         }
+        let pick = self.cursor;
+        self.cursor += 1;
+        pick
     }
 
     /// Tells the scheduler the tenant it just picked retired (was removed
@@ -239,15 +206,6 @@ impl TenantSpec {
     pub fn workload(workload: impl Workload + 'static) -> Self {
         TenantSpec {
             source: WorkloadSource::Boxed(Box::new(workload)),
-            label: None,
-            memory_cap: None,
-        }
-    }
-
-    /// A tenant running an already boxed workload.
-    pub fn boxed(workload: Box<dyn Workload>) -> Self {
-        TenantSpec {
-            source: WorkloadSource::Boxed(workload),
             label: None,
             memory_cap: None,
         }
@@ -301,7 +259,7 @@ impl TenantSpec {
 }
 
 /// Builds a [`Machine`]: one shared [`MachineConfig`] plus one
-/// [`TenantSpec`] per tenant and a [`Scheduler`].
+/// [`TenantSpec`] per tenant, interleaved round-robin.
 ///
 /// # Example
 ///
@@ -325,8 +283,6 @@ impl TenantSpec {
 /// ```
 pub struct MachineBuilder {
     config: MachineConfig,
-    scheduler: Scheduler,
-    reclaim_on_exit: bool,
     on_oom: OnOom,
     tenants: Vec<TenantSpec>,
 }
@@ -336,8 +292,6 @@ impl MachineBuilder {
     pub fn new(config: MachineConfig) -> Self {
         MachineBuilder {
             config,
-            scheduler: Scheduler::RoundRobin,
-            reclaim_on_exit: false,
             on_oom: OnOom::FailFast,
             tenants: Vec::new(),
         }
@@ -354,24 +308,6 @@ impl MachineBuilder {
     #[must_use]
     pub fn tenants(mut self, specs: impl IntoIterator<Item = TenantSpec>) -> Self {
         self.tenants.extend(specs);
-        self
-    }
-
-    /// Selects the event interleaving (default [`Scheduler::RoundRobin`]).
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// When enabled, a tenant's remaining regions are unmapped the moment
-    /// its event stream ends — modeling process exit returning memory to
-    /// the shared pool (later tenants see the recovered, fragmented
-    /// contiguity). Off by default: the solo and SMT harnesses keep final
-    /// footprints inspectable after the run.
-    #[must_use]
-    pub fn reclaim_on_exit(mut self, reclaim: bool) -> Self {
-        self.reclaim_on_exit = reclaim;
         self
     }
 
@@ -441,8 +377,7 @@ impl MachineBuilder {
             config: self.config,
             os,
             mmu,
-            scheduler: TenantScheduler::new(self.scheduler),
-            reclaim_on_exit: self.reclaim_on_exit,
+            scheduler: TenantScheduler { cursor: 0 },
             on_oom: self.on_oom,
             tenants,
             live,
@@ -483,14 +418,13 @@ struct Tenant {
 
 /// One simulated machine: N tenant processes sharing the OS, the physical
 /// memory pool and the core's translation hardware. Built with
-/// [`MachineBuilder`]; [`crate::run_smt`] is the 2-tenant shared-core
-/// special case.
+/// [`MachineBuilder`]; two tenants model two SMT hardware threads on one
+/// core.
 pub struct Machine {
     config: MachineConfig,
     os: Os,
     mmu: Mmu,
     scheduler: TenantScheduler,
-    reclaim_on_exit: bool,
     on_oom: OnOom,
     tenants: Vec<Tenant>,
     /// Tenant slots whose event streams have not ended, in tenant order.
@@ -768,12 +702,13 @@ impl Machine {
                 None => {
                     self.live.remove(pick);
                     self.scheduler.tenant_retired(pick);
-                    self.retire(slot);
+                    let stats = self.retire(slot);
+                    self.tenants[slot].final_stats = Some(stats);
                 }
             }
         }
-        // Every slot left the live list through retire() or kill(), both
-        // of which freeze final_stats; freeze any straggler defensively
+        // Every slot left the live list retired or killed, with its
+        // final_stats frozen; freeze any straggler defensively
         // so collection stays total.
         for slot in 0..self.tenants.len() {
             if self.tenants[slot].final_stats.is_none() {
@@ -848,33 +783,11 @@ impl Machine {
             self.scheduler.tenant_retired(pos);
         }
         let at_event = self.tenants[slot].events;
-        let stats = self.finalize(slot, true);
-        self.tenants[slot].killed = Some((cause, at_event));
-        self.tenants[slot].final_stats = Some(stats);
-    }
-
-    /// Finalizes a tenant whose event stream ended: freezes its
-    /// statistics, then flushes its ASID from the shared TLBs (its dead
-    /// translations stop occupying capacity the survivors could use) and,
-    /// with [`MachineBuilder::reclaim_on_exit`], unmaps its remaining
-    /// regions so the shared pool recovers the memory.
-    fn retire(&mut self, slot: usize) {
-        let stats = self.finalize(slot, self.reclaim_on_exit);
-        self.tenants[slot].final_stats = Some(stats);
-    }
-
-    /// Shared retire/kill mechanics: freeze statistics first (footprint
-    /// and census are reported as of the exit point), retire the ASID,
-    /// then optionally reclaim the tenant's regions. The reclaim munmaps
-    /// run under the tenant's ASID, so the OS charges them to its account,
-    /// which is read again once they are done.
-    fn finalize(&mut self, slot: usize, reclaim: bool) -> RunStats {
-        let stats = self.freeze(slot);
+        let stats = self.retire(slot);
+        // The reclaim munmaps run under the victim's ASID, so the OS
+        // charges them to its account, which is read again once they are
+        // done.
         let asid = self.tenants[slot].asid;
-        self.mmu.retire_asid(asid);
-        if !reclaim {
-            return stats;
-        }
         let regions = std::mem::take(&mut self.tenants[slot].regions);
         for (base, _) in regions.into_values() {
             // A region recorded here is mapped by construction; if the OS
@@ -885,10 +798,22 @@ impl Machine {
             }
         }
         self.tenants[slot].mapped_bytes = 0;
-        RunStats {
+        self.tenants[slot].killed = Some((cause, at_event));
+        self.tenants[slot].final_stats = Some(RunStats {
             os: self.os.process(asid).stats(),
             ..stats
-        }
+        });
+    }
+
+    /// Retires a tenant whose event stream ended (and is the first step of
+    /// a kill): freezes its statistics as of the exit point, then flushes
+    /// its ASID from the shared TLBs (its dead translations stop
+    /// occupying capacity the survivors could use). Its regions stay
+    /// mapped, so final footprints remain inspectable after the run.
+    fn retire(&mut self, slot: usize) -> RunStats {
+        let stats = self.freeze(slot);
+        self.mmu.retire_asid(self.tenants[slot].asid);
+        stats
     }
 
     /// Builds one tenant's final [`RunStats`] from its own counters, its
@@ -1025,6 +950,7 @@ fn weighted_profile(name: String, per_tenant: &[RunStats]) -> WorkloadProfile {
 mod tests {
     use super::*;
     use crate::config::Mechanism;
+    use tps_core::rng::SplitMix64;
     use tps_core::BASE_PAGE_SIZE;
     use tps_os::OsStats;
     use tps_wl::{Gups, GupsParams, Initialized};
@@ -1279,27 +1205,24 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_and_seeded_schedulers_are_deterministic() {
-        let run = |scheduler| {
+    fn round_robin_runs_are_deterministic() {
+        let run = || {
             let config = MachineConfig::for_mechanism(Mechanism::Tps)
                 .with_memory(256 << 20)
                 .with_verification();
             MachineBuilder::new(config)
                 .tenant(TenantSpec::workload(gups(2_000)))
                 .tenant(TenantSpec::workload(gups(2_000)))
-                .scheduler(scheduler)
                 .build()
                 .unwrap()
                 .run()
         };
-        for sched in [Scheduler::RoundRobin, Scheduler::Seeded(42)] {
-            let a = run(sched);
-            let b = run(sched);
-            assert_eq!(a.global.mem, b.global.mem, "{sched:?}");
-            assert_eq!(a.global.page_census, b.global.page_census, "{sched:?}");
-            for (x, y) in a.per_tenant.iter().zip(&b.per_tenant) {
-                assert_eq!(x.mem, y.mem, "{sched:?}");
-            }
+        let a = run();
+        let b = run();
+        assert_eq!(a.global.mem, b.global.mem);
+        assert_eq!(a.global.page_census, b.global.page_census);
+        for (x, y) in a.per_tenant.iter().zip(&b.per_tenant) {
+            assert_eq!(x.mem, y.mem);
         }
     }
 
@@ -1512,7 +1435,6 @@ mod tests {
                     step: 0,
                 }))
                 .tenant(TenantSpec::workload(gups(700)))
-                .scheduler(Scheduler::Seeded(99))
                 .on_oom(OnOom::KillVictim)
                 .build()
                 .unwrap()
@@ -1529,7 +1451,7 @@ mod tests {
     }
 
     #[test]
-    fn per_tenant_os_work_sums_to_machine_totals_with_reclaim_and_kills() {
+    fn per_tenant_os_work_sums_to_machine_totals_with_kills() {
         let config = MachineConfig::for_mechanism(Mechanism::Tps)
             .with_memory(128 << 20)
             .with_verification();
@@ -1544,13 +1466,12 @@ mod tests {
                 .memory_cap(3 << 20),
             )
             .tenant(TenantSpec::workload(gups(2_000)))
-            .reclaim_on_exit(true)
             .build()
             .unwrap();
         let stats = m.run();
         assert_eq!(stats.killed_count(), 1);
         // Every OS counter — including the munmaps and shootdowns of the
-        // exit/kill reclaims — is attributed to exactly one tenant.
+        // kill's reclaim — is attributed to exactly one tenant.
         let machine_wide = m.os().stats();
         let sum = |f: fn(&OsStats) -> u64| stats.per_tenant.iter().map(|s| f(&s.os)).sum::<u64>();
         assert_eq!(sum(|o| o.mmaps), machine_wide.mmaps);
@@ -1559,25 +1480,96 @@ mod tests {
         assert_eq!(sum(|o| o.shootdowns), machine_wide.shootdowns);
         assert_eq!(sum(|o| o.op_cycles), machine_wide.op_cycles);
         assert_eq!(stats.global.os.munmaps, machine_wide.munmaps);
-        // Reclaim really happened: nobody holds memory after the run.
-        for slot in 0..3 {
-            assert_eq!(m.os().process(slot as Asid).resident_bytes(), 0);
-        }
+        assert!(stats.tenant(1).os.munmaps > 0, "the kill reclaimed");
+        // Reclaim really happened: the victim holds no memory after the
+        // run, while the retired survivors keep theirs.
+        assert_eq!(m.os().process(1).resident_bytes(), 0);
+        assert!(m.os().process(0).resident_bytes() > 0);
     }
 
     #[test]
-    fn reclaim_on_exit_returns_memory_to_the_pool() {
+    fn retired_tenants_keep_their_footprint_inspectable() {
         let config = MachineConfig::for_mechanism(Mechanism::Tps).with_memory(128 << 20);
         let mut m = MachineBuilder::new(config)
             .tenant(TenantSpec::workload(gups(500)))
-            .reclaim_on_exit(true)
             .build()
             .unwrap();
         let stats = m.run().into_solo();
-        // Stats were frozen at exit (the table was still resident)...
+        // Stats were frozen at exit with the table resident, and the exit
+        // left it mapped.
         assert!(stats.resident_bytes >= 8 << 20);
-        // ...then the exit reclaimed it.
-        assert_eq!(m.os().process(0).resident_bytes(), 0);
+        assert_eq!(m.os().process(0).resident_bytes(), stats.resident_bytes);
+    }
+
+    /// GUPS for the SMT tests: each thread's table exceeds the 2M L1 TLB
+    /// reach on its own, so sharing the structures is visible in the miss
+    /// counts.
+    fn smt_gups(seed: u64) -> Initialized<Gups> {
+        Initialized::new(Gups::new(GupsParams {
+            table_bytes: 128 << 20,
+            updates: 20_000,
+            seed,
+        }))
+    }
+
+    /// Two SMT hardware threads: two tenants sharing one core's TLBs, MMU
+    /// caches and memory, alternating round-robin.
+    fn smt(mechanism: Mechanism, primary: u64, sibling: u64) -> MachineRunStats {
+        MachineBuilder::new(
+            MachineConfig::for_mechanism(mechanism)
+                .with_memory(512 << 20)
+                .with_verification(),
+        )
+        .tenant(TenantSpec::workload(smt_gups(primary)))
+        .tenant(TenantSpec::workload(smt_gups(sibling)))
+        .build()
+        .expect("two tenants form a valid machine")
+        .run()
+    }
+
+    #[test]
+    fn smt_interference_increases_misses() {
+        let solo = solo(Mechanism::Thp, 512 << 20, smt_gups(1));
+        let smt = smt(Mechanism::Thp, 1, 2);
+        assert_eq!(smt.tenant(0).mem.accesses, solo.mem.accesses);
+        assert!(
+            smt.tenant(0).mem.l1_misses() > solo.mem.l1_misses(),
+            "sharing the TLB must hurt: smt {} vs solo {}",
+            smt.tenant(0).mem.l1_misses(),
+            solo.mem.l1_misses()
+        );
+    }
+
+    #[test]
+    fn smt_threads_translate_correctly_in_isolation() {
+        // verify_translations is on: any ASID mix-up would assert inside.
+        let stats = smt(Mechanism::Tps, 3, 4);
+        assert_eq!(stats.tenant(0).mem.accesses, stats.tenant(1).mem.accesses);
+        assert!(stats.tenant(0).mem.l1_hit_rate() > 0.9);
+    }
+
+    #[test]
+    fn tps_suffers_less_under_smt_than_thp() {
+        let thp = smt(Mechanism::Thp, 5, 6);
+        let tps = smt(Mechanism::Tps, 5, 6);
+        assert!(
+            tps.tenant(0).mem.l1_misses() < thp.tenant(0).mem.l1_misses(),
+            "tps {} vs thp {}",
+            tps.tenant(0).mem.l1_misses(),
+            thp.tenant(0).mem.l1_misses()
+        );
+    }
+
+    #[test]
+    fn smt_os_work_is_attributed_not_duplicated() {
+        let stats = smt(Mechanism::Tps, 7, 8);
+        let (primary, sibling) = (stats.tenant(0), stats.tenant(1));
+        // Symmetric workloads: each thread owns roughly half the faults,
+        // and neither sees the machine-wide total (the old double-count).
+        let total = primary.os.faults + sibling.os.faults;
+        assert!(primary.os.faults > 0);
+        assert!(sibling.os.faults > 0);
+        assert!(primary.os.faults < total);
     }
 
     #[test]
@@ -1597,7 +1589,6 @@ mod tests {
                     seed: 0x5eed + i,
                 }))
             }))
-            .scheduler(Scheduler::Seeded(17))
             .build()
             .unwrap()
             .run();

@@ -123,8 +123,11 @@ pub struct MachineRunStats {
     pub global: RunStats,
     /// Per-tenant statistics, indexed by tenant slot (== ASID).
     pub per_tenant: Vec<RunStats>,
-    /// Per-tenant outcomes, indexed like `per_tenant`. All
-    /// [`TenantOutcome::Completed`] on a fault-free run.
+    /// Per-tenant outcomes, indexed by tenant slot like `per_tenant`. All
+    /// [`TenantOutcome::Completed`] on a fault-free run. An SMT matrix
+    /// cell projects its statistics onto the primary thread but keeps both
+    /// threads' outcomes, so here it holds one entry more than
+    /// `per_tenant` and a killed sibling stays visible.
     pub outcomes: Vec<TenantOutcome>,
 }
 
@@ -180,21 +183,6 @@ impl MachineRunStats {
             self.per_tenant.len()
         );
         self.global
-    }
-
-    /// Borrows the statistics of a single-tenant run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine ran more than one tenant.
-    pub fn solo(&self) -> &RunStats {
-        assert_eq!(
-            self.per_tenant.len(),
-            1,
-            "solo on a {}-tenant run",
-            self.per_tenant.len()
-        );
-        &self.global
     }
 }
 

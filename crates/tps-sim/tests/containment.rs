@@ -9,7 +9,7 @@ use tps_core::rng::Rng;
 use tps_core::TenantFaultCause;
 use tps_sim::{
     ExperimentSpec, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom, RunOptions,
-    Scheduler, TenantCount, TenantOutcome, TenantSpec,
+    TenantCount, TenantOutcome, TenantSpec,
 };
 use tps_wl::{Event, SuiteScale, Workload, WorkloadProfile};
 
@@ -40,7 +40,8 @@ impl Workload for Scripted {
     }
 }
 
-/// A well-behaved script: a few regions, a burst of accesses each.
+/// A well-behaved script: a few regions, a burst of accesses each, and an
+/// munmap of every region before the stream ends.
 fn benign_script(seed: u64) -> Vec<Event> {
     let mut rng = Rng::new(seed);
     let regions = 1 + rng.below(3) as u32;
@@ -56,6 +57,7 @@ fn benign_script(seed: u64) -> Vec<Event> {
             });
         }
     }
+    events.extend((0..regions).map(|region| Event::Munmap { region }));
     events
 }
 
@@ -76,29 +78,24 @@ fn greedy_script(seed: u64, regions: u32) -> Vec<Event> {
     events
 }
 
-fn run_pair(survivor_seed: u64, victim_events: Vec<Event>, cap: Option<u64>) -> MachineRunStats {
+fn run_pair(survivor_seed: u64, victim_events: Vec<Event>, cap: u64) -> MachineRunStats {
     let config = MachineConfig::for_mechanism(Mechanism::Tps).with_memory(64 * MIB);
-    let mut victim = TenantSpec::workload(Scripted::new("victim", victim_events));
-    if let Some(cap) = cap {
-        victim = victim.memory_cap(cap);
-    }
+    let victim = TenantSpec::workload(Scripted::new("victim", victim_events)).memory_cap(cap);
     MachineBuilder::new(config)
         .tenant(TenantSpec::workload(Scripted::new(
             "survivor",
             benign_script(survivor_seed),
         )))
         .tenant(victim)
-        .scheduler(Scheduler::RoundRobin)
-        .reclaim_on_exit(true)
         .on_oom(OnOom::FailFast)
         .build()
         .expect("two tenants form a valid machine")
         .run()
 }
 
-/// Interleaved random kills conserve buddy frames: with reclaim-on-exit,
-/// a machine whose capped tenant was killed mid-run still hands every
-/// frame back by the time the survivors retire.
+/// Interleaved random kills conserve buddy frames: a machine whose capped
+/// tenant was killed mid-run still hands every frame back by the time the
+/// survivor, which unmaps its own regions, retires.
 fn kill_conserves_frames(
     survivor_seed: u64,
     victim_seed: u64,
@@ -114,8 +111,6 @@ fn kill_conserves_frames(
             TenantSpec::workload(Scripted::new("victim", greedy_script(victim_seed, 8)))
                 .memory_cap(cap_mib * MIB),
         )
-        .scheduler(Scheduler::RoundRobin)
-        .reclaim_on_exit(true)
         .build()
         .expect("two tenants form a valid machine");
     let stats = machine.run();
@@ -128,23 +123,59 @@ fn kill_conserves_frames(
     prop_assert_eq!(
         machine.os().buddy().used_bytes(),
         0,
-        "a kill plus reclaim-on-exit retirement must return every frame"
+        "the kill's reclaim plus the survivor's munmaps must return every frame"
     );
     Ok(())
 }
 
+/// The reference run for [`survivors_unchanged`]: the same two scripts
+/// driven through [`tps_sim::Machine::step`] in the machine's round-robin
+/// order, the victim stopped after `kill_at` events by
+/// [`tps_sim::Machine::kill_tenant`] — no fault involved.
+fn run_stepped(survivor: Vec<Event>, mut victim: Vec<Event>, kill_at: u64) -> MachineRunStats {
+    let config = MachineConfig::for_mechanism(Mechanism::Tps).with_memory(64 * MIB);
+    let mut machine = MachineBuilder::new(config)
+        .tenant(TenantSpec::external("survivor"))
+        .tenant(TenantSpec::external("victim"))
+        .build()
+        .expect("two tenants form a valid machine");
+    victim.truncate(kill_at as usize);
+    let mut streams = [survivor.into_iter(), victim.into_iter()];
+    let (mut live, mut cursor) = (vec![0, 1], 0);
+    while !live.is_empty() {
+        if cursor >= live.len() {
+            cursor = 0;
+        }
+        let slot = live[cursor];
+        match streams[slot].next() {
+            Some(event) => {
+                machine
+                    .step(slot, event)
+                    .expect("scripted events are valid");
+                cursor += 1;
+            }
+            None => {
+                live.remove(cursor);
+                if slot == 1 {
+                    machine.kill_tenant(1, TenantFaultCause::CapExceeded);
+                }
+            }
+        }
+    }
+    machine.run()
+}
+
 /// Survivor determinism: killing the victim at event `k` must leave the
-/// survivor's statistics byte-identical to a run where the victim's
-/// stream simply *ends* after its `k` executed events (a cap kill fires
-/// before any OS mutation, and reclaim-on-exit retirement performs the
-/// same unmap + ASID flush as the kill path).
+/// survivor's statistics byte-identical to a run where a driver stops the
+/// victim after its `k` executed events (a cap kill fires before any OS
+/// mutation, so the faulting event leaves no trace).
 fn survivors_unchanged(
     survivor_seed: u64,
     victim_seed: u64,
     cap_mib: u64,
 ) -> Result<(), TestCaseError> {
     let victim_events = greedy_script(victim_seed, 8);
-    let killed = run_pair(survivor_seed, victim_events.clone(), Some(cap_mib * MIB));
+    let killed = run_pair(survivor_seed, victim_events.clone(), cap_mib * MIB);
     let at_event = match killed.outcome(1) {
         TenantOutcome::Killed { cause, at_event } => {
             prop_assert_eq!(cause, TenantFaultCause::CapExceeded);
@@ -154,12 +185,11 @@ fn survivors_unchanged(
             return Err(TestCaseError::fail("victim was not killed"));
         }
     };
-    let truncated: Vec<Event> = victim_events.into_iter().take(at_event as usize).collect();
-    let voluntary = run_pair(survivor_seed, truncated, None);
-    prop_assert_eq!(voluntary.killed_count(), 0);
+    let stopped = run_stepped(benign_script(survivor_seed), victim_events, at_event);
+    prop_assert_eq!(stopped.killed_count(), 1);
     prop_assert_eq!(
         format!("{:?}", killed.per_tenant[0]),
-        format!("{:?}", voluntary.per_tenant[0]),
+        format!("{:?}", stopped.per_tenant[0]),
         "the survivor saw a different run"
     );
     Ok(())
@@ -200,6 +230,67 @@ fn killed_outcome_round_trips(seed: u64, cap_mib: u64) -> Result<(), TestCaseErr
     prop_assert_eq!(report, resumed.to_json(), "resume changed the kill bytes");
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
+}
+
+/// An SMT cell whose sibling thread runs out of shared memory reports the
+/// kill under either OOM policy — the cell's statistics are the primary
+/// thread's, its outcomes both threads' — and the kill survives a
+/// checkpoint/resume round-trip byte for byte.
+#[test]
+fn smt_sibling_kill_shows_in_the_report_and_survives_resume() {
+    for policy in [OnOom::FailFast, OnOom::KillVictim] {
+        let dir = std::env::temp_dir().join(format!("tps-containment-smt-{policy}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("smt.ckpt");
+        std::fs::remove_file(&path).ok();
+        let matrix = ExperimentSpec::new()
+            .bench("gups")
+            .mechanisms([Mechanism::Tps])
+            .scale(SuiteScale::Test)
+            .smt(true)
+            .memory(24 * MIB)
+            .seed(7)
+            .on_oom(policy)
+            .threads(1)
+            .build()
+            .expect("spec is valid");
+        let first = matrix
+            .run_with(&RunOptions {
+                checkpoint: Some(path.clone()),
+                ..RunOptions::default()
+            })
+            .unwrap();
+        let machine = first.cells()[0].result.as_ref().unwrap();
+        assert_eq!(
+            machine.tenant_count(),
+            1,
+            "{policy}: projected to the primary"
+        );
+        assert_eq!(
+            machine.outcomes.len(),
+            2,
+            "{policy}: both threads' outcomes"
+        );
+        assert_eq!(machine.killed_count(), 1, "{policy}");
+        let report = first.to_json();
+        assert!(
+            report.contains("\"outcome\": \"killed\""),
+            "{policy}: {report}"
+        );
+        assert!(report.contains("\"cause\": \"oom\""), "{policy}: {report}");
+        let resumed = matrix
+            .run_with(&RunOptions {
+                resume: Some(path.clone()),
+                ..RunOptions::default()
+            })
+            .unwrap();
+        assert_eq!(
+            report,
+            resumed.to_json(),
+            "{policy}: resume changed the kill bytes"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Regression seeds worth keeping pinned (the deterministic proptest

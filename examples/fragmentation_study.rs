@@ -10,7 +10,7 @@
 use tps::core::PageOrder;
 use tps::mem::{compaction, BuddyAllocator, FragmentParams, Fragmenter};
 use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec};
-use tps::wl::{build, SuiteScale};
+use tps::wl::{default_suite_seed, SuiteScale};
 
 fn coverage_report(buddy: &BuddyAllocator, title: &str) {
     let hist = buddy.histogram();
@@ -46,7 +46,11 @@ fn main() {
                 .with_memory(4 << 30)
                 .with_initial_memory(buddy.clone());
             let stats = MachineBuilder::new(config)
-                .tenant(TenantSpec::boxed(build(name, SuiteScale::Small)))
+                .tenant(TenantSpec::suite(
+                    name,
+                    SuiteScale::Small,
+                    default_suite_seed(name),
+                ))
                 .build()
                 .expect("one tenant builds")
                 .run()

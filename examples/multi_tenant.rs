@@ -14,7 +14,7 @@
 //! ```
 
 use tps::core::{PageOrder, TenantFaultCause};
-use tps::sim::{MachineBuilder, MachineConfig, Mechanism, Scheduler, TenantOutcome, TenantSpec};
+use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantOutcome, TenantSpec};
 use tps::tlb::Asid;
 use tps::wl::{suite_names, Event, SuiteScale, Workload, WorkloadProfile};
 
@@ -66,7 +66,7 @@ impl Workload for NoisyNeighbor {
 fn main() {
     let names = suite_names();
     let config = MachineConfig::for_mechanism(Mechanism::Tps).with_memory(8 << 30);
-    let mut builder = MachineBuilder::new(config).scheduler(Scheduler::RoundRobin);
+    let mut builder = MachineBuilder::new(config);
     for i in 0..TENANTS {
         let name = names[i % names.len()];
         builder = builder.tenant(TenantSpec::suite(name, SuiteScale::Test, 0xbee5 + i as u64));

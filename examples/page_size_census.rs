@@ -8,7 +8,7 @@
 //! ```
 
 use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec};
-use tps::wl::{build, suite_names, SuiteScale};
+use tps::wl::{default_suite_seed, suite_names, SuiteScale};
 
 fn main() {
     let scale = SuiteScale::Small;
@@ -20,7 +20,7 @@ fn main() {
         let config =
             MachineConfig::for_mechanism(Mechanism::Tps).with_memory(scale.recommended_memory());
         let stats = MachineBuilder::new(config)
-            .tenant(TenantSpec::boxed(build(name, scale)))
+            .tenant(TenantSpec::suite(name, scale, default_suite_seed(name)))
             .build()
             .expect("one tenant builds")
             .run()

@@ -9,7 +9,7 @@
 //! `dbx1000`, `gcc`, `mcf`, ...); default `xsbench`.
 
 use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec, TimingModel};
-use tps::wl::{build, SuiteScale};
+use tps::wl::{default_suite_seed, SuiteScale};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "xsbench".into());
@@ -34,7 +34,7 @@ fn main() {
     for mech in mechanisms {
         let config = MachineConfig::for_mechanism(mech).with_memory(scale.recommended_memory());
         let stats = MachineBuilder::new(config)
-            .tenant(TenantSpec::boxed(build(&name, scale)))
+            .tenant(TenantSpec::suite(&name, scale, default_suite_seed(&name)))
             .build()
             .expect("one tenant builds")
             .run()

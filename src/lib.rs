@@ -41,7 +41,6 @@
 //! let config = MachineConfig::default().with_memory(128 << 20);
 //! let stats = MachineBuilder::new(config)
 //!     .tenants((0..4).map(|i| TenantSpec::suite("gups", SuiteScale::Test, 100 + i)))
-//!     .scheduler(Scheduler::RoundRobin)
 //!     .build()?
 //!     .run();
 //! assert_eq!(stats.tenant_count(), 4);
@@ -84,9 +83,9 @@ pub mod prelude {
     pub use tps_sim::{
         CellFailure, CellReport, DerivedMetrics, ExperimentCell, ExperimentMatrix,
         ExperimentReport, ExperimentSpec, FailureCause, HwFaultStats, Machine, MachineBuilder,
-        MachineConfig, MachineRunStats, Mechanism, OnOom, RunOptions, RunStats, Scheduler,
-        TenantCount, TenantOutcome, TenantSpec, DEFAULT_EXPERIMENT_SEED, MAX_TENANTS,
-        REPORT_SCHEMA, REPORT_VERSION,
+        MachineConfig, MachineRunStats, Mechanism, OnOom, RunOptions, RunStats, TenantCount,
+        TenantOutcome, TenantSpec, DEFAULT_EXPERIMENT_SEED, MAX_TENANTS, REPORT_SCHEMA,
+        REPORT_VERSION,
     };
     pub use tps_wl::{
         Dbx1000, Dbx1000Params, Event, Graph500, Graph500Params, Gups, GupsParams, Spec17Kernel,

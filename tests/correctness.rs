@@ -3,7 +3,7 @@
 //! through promotions, munmap/remap cycles and SMT sharing.
 
 use tps::core::{VirtAddr, BASE_PAGE_SIZE, GIB};
-use tps::sim::{run_smt, Machine, MachineBuilder, MachineConfig, Mechanism, TenantSpec};
+use tps::sim::{Machine, MachineBuilder, MachineConfig, Mechanism, TenantSpec};
 use tps::wl::{Event, Workload, WorkloadProfile};
 use tps_core::rng::Rng;
 
@@ -159,10 +159,16 @@ fn smt_churn_keeps_address_spaces_isolated() {
     let config = MachineConfig::for_mechanism(Mechanism::Tps)
         .with_memory(GIB)
         .with_verification();
+    // Two SMT hardware threads are two tenants sharing the core;
     // verify_translations catches any cross-ASID TLB pollution.
-    let stats = run_smt(config, Churn::new(1, 2000), Churn::new(2, 2000));
-    assert!(stats.primary.mem.accesses > 1000);
-    assert!(stats.sibling.mem.accesses > 1000);
+    let stats = MachineBuilder::new(config)
+        .tenant(TenantSpec::workload(Churn::new(1, 2000)))
+        .tenant(TenantSpec::workload(Churn::new(2, 2000)))
+        .build()
+        .expect("two tenants build")
+        .run();
+    assert!(stats.tenant(0).mem.accesses > 1000);
+    assert!(stats.tenant(1).mem.accesses > 1000);
 }
 
 #[test]

@@ -3,14 +3,18 @@
 //! is cross-checked against the page table on every access.
 
 use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec};
-use tps::wl::{build, suite_names, SuiteScale};
+use tps::wl::{default_suite_seed, suite_names, SuiteScale};
 
 fn run(name: &str, mech: Mechanism) -> tps::sim::RunStats {
     let config = MachineConfig::for_mechanism(mech)
         .with_memory(SuiteScale::Test.recommended_memory())
         .with_verification();
     MachineBuilder::new(config)
-        .tenant(TenantSpec::boxed(build(name, SuiteScale::Test)))
+        .tenant(TenantSpec::suite(
+            name,
+            SuiteScale::Test,
+            default_suite_seed(name),
+        ))
         .build()
         .expect("one tenant builds")
         .run()

@@ -3,8 +3,8 @@
 //! `cargo test`.
 
 use tps::mem::{BuddyAllocator, FragmentParams, Fragmenter};
-use tps::sim::{run_smt, MachineBuilder, MachineConfig, Mechanism, TenantSpec, TimingModel};
-use tps::wl::{build, SuiteScale};
+use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec, TimingModel};
+use tps::wl::{default_suite_seed, SuiteScale};
 use tps_bench_shapes::*;
 
 /// Helpers shared by the shape tests.
@@ -24,7 +24,11 @@ mod tps_bench_shapes {
             MachineConfig::for_mechanism(mech).with_memory(SuiteScale::Test.recommended_memory()),
         );
         MachineBuilder::new(config)
-            .tenant(TenantSpec::boxed(build(name, SuiteScale::Test)))
+            .tenant(TenantSpec::suite(
+                name,
+                SuiteScale::Test,
+                default_suite_seed(name),
+            ))
             .build()
             .expect("one tenant builds")
             .run()
@@ -92,10 +96,18 @@ fn fig14_shape_smt_hurts_baseline_more_than_tps() {
     let config = |mech| {
         MachineConfig::for_mechanism(mech).with_memory(2 * SuiteScale::Test.recommended_memory())
     };
+    // Two SMT hardware threads: two tenants on one core, reporting the
+    // primary thread.
     let smt_run = |mech| {
-        let a = build("xsbench", SuiteScale::Test);
-        let b = build("xsbench", SuiteScale::Test);
-        run_smt(config(mech), a, b).primary
+        let thread =
+            || TenantSpec::suite("xsbench", SuiteScale::Test, default_suite_seed("xsbench"));
+        let mut stats = MachineBuilder::new(config(mech))
+            .tenant(thread())
+            .tenant(thread())
+            .build()
+            .expect("two tenants build")
+            .run();
+        stats.per_tenant.swap_remove(0)
     };
     let thp_solo = run("xsbench", Mechanism::Thp);
     let thp_smt = smt_run(Mechanism::Thp);

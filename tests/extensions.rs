@@ -5,7 +5,8 @@
 use tps::core::BASE_PAGE_SIZE;
 use tps::sim::{Machine, MachineBuilder, MachineConfig, Mechanism, RunStats, TenantSpec};
 use tps::wl::{
-    build, replay, Gups, GupsParams, Initialized, Recorder, SuiteScale, Workload, WorkloadProfile,
+    default_suite_seed, replay, Gups, GupsParams, Initialized, Recorder, SuiteScale, Workload,
+    WorkloadProfile,
 };
 
 fn base_config(mech: Mechanism) -> MachineConfig {
@@ -22,9 +23,12 @@ fn solo(config: MachineConfig, spec: TenantSpec) -> Machine {
 }
 
 fn run_suite(config: MachineConfig, name: &str) -> RunStats {
-    solo(config, TenantSpec::boxed(build(name, SuiteScale::Test)))
-        .run()
-        .into_solo()
+    solo(
+        config,
+        TenantSpec::suite(name, SuiteScale::Test, default_suite_seed(name)),
+    )
+    .run()
+    .into_solo()
 }
 
 #[test]
