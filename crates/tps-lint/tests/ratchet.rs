@@ -1,16 +1,12 @@
 //! The ratchet, asserted in-tree: the shipped workspace must be within the
-//! committed `lint-baseline.toml`, the panic-free budget must be strictly
-//! below its pre-PR level, and the magic-page-size budget must be zero.
+//! committed `lint-baseline.toml`, and the panic-free, magic-page-size,
+//! determinism and hot-path budgets must all be zero.
 
 use std::fs;
 use std::path::Path;
 
 use tps_lint::baseline::Baseline;
 use tps_lint::{lint_workspace, rules};
-
-/// Grandfathered `panic-free-fault-path` count before this PR's burn-down.
-/// The baseline may only shrink from here; growing it back is a regression.
-const PRE_PR_PANIC_FREE_COUNT: usize = 15;
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -42,12 +38,13 @@ fn workspace_is_within_the_committed_baseline() {
 }
 
 #[test]
-fn panic_free_budget_shrank_below_its_pre_pr_level() {
-    let total = committed_baseline().rule_total(rules::PANIC_FREE);
-    assert!(
-        total < PRE_PR_PANIC_FREE_COUNT,
-        "panic-free-fault-path baseline is {total}, expected strictly below \
-         the pre-PR count of {PRE_PR_PANIC_FREE_COUNT}"
+fn panic_free_budget_is_zero() {
+    // Burned down from 15 to 0: fault-path code returns a TpsError or
+    // skips, and never grandfathers a panic again.
+    assert_eq!(
+        committed_baseline().rule_total(rules::PANIC_FREE),
+        0,
+        "no panic on the fault path may be grandfathered"
     );
 }
 

@@ -207,14 +207,13 @@ impl BuddyAllocator {
     /// non-empty.
     pub(crate) fn alloc_uninjected(&mut self, order: PageOrder) -> Result<PhysAddr, TpsError> {
         let want = order.get();
-        // Find the smallest order >= want with a free block.
-        let from = (want..=self.max_order)
-            .find(|&o| !self.free_lists[o as usize].is_empty())
+        // Take the first block of the smallest order >= want with one.
+        let (from, base) = (want..=self.max_order)
+            .find_map(|o| {
+                let first = self.free_lists[o as usize].iter().next();
+                first.map(|&base| (o, base))
+            })
             .ok_or(TpsError::OutOfMemory { order: want })?;
-        let base = *self.free_lists[from as usize]
-            .iter()
-            .next()
-            .expect("non-empty");
         self.free_lists[from as usize].remove(&base);
         // Split down to the requested order; the upper halves go back free.
         let mut cur = from;
@@ -249,9 +248,7 @@ impl BuddyAllocator {
         // and the uninjected path skips the fault injector (the injector was
         // already consulted by the exact-size attempt above).
         let o = PageOrder::new_unchecked(best);
-        let base = self
-            .alloc_uninjected(o)
-            .expect("free list checked non-empty");
+        let base = self.alloc_uninjected(o).ok()?;
         Some((base, o))
     }
 

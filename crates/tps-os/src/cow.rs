@@ -7,7 +7,7 @@
 //! sharing the rest (cheap, fragments the mapping). Both are implemented
 //! here; the ablation benches compare them.
 
-use tps_core::PageOrder;
+use tps_core::{InvariantLayer, PageOrder, TpsError};
 
 /// What the CoW write-fault handler copies on a fault to a shared page.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -49,21 +49,23 @@ impl FrameShares {
     /// Drops one sharer; returns the remaining count. Entries reaching 1
     /// are removed (sole ownership).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the frame was not shared.
-    pub fn release(&mut self, pfn: u64, order: PageOrder) -> u32 {
+    /// A [`TpsError::InvariantViolation`] if the frame was not shared.
+    pub fn release(&mut self, pfn: u64, order: PageOrder) -> Result<u32, TpsError> {
         let key = (pfn, order.get());
-        let c = self
-            .counts
-            .get_mut(&key)
-            .expect("releasing a frame that was never shared");
+        let Some(c) = self.counts.get_mut(&key) else {
+            return Err(TpsError::invariant(
+                InvariantLayer::Os,
+                format!("releasing frame {pfn:#x} (order {order}) that was never shared"),
+            ));
+        };
         *c -= 1;
         let remaining = *c;
         if remaining <= 1 {
             self.counts.remove(&key);
         }
-        remaining
+        Ok(remaining)
     }
 
     /// Splits the share bookkeeping of a large frame into its constituent
@@ -108,8 +110,8 @@ mod tests {
         assert_eq!(s.count(100, o(0)), 2);
         s.share(100, o(0));
         assert_eq!(s.count(100, o(0)), 3);
-        assert_eq!(s.release(100, o(0)), 2);
-        assert_eq!(s.release(100, o(0)), 1);
+        assert_eq!(s.release(100, o(0)), Ok(2));
+        assert_eq!(s.release(100, o(0)), Ok(1));
         assert!(s.is_empty(), "sole ownership drops the entry");
         assert_eq!(s.count(100, o(0)), 1);
     }
@@ -134,8 +136,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "never shared")]
-    fn release_unshared_panics() {
-        FrameShares::new().release(5, o(0));
+    fn release_unshared_is_an_invariant_violation() {
+        let err = FrameShares::new().release(5, o(0)).unwrap_err();
+        assert!(err.to_string().contains("never shared"), "{err}");
     }
 }

@@ -284,11 +284,6 @@ impl Os {
         self.policy
     }
 
-    /// Replaces the OS cost model.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
     /// Machine-wide activity counters so far: every process's account
     /// ([`Process::stats`]) plus the work done for no process.
     pub fn stats(&self) -> OsStats {
@@ -965,7 +960,12 @@ impl Os {
     /// # Panics
     ///
     /// Panics if `parent` is not a live process.
-    pub fn fork(&mut self, parent: Asid) -> (Asid, Vec<Shootdown>) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates a page-table failure while downgrading or mirroring a
+    /// leaf (remapping an existing leaf does not fail in practice).
+    pub fn fork(&mut self, parent: Asid) -> Result<(Asid, Vec<Shootdown>), TpsError> {
         let child = self.spawn();
         let parent_vmas: Vec<Vma> = self.processes[parent as usize]
             .address_space
@@ -987,13 +987,11 @@ impl Os {
                         let (pp, cp) = {
                             let p = &mut self.processes[parent as usize].page_table;
                             let before = p.pte_writes();
-                            p.map(va, leaf.base, leaf.order, ro)
-                                .expect("remapping an existing leaf");
+                            p.map(va, leaf.base, leaf.order, ro)?;
                             let pw = p.pte_writes() - before;
                             let c = &mut self.processes[child as usize].page_table;
                             let before = c.pte_writes();
-                            c.map(va, leaf.base, leaf.order, ro)
-                                .expect("child mirrors the parent layout");
+                            c.map(va, leaf.base, leaf.order, ro)?;
                             (pw, c.pte_writes() - before)
                         };
                         pte_cost += pp + cp;
@@ -1015,7 +1013,7 @@ impl Os {
             self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64,
         );
         self.deliver_shootdowns(Some(parent), &shootdowns);
-        (child, shootdowns)
+        Ok((child, shootdowns))
     }
 
     /// True if a write to `va` must take a CoW fault first.
@@ -1079,7 +1077,7 @@ impl Os {
                 self.proc_mut(asid).stats.cow_bytes_copied += order.bytes();
                 self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
                 self.map_counted(asid, va_page, new, order, rw)?;
-                self.shares.release(pfn, order);
+                self.shares.release(pfn, order)?;
             }
             CowPolicy::CopySmallest => {
                 // Split the shared page: every constituent base page keeps
@@ -1097,7 +1095,7 @@ impl Os {
                 self.proc_mut(asid).stats.cow_bytes_copied += BASE_PAGE_SIZE;
                 self.charge(asid, self.cost.zero_4k);
                 self.map_counted(asid, fault_va, new, PageOrder::P4K, rw)?;
-                self.shares.release(pfn + fault_sub, PageOrder::P4K);
+                self.shares.release(pfn + fault_sub, PageOrder::P4K)?;
             }
         }
         self.proc_mut(asid).stats.shootdowns += 1;
@@ -1377,14 +1375,19 @@ impl Os {
                             });
                     if mergeable {
                         let merged_order = PageOrder::new_unchecked(next);
-                        self.map_counted(asid, va, leaf.base, merged_order, leaf.flags)
-                            .expect("merge remaps existing leaves");
-                        self.charge(asid, self.cost.promote_op);
-                        merged_this_pass += 1;
-                        va = VirtAddr::new(va.value() + merged_order.bytes());
-                    } else {
-                        va = VirtAddr::new(va.value() + order.bytes());
+                        // Remapping existing leaves does not fail in
+                        // practice; a pair whose remap fails stays unmerged.
+                        if self
+                            .map_counted(asid, va, leaf.base, merged_order, leaf.flags)
+                            .is_ok()
+                        {
+                            self.charge(asid, self.cost.promote_op);
+                            merged_this_pass += 1;
+                            va = VirtAddr::new(va.value() + merged_order.bytes());
+                            continue;
+                        }
                     }
+                    va = VirtAddr::new(va.value() + order.bytes());
                 }
             }
             total += merged_this_pass;
@@ -1836,7 +1839,7 @@ mod tests {
         let vma = os.mmap(parent, 64 << 10).unwrap();
         touch_all(&mut os, parent, &vma);
         let parent_pa = os.page_table(parent).translate(vma.base()).unwrap();
-        let (child, shootdowns) = os.fork(parent);
+        let (child, shootdowns) = os.fork(parent).unwrap();
         assert!(
             !shootdowns.is_empty(),
             "parent's writable entries are stale"
@@ -1856,7 +1859,7 @@ mod tests {
         let (mut os, parent) = os(PolicyKind::Tps);
         let vma = os.mmap(parent, 64 << 10).unwrap();
         touch_all(&mut os, parent, &vma);
-        let (child, _) = os.fork(parent);
+        let (child, _) = os.fork(parent).unwrap();
         let shared_pa = os.page_table(child).translate(vma.base()).unwrap();
         // Child writes: whole-page policy copies the full 64K page.
         let sds = os.handle_cow_fault(child, vma.base() + 0x5000).unwrap();
@@ -1886,7 +1889,7 @@ mod tests {
         os.set_cow_policy(crate::cow::CowPolicy::CopySmallest);
         let vma = os.mmap(parent, 64 << 10).unwrap();
         touch_all(&mut os, parent, &vma);
-        let (child, _) = os.fork(parent);
+        let (child, _) = os.fork(parent).unwrap();
         let shared_pa = os.page_table(child).translate(vma.base()).unwrap();
         // Child writes one base page in the middle of the 64K page.
         os.handle_cow_fault(child, vma.base() + 0x5000).unwrap();
@@ -1912,7 +1915,7 @@ mod tests {
         let (mut os, parent) = os(PolicyKind::Tps);
         let vma = os.mmap(parent, 16 << 10).unwrap();
         touch_all(&mut os, parent, &vma);
-        let (_child, _) = os.fork(parent);
+        let (_child, _) = os.fork(parent).unwrap();
         assert!(matches!(
             os.munmap(parent, vma.base()),
             Err(TpsError::SharedMapping { .. })
@@ -1932,7 +1935,7 @@ mod tests {
             )
             .unwrap();
         }
-        let (_child, _) = os.fork(parent);
+        let (_child, _) = os.fork(parent).unwrap();
         for i in 8..16u64 {
             os.handle_fault(
                 parent,
@@ -2137,7 +2140,7 @@ mod tests {
         let (mut os, pid) = os(PolicyKind::Tps);
         let vma = os.mmap(pid, 16 << 10).unwrap();
         touch_all(&mut os, pid, &vma);
-        os.fork(pid);
+        os.fork(pid).unwrap();
         assert!(matches!(os.compact(), Err(TpsError::SharedMapping { .. })));
     }
 

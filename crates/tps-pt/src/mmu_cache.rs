@@ -13,11 +13,12 @@
 //! A hit in the PDE cache leaves only the leaf access to perform.
 
 use tps_core::inject::should_fault;
-use tps_core::lru::LruCache;
+pub use tps_core::lru::Asid;
+use tps_core::lru::LruStore;
 use tps_core::{FaultSite, InjectorHandle, PhysAddr, VirtAddr};
 
-/// Address-space id distinguishing processes sharing the MMU caches (SMT).
-pub type Asid = u16;
+/// One cached non-leaf entry: `(asid, VA-prefix tag)` → next-level node.
+type Entry = ((Asid, u64), PhysAddr);
 
 /// Sizes of the three page-structure caches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -47,7 +48,7 @@ impl Default for MmuCacheConfig {
 pub struct MmuCaches {
     /// caches[0] = PDE (level 2), caches[1] = PDPTE (level 3),
     /// caches[2] = PML4E (level 4). Value = node of the next-lower level.
-    caches: [LruCache<(Asid, u64), PhysAddr>; 3],
+    caches: [LruStore<Entry>; 3],
     injector: Option<InjectorHandle>,
 }
 
@@ -62,9 +63,9 @@ impl MmuCaches {
     pub fn new(config: MmuCacheConfig) -> Self {
         MmuCaches {
             caches: [
-                LruCache::new(config.pde_entries),
-                LruCache::new(config.pdpte_entries),
-                LruCache::new(config.pml4e_entries),
+                LruStore::new(1, config.pde_entries),
+                LruStore::new(1, config.pdpte_entries),
+                LruStore::new(1, config.pml4e_entries),
             ],
             injector: None,
         }
@@ -91,7 +92,8 @@ impl MmuCaches {
     pub fn lookup(&mut self, asid: Asid, va: VirtAddr) -> Option<(u8, PhysAddr)> {
         // Deepest first: PDE (level-2 entries) lets us skip 3 accesses.
         for (slot, level) in [(0usize, 2u8), (1, 3), (2, 4)] {
-            if let Some(&node) = self.caches[slot].get(&Self::tag(asid, va, level)) {
+            let tag = Self::tag(asid, va, level);
+            if let Some(&(_, node)) = self.caches[slot].lookup(0, |e| e.0 == tag) {
                 // A cached level-L entry points at the level L-1 node.
                 return Some((level - 1, node));
             }
@@ -121,14 +123,15 @@ impl MmuCaches {
         if should_fault(&self.injector, FaultSite::MmuCacheFill) {
             return true;
         }
-        self.caches[slot].insert(Self::tag(asid, va, level), next_node);
+        let tag = Self::tag(asid, va, level);
+        self.caches[slot].fill(0, (tag, next_node), |e| e.0 == tag);
         false
     }
 
     /// Flushes everything (TLB shootdown / CR3 write).
     pub fn invalidate_all(&mut self) {
         for c in &mut self.caches {
-            c.clear();
+            c.flush();
         }
     }
 }

@@ -372,16 +372,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// The selected benchmarks, in sweep order.
-    pub fn benchmark_names(&self) -> &[String] {
-        &self.benchmarks
-    }
-
-    /// The selected mechanisms, in sweep order.
-    pub fn mechanism_list(&self) -> &[Mechanism] {
-        &self.mechanisms
-    }
-
     /// The workload scale.
     pub fn suite_scale(&self) -> SuiteScale {
         self.scale

@@ -424,7 +424,7 @@ mod tests {
             let va = VirtAddr::new(vma.base().value() + i * BASE_PAGE_SIZE);
             mmu.access(&mut os, parent, va, true).unwrap();
         }
-        let (child, shootdowns) = os.fork(parent);
+        let (child, shootdowns) = os.fork(parent).unwrap();
         mmu.apply_shootdowns(&shootdowns);
 
         // Child reads: hits shared read-only frames; verification checks
@@ -494,7 +494,7 @@ mod tests {
             )
             .unwrap();
         }
-        let (child, sds) = os.fork(parent);
+        let (child, sds) = os.fork(parent).unwrap();
         mmu.apply_shootdowns(&sds);
         // One child write splits the shared 32K page; every later access
         // still translates correctly (verification is on).

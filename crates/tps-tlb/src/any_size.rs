@@ -8,6 +8,7 @@
 
 use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
+use tps_core::lru::{Invalidation, LruStore};
 use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
 
 /// What a fill did: installed the entry, or absorbed an injected fault.
@@ -42,9 +43,7 @@ pub enum FillOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct AnySizeTlb {
-    capacity: usize,
-    entries: Vec<(TlbEntry, u64)>,
-    clock: u64,
+    store: LruStore<TlbEntry>,
     injector: Option<InjectorHandle>,
 }
 
@@ -57,9 +56,7 @@ impl AnySizeTlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         AnySizeTlb {
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            clock: 0,
+            store: LruStore::new(1, capacity),
             injector: None,
         }
     }
@@ -73,32 +70,9 @@ impl AnySizeTlb {
         self.injector = injector;
     }
 
-    /// Entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Looks up a base-page VPN (mask-then-compare across all entries).
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<TlbEntry> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries
-            .iter_mut()
-            .find(|(e, _)| e.covers(asid, vpn))
-            .map(|(e, stamp)| {
-                *stamp = clock;
-                *e
-            })
+        self.store.lookup(0, |e| e.covers(asid, vpn)).copied()
     }
 
     /// Installs an entry of any order, evicting the LRU entry when full.
@@ -109,65 +83,30 @@ impl AnySizeTlb {
         if should_fault(&self.injector, FaultSite::AnySizeFill) {
             return FillOutcome::Dropped;
         }
-        self.clock += 1;
-        if let Some((e, stamp)) = self
-            .entries
-            .iter_mut()
-            .find(|(e, _)| e.asid == entry.asid && e.vpn == entry.vpn && e.order == entry.order)
-        {
-            *e = entry;
-            *stamp = self.clock;
-            return FillOutcome::Installed;
+        let injector = &self.injector;
+        let installed = self.store.fill_or_abandon(
+            0,
+            entry,
+            |e| e.asid == entry.asid && e.vpn == entry.vpn && e.order == entry.order,
+            // The victim is already gone when the install fails: the way
+            // stays empty until a later fill reuses it.
+            || should_fault(injector, FaultSite::AnySizeEvict),
+        );
+        if installed {
+            FillOutcome::Installed
+        } else {
+            FillOutcome::Abandoned
         }
-        if self.entries.len() < self.capacity {
-            self.entries.push((entry, self.clock));
-            return FillOutcome::Installed;
-        }
-        // A full TLB with positive capacity always yields a victim; fall
-        // back to a plain push rather than panicking if it somehow cannot.
-        let Some(victim) = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(i, _)| i)
-        else {
-            self.entries.push((entry, self.clock));
-            return FillOutcome::Installed;
-        };
-        if should_fault(&self.injector, FaultSite::AnySizeEvict) {
-            // The victim is already gone when the install fails: the slot
-            // ends up empty until a later fill reuses it.
-            self.entries.remove(victim);
-            return FillOutcome::Abandoned;
-        }
-        self.entries[victim] = (entry, self.clock);
-        FillOutcome::Installed
     }
 
     /// Shoots down entries overlapping the given page range for the ASID.
     pub fn invalidate(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        let start = va.align_down(order.shift()).base_page_number();
-        let end = start + order.base_pages();
-        self.entries.retain(|(e, _)| {
-            let e_end = e.vpn + e.order.base_pages();
-            !(e.asid == asid && e.vpn < end && start < e_end)
-        });
+        self.shoot_down(Invalidation::page(asid, va, order));
     }
 
-    /// Removes every entry of an ASID.
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        self.entries.retain(|(e, _)| e.asid != asid);
-    }
-
-    /// Removes everything.
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Iterates live entries (for occupancy statistics).
-    pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
-        self.entries.iter().map(|(e, _)| e)
+    /// Drops the entries a shootdown covers.
+    pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
+        self.store.shoot_down(inv);
     }
 }
 
@@ -195,19 +134,6 @@ mod tests {
         assert!(t.lookup(0, 10).is_some(), "inside the 32K page");
         assert!(t.lookup(0, 700).is_some(), "inside the 2M page");
         assert!(t.lookup(0, 4).is_none());
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn lru_eviction() {
-        let mut t = AnySizeTlb::new(2);
-        t.fill(e(0, 0));
-        t.fill(e(1, 0));
-        assert!(t.lookup(0, 0).is_some()); // refresh 0
-        t.fill(e(2, 0));
-        assert!(t.lookup(0, 1).is_none(), "entry 1 was LRU");
-        assert!(t.lookup(0, 0).is_some());
-        assert!(t.lookup(0, 2).is_some());
     }
 
     #[test]
@@ -240,7 +166,7 @@ mod tests {
         t.fill(b);
         assert_eq!(t.lookup(1, 3).unwrap().pfn, a.pfn);
         assert_eq!(t.lookup(2, 3).unwrap().pfn, 0x999);
-        t.invalidate_asid(1);
+        t.shoot_down(Invalidation::Asid(1));
         assert!(t.lookup(1, 3).is_none());
         assert!(t.lookup(2, 3).is_some());
     }
@@ -252,7 +178,7 @@ mod tests {
         let mut updated = e(8, 3);
         updated.writable = false;
         t.fill(updated);
-        assert_eq!(t.len(), 1);
+        // A duplicate would sit behind the stale entry and never hit.
         assert!(!t.lookup(0, 8).unwrap().writable);
     }
 
@@ -272,8 +198,7 @@ mod tests {
         });
         t.set_fault_injector(Some(plan.clone() as InjectorHandle));
         assert_eq!(t.fill(e(0, 0)), FillOutcome::Dropped);
-        assert!(t.is_empty(), "fill was dropped");
-        assert!(t.lookup(0, 0).is_none());
+        assert!(t.lookup(0, 0).is_none(), "fill was dropped");
         assert_eq!(plan.borrow().injected_at("any-size-fill"), 1);
     }
 
@@ -290,15 +215,15 @@ mod tests {
         t.set_fault_injector(Some(plan.clone() as InjectorHandle));
         // The LRU victim (vpn 0) is gone, the incoming entry never landed.
         assert_eq!(t.fill(e(2, 0)), FillOutcome::Abandoned);
-        assert_eq!(t.len(), 1);
         assert!(t.lookup(0, 0).is_none(), "victim evicted");
         assert!(t.lookup(0, 2).is_none(), "incoming abandoned");
         assert!(t.lookup(0, 1).is_some());
         assert_eq!(plan.borrow().injected_at("any-size-evict"), 1);
-        // The freed slot is reusable once the injector is removed.
+        // The freed way is reused once the injector is removed: the fill
+        // lands without evicting the survivor.
         t.set_fault_injector(None);
         t.fill(e(3, 0));
-        assert_eq!(t.len(), 2);
         assert!(t.lookup(0, 3).is_some());
+        assert!(t.lookup(0, 1).is_some());
     }
 }

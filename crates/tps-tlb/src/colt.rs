@@ -11,7 +11,8 @@
 //! gigabytes (paper Fig. 10, GUPS).
 
 use crate::entry::Asid;
-use tps_core::{PageOrder, VirtAddr};
+use tps_core::lru::{CachedSpan, Invalidation, LruStore};
+use tps_core::PageOrder;
 
 /// Width of the coalescing window in pages (one PTE cache line).
 pub const COLT_WINDOW: u64 = 8;
@@ -55,14 +56,25 @@ impl ColtEntry {
         (ufn << g) | (vpn & ((1 << g) - 1))
     }
 
-    /// First base-page VPN covered.
-    fn start_vpn(&self) -> u64 {
-        self.base_upn << self.granularity.get()
+    /// True if the two entries' runs share a page of one address space.
+    fn overlaps(&self, other: &ColtEntry) -> bool {
+        self.asid == other.asid
+            && self.base_upn < other.base_upn + other.run_len as u64
+            && other.base_upn < self.base_upn + self.run_len as u64
+    }
+}
+
+impl CachedSpan for ColtEntry {
+    fn asid(&self) -> Asid {
+        self.asid
     }
 
-    /// One past the last base-page VPN covered.
-    fn end_vpn(&self) -> u64 {
-        (self.base_upn + self.run_len as u64) << self.granularity.get()
+    fn span(&self) -> (u64, u64) {
+        let g = self.granularity.get();
+        (
+            self.base_upn << g,
+            (self.base_upn + self.run_len as u64) << g,
+        )
     }
 }
 
@@ -117,11 +129,8 @@ pub fn detect_run(
 /// set.
 #[derive(Clone, Debug)]
 pub struct ColtTlb {
-    sets: usize,
-    ways: usize,
     granularity: PageOrder,
-    entries: Vec<Vec<(ColtEntry, u64)>>,
-    clock: u64,
+    store: LruStore<ColtEntry>,
     /// Sum of run lengths of filled entries (for reach statistics).
     filled_pages: u64,
     fills: u64,
@@ -135,27 +144,12 @@ impl ColtTlb {
     ///
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize, granularity: PageOrder) -> Self {
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(ways > 0, "need at least one way");
         ColtTlb {
-            sets,
-            ways,
             granularity,
-            entries: vec![Vec::with_capacity(ways); sets],
-            clock: 0,
+            store: LruStore::new(sets, ways),
             filled_pages: 0,
             fills: 0,
         }
-    }
-
-    /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.sets * self.ways
-    }
-
-    /// The granularity this structure coalesces.
-    pub fn granularity(&self) -> PageOrder {
-        self.granularity
     }
 
     #[inline]
@@ -165,57 +159,33 @@ impl ColtTlb {
         // (commercial TLBs hash their index bits for the same reason).
         // A run's window number is constant, so a run stays in one set.
         let w = upn / COLT_WINDOW;
-        if self.sets == 1 {
+        let sets = self.store.sets();
+        if sets == 1 {
             return 0;
         }
-        let shift = 64 - self.sets.trailing_zeros();
+        let shift = 64 - sets.trailing_zeros();
         (w.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
     }
 
     /// Looks up a base-page VPN.
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<ColtEntry> {
-        self.clock += 1;
-        let clock = self.clock;
         let set = self.set_of_upn(vpn >> self.granularity.get());
-        self.entries[set]
-            .iter_mut()
-            .find(|(e, _)| e.covers(asid, vpn))
-            .map(|(e, stamp)| {
-                *stamp = clock;
-                *e
-            })
+        self.store.lookup(set, |e| e.covers(asid, vpn)).copied()
     }
 
-    /// Installs a (possibly coalesced) entry.
+    /// Installs a (possibly coalesced) entry, first dropping every entry
+    /// of its set that overlaps the new run (stale sub-runs).
     ///
     /// # Panics
     ///
     /// Panics if the entry's granularity differs from the TLB's.
     pub fn fill(&mut self, entry: ColtEntry) {
         assert_eq!(entry.granularity, self.granularity, "granularity mismatch");
-        self.clock += 1;
         self.fills += 1;
         self.filled_pages += entry.run_len as u64;
         let set = self.set_of_upn(entry.base_upn);
-        let ways = self.ways;
-        let slot = &mut self.entries[set];
-        // Replace any entry overlapping the new run (stale sub-runs).
-        slot.retain(|(e, _)| {
-            !(e.asid == entry.asid
-                && e.base_upn < entry.base_upn + entry.run_len as u64
-                && entry.base_upn < e.base_upn + e.run_len as u64)
-        });
-        if slot.len() < ways {
-            slot.push((entry, self.clock));
-            return;
-        }
-        let victim = slot
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(i, _)| i)
-            .expect("set full");
-        slot[victim] = (entry, self.clock);
+        self.store.retain_set(set, |e| !e.overlaps(&entry));
+        self.store.fill(set, entry, |_| false);
     }
 
     /// Average pages per filled entry (the achieved coalescing factor).
@@ -227,27 +197,9 @@ impl ColtTlb {
         }
     }
 
-    /// Shoots down entries overlapping the page range for the ASID.
-    pub fn invalidate(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        let start = va.align_down(order.shift()).base_page_number();
-        let end = start + order.base_pages();
-        for set in &mut self.entries {
-            set.retain(|(e, _)| !(e.asid == asid && e.start_vpn() < end && start < e.end_vpn()));
-        }
-    }
-
-    /// Removes every entry of an ASID.
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        for set in &mut self.entries {
-            set.retain(|(e, _)| e.asid != asid);
-        }
-    }
-
-    /// Removes everything.
-    pub fn flush(&mut self) {
-        for set in &mut self.entries {
-            set.clear();
-        }
+    /// Drops the entries a shootdown covers.
+    pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
+        self.store.shoot_down(inv);
     }
 }
 
@@ -255,6 +207,7 @@ impl ColtTlb {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use tps_core::VirtAddr;
 
     fn probe_from(map: &HashMap<u64, (u64, bool)>) -> impl Fn(u64) -> Option<(u64, bool)> + '_ {
         move |v| map.get(&v).copied()
@@ -360,26 +313,12 @@ mod tests {
             writable: true,
         });
         // Shooting down one 4K page inside the 16M run kills it.
-        t.invalidate(0, VirtAddr::new(5 << 21), PageOrder::P4K);
+        t.shoot_down(Invalidation::page(
+            0,
+            VirtAddr::new(5 << 21),
+            PageOrder::P4K,
+        ));
         assert!(t.lookup(0, 0).is_none());
-    }
-
-    #[test]
-    fn lru_eviction_per_set() {
-        let mut t = ColtTlb::new(1, 2, g0());
-        let mk = |w: u64| ColtEntry {
-            asid: 0,
-            granularity: g0(),
-            base_upn: w * 8,
-            run_len: 1,
-            base_ufn: w,
-            writable: true,
-        };
-        t.fill(mk(0));
-        t.fill(mk(1));
-        assert!(t.lookup(0, 0).is_some());
-        t.fill(mk(2));
-        assert!(t.lookup(0, 8).is_none(), "window 1 evicted as LRU");
     }
 
     #[test]

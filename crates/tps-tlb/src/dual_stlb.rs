@@ -6,7 +6,8 @@
 
 use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
-use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
+use tps_core::lru::{Invalidation, LruStore};
+use tps_core::{FaultSite, InjectorHandle, PageOrder};
 
 /// What a dual-STLB probe found.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -47,10 +48,7 @@ impl StlbProbe {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DualStlb {
-    sets: usize,
-    ways: usize,
-    entries: Vec<Vec<(TlbEntry, u64)>>,
-    clock: u64,
+    store: LruStore<TlbEntry>,
     injector: Option<InjectorHandle>,
 }
 
@@ -61,13 +59,8 @@ impl DualStlb {
     ///
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> Self {
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(ways > 0, "need at least one way");
         DualStlb {
-            sets,
-            ways,
-            entries: vec![Vec::with_capacity(ways); sets],
-            clock: 0,
+            store: LruStore::new(sets, ways),
             injector: None,
         }
     }
@@ -80,21 +73,17 @@ impl DualStlb {
         self.injector = injector;
     }
 
-    /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.sets * self.ways
-    }
-
     #[inline]
     fn set_for(&self, vpn: u64, order: PageOrder) -> usize {
         // Fibonacci (multiplicative) index hashing so power-of-two-aligned
         // VMA bases do not concentrate hot pages in one set (commercial
         // designs hash their index bits too).
         let p = vpn >> order.get();
-        if self.sets == 1 {
+        let sets = self.store.sets();
+        if sets == 1 {
             return 0;
         }
-        let shift = 64 - self.sets.trailing_zeros();
+        let shift = 64 - sets.trailing_zeros();
         (p.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
     }
 
@@ -103,15 +92,12 @@ impl DualStlb {
         if should_fault(&self.injector, FaultSite::StlbProbe) {
             return StlbProbe::ForcedMiss;
         }
-        self.clock += 1;
-        let clock = self.clock;
         for order in [PageOrder::P4K, PageOrder::P2M] {
             let set = self.set_for(vpn, order);
-            if let Some((e, stamp)) = self.entries[set]
-                .iter_mut()
-                .find(|(e, _)| e.order == order && e.covers(asid, vpn))
+            if let Some(e) = self
+                .store
+                .lookup(set, |e| e.order == order && e.covers(asid, vpn))
             {
-                *stamp = clock;
                 return StlbProbe::Hit(*e);
             }
         }
@@ -129,75 +115,22 @@ impl DualStlb {
             entry.order == PageOrder::P4K || entry.order == PageOrder::P2M,
             "dual STLB holds only 4K and 2M entries"
         );
-        self.clock += 1;
         let set = self.set_for(entry.vpn, entry.order);
-        let ways = self.ways;
-        let slot = &mut self.entries[set];
-        if let Some((e, stamp)) = slot
-            .iter_mut()
-            .find(|(e, _)| e.asid == entry.asid && e.vpn == entry.vpn && e.order == entry.order)
-        {
-            *e = entry;
-            *stamp = self.clock;
-            return;
-        }
-        if slot.len() < ways {
-            slot.push((entry, self.clock));
-            return;
-        }
-        // A full set with positive way count always yields a victim; fall
-        // back to a plain push rather than panicking if it somehow cannot.
-        match slot
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(i, _)| i)
-        {
-            Some(victim) => slot[victim] = (entry, self.clock),
-            None => slot.push((entry, self.clock)),
-        }
+        self.store.fill(set, entry, |e| {
+            e.asid == entry.asid && e.vpn == entry.vpn && e.order == entry.order
+        });
     }
 
-    /// Shoots down entries overlapping the page range for the ASID.
-    pub fn invalidate(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        let start = va.align_down(order.shift()).base_page_number();
-        let end = start + order.base_pages();
-        for set in &mut self.entries {
-            set.retain(|(e, _)| {
-                let e_end = e.vpn + e.order.base_pages();
-                !(e.asid == asid && e.vpn < end && start < e_end)
-            });
-        }
-    }
-
-    /// Removes every entry of an ASID.
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        for set in &mut self.entries {
-            set.retain(|(e, _)| e.asid != asid);
-        }
-    }
-
-    /// Removes everything.
-    pub fn flush(&mut self) {
-        for set in &mut self.entries {
-            set.clear();
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Drops the entries a shootdown covers.
+    pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
+        self.store.shoot_down(inv);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tps_core::VirtAddr;
 
     fn e4k(vpn: u64) -> TlbEntry {
         TlbEntry {
@@ -238,7 +171,6 @@ mod tests {
         s.fill(e4k(1)); // evicts LRU (e4k(0))
         assert!(s.lookup(0, 0).hit().is_some(), "covered by the 2M entry");
         assert!(s.lookup(0, 1).hit().is_some());
-        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -256,16 +188,19 @@ mod tests {
         s.fill(e4k(3));
         s.fill(e2m(0));
         // Shooting down one 4K page inside the 2M entry kills it.
-        s.invalidate(0, VirtAddr::new(7 << 12), PageOrder::P4K);
+        s.shoot_down(Invalidation::page(
+            0,
+            VirtAddr::new(7 << 12),
+            PageOrder::P4K,
+        ));
         assert!(s.lookup(0, 7).hit().is_none());
         assert!(s.lookup(0, 3).hit().is_some());
-        s.invalidate(0, VirtAddr::new(3 << 12), PageOrder::P4K);
+        s.shoot_down(Invalidation::page(
+            0,
+            VirtAddr::new(3 << 12),
+            PageOrder::P4K,
+        ));
         assert!(s.lookup(0, 3).hit().is_none());
-    }
-
-    #[test]
-    fn capacity_reported() {
-        assert_eq!(DualStlb::new(128, 12).capacity(), 1536);
     }
 
     #[test]

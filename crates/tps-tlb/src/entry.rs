@@ -1,10 +1,8 @@
 //! The TLB entry type shared by every TLB structure.
 
+pub use tps_core::lru::Asid;
+use tps_core::lru::CachedSpan;
 use tps_core::{LeafInfo, PageOrder, PteFlags, VirtAddr};
-
-/// Address-space identifier distinguishing hardware threads / processes
-/// sharing a TLB (used by the SMT model).
-pub type Asid = u16;
 
 /// One cached virtual-to-physical translation.
 ///
@@ -55,6 +53,16 @@ impl TlbEntry {
     pub fn translate(&self, vpn: u64) -> u64 {
         debug_assert!((vpn >> self.order.get()) == (self.vpn >> self.order.get()));
         self.pfn + (vpn - self.vpn)
+    }
+}
+
+impl CachedSpan for TlbEntry {
+    fn asid(&self) -> Asid {
+        self.asid
+    }
+
+    fn span(&self) -> (u64, u64) {
+        (self.vpn, self.vpn + self.order.base_pages())
     }
 }
 

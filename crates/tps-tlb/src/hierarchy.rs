@@ -19,7 +19,8 @@ use crate::entry::{Asid, TlbEntry};
 use crate::range_tlb::{RangeEntry, RangeTlb};
 use crate::set_assoc::SetAssocTlb;
 use crate::skewed::SkewedTlb;
-use tps_core::{InjectorHandle, LeafInfo, PageOrder, PteFlags, VirtAddr};
+use tps_core::lru::Invalidation;
+use tps_core::{InjectorHandle, LeafInfo, PageOrder, VirtAddr};
 
 /// Which TLB organization to build.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -145,11 +146,73 @@ impl TlbStats {
             self.l1_hits as f64 / self.accesses as f64
         }
     }
+}
 
-    /// L1 misses that still hit somewhere in the L2 level.
-    pub fn l1_miss_l2_hit(&self) -> u64 {
-        self.stlb_hits + self.range_hits
+/// The L1 structures of one organization. Each variant holds exactly the
+/// structures its organization fills; [`TlbHierarchy::lookup_l1`] probes
+/// them in field order.
+#[derive(Clone, Debug)]
+enum L1 {
+    /// Baseline and RMM: one TLB per conventional page size.
+    Conventional {
+        p4k: SetAssocTlb,
+        p2m: AnySizeTlb,
+        p1g: AnySizeTlb,
+    },
+    /// CoLT: coalescing 4 KB and 2 MB TLBs, and a plain 1 GB TLB.
+    Colt {
+        c4k: ColtTlb,
+        c2m: ColtTlb,
+        p1g: AnySizeTlb,
+    },
+    /// TPS: a 4 KB TLB and the fully-associative any-size TLB.
+    Tps { p4k: SetAssocTlb, any: AnySizeTlb },
+    /// TPS with the skewed-associative any-size TLB (design ablation).
+    TpsSkewed { p4k: SetAssocTlb, any: SkewedTlb },
+}
+
+/// The conventional STLB: dual-probe 4 KB/2 MB array, then the 1 GB STLB.
+#[derive(Clone, Debug)]
+struct ConventionalStlb {
+    dual: DualStlb,
+    p1g: AnySizeTlb,
+}
+
+impl ConventionalStlb {
+    /// The entry found, and whether an injected fault forced the dual
+    /// probe to miss.
+    fn lookup(&mut self, asid: Asid, vpn: u64) -> (Option<TlbEntry>, bool) {
+        let probe = self.dual.lookup(asid, vpn);
+        let hit = probe.hit().or_else(|| self.p1g.lookup(asid, vpn));
+        (hit, probe == StlbProbe::ForcedMiss)
     }
+
+    fn fill(&mut self, entry: TlbEntry) -> FillOutcome {
+        match entry.order {
+            PageOrder::P4K | PageOrder::P2M => {
+                self.dual.fill(entry);
+                FillOutcome::Installed
+            }
+            PageOrder::P1G => self.p1g.fill(entry),
+            other => panic!("conventional STLB cannot hold a {other} page"),
+        }
+    }
+
+    fn shoot_down(&mut self, inv: Invalidation) {
+        self.dual.shoot_down(inv);
+        self.p1g.shoot_down(inv);
+    }
+}
+
+/// The L2 structures of one organization.
+#[derive(Clone, Debug)]
+enum L2 {
+    /// Baseline and CoLT.
+    Conventional(ConventionalStlb),
+    /// RMM: the conventional STLB, then the Range TLB on its miss.
+    Rmm(ConventionalStlb, RangeTlb),
+    /// TPS: one any-size STLB.
+    Tps(AnySizeTlb),
 }
 
 /// The full two-level TLB hierarchy of one core.
@@ -159,49 +222,62 @@ impl TlbStats {
 /// in one place.
 #[derive(Clone, Debug)]
 pub struct TlbHierarchy {
-    kind: HierarchyKind,
-    l1_4k: SetAssocTlb,
-    colt_l1: Option<ColtTlb>,
-    colt_l1_2m: Option<ColtTlb>,
-    l1_2m: Option<AnySizeTlb>,
-    l1_1g: Option<AnySizeTlb>,
-    tps_l1: Option<AnySizeTlb>,
-    tps_l1_skewed: Option<SkewedTlb>,
-    stlb: Option<DualStlb>,
-    stlb_1g: Option<AnySizeTlb>,
-    tps_stlb: Option<AnySizeTlb>,
-    range: Option<RangeTlb>,
+    l1: L1,
+    l2: L2,
     stats: TlbStats,
+}
+
+fn translation(pfn: u64, writable: bool) -> Translation {
+    Translation { pfn, writable }
 }
 
 impl TlbHierarchy {
     /// Builds a hierarchy from a configuration.
     pub fn new(config: TlbConfig) -> Self {
-        let kind = config.kind;
-        let tps = kind == HierarchyKind::Tps;
+        let p4k = || SetAssocTlb::new(config.l1_4k_sets, config.l1_4k_ways, PageOrder::P4K);
+        let stlb = || ConventionalStlb {
+            dual: DualStlb::new(config.stlb_sets, config.stlb_ways),
+            p1g: AnySizeTlb::new(config.stlb_1g_entries),
+        };
+        let conventional_l1 = || L1::Conventional {
+            p4k: p4k(),
+            p2m: AnySizeTlb::new(config.l1_2m_entries),
+            p1g: AnySizeTlb::new(config.l1_1g_entries),
+        };
+        let (l1, l2) = match config.kind {
+            HierarchyKind::Baseline => (conventional_l1(), L2::Conventional(stlb())),
+            HierarchyKind::Rmm => (
+                conventional_l1(),
+                L2::Rmm(stlb(), RangeTlb::new(config.range_tlb_entries)),
+            ),
+            HierarchyKind::Colt => (
+                L1::Colt {
+                    c4k: ColtTlb::new(config.l1_4k_sets, config.l1_4k_ways, PageOrder::P4K),
+                    c2m: ColtTlb::new(8, config.l1_2m_entries / 8, PageOrder::P2M),
+                    p1g: AnySizeTlb::new(config.l1_1g_entries),
+                },
+                L2::Conventional(stlb()),
+            ),
+            HierarchyKind::Tps => (
+                if config.tps_l1_skewed {
+                    L1::TpsSkewed {
+                        p4k: p4k(),
+                        any: SkewedTlb::new((config.tps_l1_entries / 4).max(1)),
+                    }
+                } else {
+                    L1::Tps {
+                        p4k: p4k(),
+                        any: AnySizeTlb::new(config.tps_l1_entries),
+                    }
+                },
+                L2::Tps(AnySizeTlb::new(config.tps_stlb_entries)),
+            ),
+        };
         TlbHierarchy {
-            kind,
-            l1_4k: SetAssocTlb::new(config.l1_4k_sets, config.l1_4k_ways, PageOrder::P4K),
-            colt_l1: (kind == HierarchyKind::Colt)
-                .then(|| ColtTlb::new(config.l1_4k_sets, config.l1_4k_ways, PageOrder::P4K)),
-            colt_l1_2m: (kind == HierarchyKind::Colt)
-                .then(|| ColtTlb::new(8, config.l1_2m_entries / 8, PageOrder::P2M)),
-            l1_2m: (!tps).then(|| AnySizeTlb::new(config.l1_2m_entries)),
-            l1_1g: (!tps).then(|| AnySizeTlb::new(config.l1_1g_entries)),
-            tps_l1: (tps && !config.tps_l1_skewed).then(|| AnySizeTlb::new(config.tps_l1_entries)),
-            tps_l1_skewed: (tps && config.tps_l1_skewed)
-                .then(|| SkewedTlb::new((config.tps_l1_entries / 4).max(1))),
-            stlb: (!tps).then(|| DualStlb::new(config.stlb_sets, config.stlb_ways)),
-            stlb_1g: (!tps).then(|| AnySizeTlb::new(config.stlb_1g_entries)),
-            tps_stlb: tps.then(|| AnySizeTlb::new(config.tps_stlb_entries)),
-            range: (kind == HierarchyKind::Rmm).then(|| RangeTlb::new(config.range_tlb_entries)),
+            l1,
+            l2,
             stats: TlbStats::default(),
         }
-    }
-
-    /// The configured organization.
-    pub fn kind(&self) -> HierarchyKind {
-        self.kind
     }
 
     /// Probes the L1 structures for one access. Counts the access.
@@ -216,72 +292,47 @@ impl TlbHierarchy {
     }
 
     fn probe_l1(&mut self, asid: Asid, vpn: u64) -> Option<Translation> {
-        if self.colt_l1.is_some() {
-            for colt in [&mut self.colt_l1, &mut self.colt_l1_2m]
-                .into_iter()
-                .flatten()
-            {
-                if let Some(e) = colt.lookup(asid, vpn) {
-                    return Some(Translation {
-                        pfn: e.translate(vpn),
-                        writable: e.writable,
-                    });
-                }
-            }
-        } else if let Some(e) = self.l1_4k.lookup(asid, vpn) {
-            return Some(Translation {
-                pfn: e.translate(vpn),
-                writable: e.writable,
-            });
+        let page = |e: TlbEntry| translation(e.translate(vpn), e.writable);
+        match &mut self.l1 {
+            L1::Conventional { p4k, p2m, p1g } => p4k
+                .lookup(asid, vpn)
+                .or_else(|| p2m.lookup(asid, vpn))
+                .or_else(|| p1g.lookup(asid, vpn))
+                .map(page),
+            L1::Colt { c4k, c2m, p1g } => c4k
+                .lookup(asid, vpn)
+                .or_else(|| c2m.lookup(asid, vpn))
+                .map(|e| translation(e.translate(vpn), e.writable))
+                .or_else(|| p1g.lookup(asid, vpn).map(page)),
+            L1::Tps { p4k, any } => p4k
+                .lookup(asid, vpn)
+                .or_else(|| any.lookup(asid, vpn))
+                .map(page),
+            L1::TpsSkewed { p4k, any } => p4k
+                .lookup(asid, vpn)
+                .or_else(|| any.lookup(asid, vpn))
+                .map(page),
         }
-        for tlb in [&mut self.tps_l1, &mut self.l1_2m, &mut self.l1_1g]
-            .into_iter()
-            .flatten()
-        {
-            if let Some(e) = tlb.lookup(asid, vpn) {
-                return Some(Translation {
-                    pfn: e.translate(vpn),
-                    writable: e.writable,
-                });
-            }
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            if let Some(e) = t.lookup(asid, vpn) {
-                return Some(Translation {
-                    pfn: e.translate(vpn),
-                    writable: e.writable,
-                });
-            }
-        }
-        None
     }
 
-    /// Probes the L2 structures (STLB — and, under RMM, the Range TLB in
-    /// parallel). Counts hits/misses. The flag is `true` when an injected
-    /// fault forced the dual-STLB probe to miss.
+    /// Probes the L2 structures (STLB — and, under RMM, the Range TLB
+    /// after an STLB miss). Counts hits/misses. The flag is `true` when an
+    /// injected fault forced the dual-STLB probe to miss.
     pub fn lookup_l2(&mut self, asid: Asid, va: VirtAddr) -> (L2Hit, bool) {
         let vpn = va.base_page_number();
-        let probe = self.stlb.as_mut().map(|s| s.lookup(asid, vpn));
-        let forced_miss = probe == Some(StlbProbe::ForcedMiss);
-        let stlb_hit = probe
-            .and_then(StlbProbe::hit)
-            .or_else(|| self.stlb_1g.as_mut().and_then(|s| s.lookup(asid, vpn)))
-            .or_else(|| self.tps_stlb.as_mut().and_then(|s| s.lookup(asid, vpn)));
+        let (stlb_hit, forced_miss) = match &mut self.l2 {
+            L2::Conventional(stlb) | L2::Rmm(stlb, _) => stlb.lookup(asid, vpn),
+            L2::Tps(stlb) => (stlb.lookup(asid, vpn), false),
+        };
         if let Some(e) = stlb_hit {
             self.stats.stlb_hits += 1;
-            let hit = L2Hit::Stlb(Translation {
-                pfn: e.translate(vpn),
-                writable: e.writable,
-            });
+            let hit = L2Hit::Stlb(translation(e.translate(vpn), e.writable));
             return (hit, forced_miss);
         }
-        if let Some(range) = &mut self.range {
+        if let L2::Rmm(_, range) = &mut self.l2 {
             if let Some(r) = range.lookup(asid, vpn) {
                 self.stats.range_hits += 1;
-                let hit = L2Hit::Range(Translation {
-                    pfn: r.translate(vpn),
-                    writable: r.writable,
-                });
+                let hit = L2Hit::Range(translation(r.translate(vpn), r.writable));
                 return (hit, forced_miss);
             }
         }
@@ -311,178 +362,93 @@ impl TlbHierarchy {
         contiguity: impl Fn(u64, PageOrder) -> Option<(u64, bool)>,
     ) -> FillOutcome {
         let entry = TlbEntry::from_leaf(asid, va, leaf);
-        match self.kind {
-            HierarchyKind::Tps => {
-                if entry.order == PageOrder::P4K {
-                    self.l1_4k.fill(entry);
-                } else if let Some(t) = &mut self.tps_l1 {
-                    return t.fill(entry);
-                } else {
-                    self.tps_l1_skewed
-                        .as_mut()
-                        .expect("a TPS L1 structure exists")
-                        .fill(entry);
-                }
+        let g = entry.order;
+        match &mut self.l1 {
+            L1::Conventional { p4k, .. } | L1::Tps { p4k, .. } | L1::TpsSkewed { p4k, .. }
+                if g == PageOrder::P4K =>
+            {
+                p4k.fill(entry)
             }
-            HierarchyKind::Colt => {
-                let g = entry.order;
-                if g == PageOrder::P4K || g == PageOrder::P2M {
-                    let upn = va.base_page_number() >> g.get();
-                    let ufn = entry.pfn >> g.get();
-                    let writable = leaf.flags.contains(PteFlags::WRITABLE);
-                    let run = detect_run(asid, g, upn, ufn, writable, |u| contiguity(u, g));
-                    if g == PageOrder::P4K {
-                        self.colt_l1.as_mut().expect("CoLT 4K L1 exists").fill(run);
-                    } else {
-                        self.colt_l1_2m
-                            .as_mut()
-                            .expect("CoLT 2M L1 exists")
-                            .fill(run);
-                    }
-                } else {
-                    return self.fill_l1_conventional_large(entry);
-                }
+            L1::Tps { any, .. } => return any.fill(entry),
+            L1::TpsSkewed { any, .. } => any.fill(entry),
+            L1::Conventional { p2m, .. } if g == PageOrder::P2M => return p2m.fill(entry),
+            L1::Conventional { p1g, .. } | L1::Colt { p1g, .. } if g == PageOrder::P1G => {
+                return p1g.fill(entry)
             }
-            HierarchyKind::Baseline | HierarchyKind::Rmm => {
-                if entry.order == PageOrder::P4K {
-                    self.l1_4k.fill(entry);
-                } else {
-                    return self.fill_l1_conventional_large(entry);
-                }
+            L1::Colt { c4k, c2m, .. } if g == PageOrder::P4K || g == PageOrder::P2M => {
+                let colt = if g == PageOrder::P4K { c4k } else { c2m };
+                let upn = va.base_page_number() >> g.get();
+                let ufn = entry.pfn >> g.get();
+                colt.fill(detect_run(asid, g, upn, ufn, entry.writable, |u| {
+                    contiguity(u, g)
+                }));
+            }
+            L1::Conventional { .. } | L1::Colt { .. } => {
+                panic!("conventional hierarchy cannot hold a {g} page")
             }
         }
         FillOutcome::Installed
     }
 
-    fn fill_l1_conventional_large(&mut self, entry: TlbEntry) -> FillOutcome {
-        match entry.order {
-            PageOrder::P2M => self.l1_2m.as_mut().expect("2M L1 exists").fill(entry),
-            PageOrder::P1G => self.l1_1g.as_mut().expect("1G L1 exists").fill(entry),
-            other => panic!("conventional hierarchy cannot hold a {other} page"),
-        }
-    }
-
     /// Installs a walked leaf into the L2 level.
     pub fn fill_l2(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) -> FillOutcome {
         let entry = TlbEntry::from_leaf(asid, va, leaf);
-        if let Some(stlb) = &mut self.tps_stlb {
-            return stlb.fill(entry);
-        }
-        match entry.order {
-            PageOrder::P4K | PageOrder::P2M => {
-                self.stlb.as_mut().expect("dual STLB exists").fill(entry);
-                FillOutcome::Installed
-            }
-            PageOrder::P1G => self.stlb_1g.as_mut().expect("1G STLB exists").fill(entry),
-            other => panic!("conventional STLB cannot hold a {other} page"),
+        match &mut self.l2 {
+            L2::Conventional(stlb) | L2::Rmm(stlb, _) => stlb.fill(entry),
+            L2::Tps(stlb) => stlb.fill(entry),
         }
     }
 
     /// Installs a range into the Range TLB (no-op unless RMM).
     pub fn fill_range(&mut self, entry: RangeEntry) {
-        if let Some(range) = &mut self.range {
+        if let L2::Rmm(_, range) = &mut self.l2 {
             range.fill(entry);
         }
     }
 
     /// True if this hierarchy has a Range TLB (i.e. is RMM).
     pub fn has_range_tlb(&self) -> bool {
-        self.range.is_some()
+        matches!(self.l2, L2::Rmm(..))
     }
 
     /// Shoots down all cached translations overlapping a page.
     pub fn invalidate_page(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        self.l1_4k.invalidate(asid, va, order);
-        for t in [&mut self.colt_l1, &mut self.colt_l1_2m]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate(asid, va, order);
-        }
-        for t in [&mut self.l1_2m, &mut self.l1_1g, &mut self.tps_l1]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate(asid, va, order);
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            t.invalidate(asid, va, order);
-        }
-        if let Some(t) = &mut self.stlb {
-            t.invalidate(asid, va, order);
-        }
-        for t in [&mut self.stlb_1g, &mut self.tps_stlb]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate(asid, va, order);
-        }
-        if let Some(t) = &mut self.range {
-            t.invalidate(asid, va, order);
-        }
+        self.shoot_down(Invalidation::page(asid, va, order));
     }
 
     /// Removes every cached translation of an ASID.
     pub fn invalidate_asid(&mut self, asid: Asid) {
-        self.l1_4k.invalidate_asid(asid);
-        for t in [&mut self.colt_l1, &mut self.colt_l1_2m]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate_asid(asid);
-        }
-        for t in [&mut self.l1_2m, &mut self.l1_1g, &mut self.tps_l1]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate_asid(asid);
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            t.invalidate_asid(asid);
-        }
-        if let Some(t) = &mut self.stlb {
-            t.invalidate_asid(asid);
-        }
-        for t in [&mut self.stlb_1g, &mut self.tps_stlb]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate_asid(asid);
-        }
-        if let Some(t) = &mut self.range {
-            t.invalidate_asid(asid);
-        }
+        self.shoot_down(Invalidation::Asid(asid));
     }
 
-    /// Flushes everything.
-    pub fn flush(&mut self) {
-        self.l1_4k.flush();
-        for t in [&mut self.colt_l1, &mut self.colt_l1_2m]
-            .into_iter()
-            .flatten()
-        {
-            t.flush();
+    fn shoot_down(&mut self, inv: Invalidation) {
+        match &mut self.l1 {
+            L1::Conventional { p4k, p2m, p1g } => {
+                p4k.shoot_down(inv);
+                p2m.shoot_down(inv);
+                p1g.shoot_down(inv);
+            }
+            L1::Colt { c4k, c2m, p1g } => {
+                c4k.shoot_down(inv);
+                c2m.shoot_down(inv);
+                p1g.shoot_down(inv);
+            }
+            L1::Tps { p4k, any } => {
+                p4k.shoot_down(inv);
+                any.shoot_down(inv);
+            }
+            L1::TpsSkewed { p4k, any } => {
+                p4k.shoot_down(inv);
+                any.shoot_down(inv);
+            }
         }
-        for t in [&mut self.l1_2m, &mut self.l1_1g, &mut self.tps_l1]
-            .into_iter()
-            .flatten()
-        {
-            t.flush();
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            t.flush();
-        }
-        if let Some(t) = &mut self.stlb {
-            t.flush();
-        }
-        for t in [&mut self.stlb_1g, &mut self.tps_stlb]
-            .into_iter()
-            .flatten()
-        {
-            t.flush();
-        }
-        if let Some(t) = &mut self.range {
-            t.flush();
+        match &mut self.l2 {
+            L2::Conventional(stlb) => stlb.shoot_down(inv),
+            L2::Rmm(stlb, range) => {
+                stlb.shoot_down(inv);
+                range.shoot_down(inv);
+            }
+            L2::Tps(stlb) => stlb.shoot_down(inv),
         }
     }
 
@@ -491,20 +457,21 @@ impl TlbHierarchy {
     /// the dual STLB (probe site). The set-associative, CoLT, skewed and
     /// range structures are not instrumented.
     pub fn set_fault_injector(&mut self, injector: Option<InjectorHandle>) {
-        for t in [
-            &mut self.l1_2m,
-            &mut self.l1_1g,
-            &mut self.tps_l1,
-            &mut self.stlb_1g,
-            &mut self.tps_stlb,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            t.set_fault_injector(injector.clone());
+        match &mut self.l1 {
+            L1::Conventional { p2m, p1g, .. } => {
+                p2m.set_fault_injector(injector.clone());
+                p1g.set_fault_injector(injector.clone());
+            }
+            L1::Colt { p1g, .. } => p1g.set_fault_injector(injector.clone()),
+            L1::Tps { any, .. } => any.set_fault_injector(injector.clone()),
+            L1::TpsSkewed { .. } => {}
         }
-        if let Some(s) = &mut self.stlb {
-            s.set_fault_injector(injector);
+        match &mut self.l2 {
+            L2::Conventional(stlb) | L2::Rmm(stlb, _) => {
+                stlb.dual.set_fault_injector(injector.clone());
+                stlb.p1g.set_fault_injector(injector);
+            }
+            L2::Tps(stlb) => stlb.set_fault_injector(injector),
         }
     }
 
@@ -513,22 +480,19 @@ impl TlbHierarchy {
         self.stats
     }
 
-    /// Resets counters (not contents) — used after warmup.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Mean CoLT run length (1.0 for other organizations).
     pub fn colt_mean_run_len(&self) -> f64 {
-        self.colt_l1.as_ref().map_or(1.0, ColtTlb::mean_run_len)
+        match &self.l1 {
+            L1::Colt { c4k, .. } => c4k.mean_run_len(),
+            _ => 1.0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_core::PhysAddr;
-    use tps_core::GIB;
+    use tps_core::{PhysAddr, PteFlags, GIB};
 
     fn leaf(pa: u64, order: u8) -> LeafInfo {
         LeafInfo {
@@ -677,15 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset() {
-        let mut h = TlbHierarchy::new(TlbConfig::default());
-        h.lookup_l1(0, VirtAddr::new(0));
-        assert_eq!(h.stats().accesses, 1);
-        h.reset_stats();
-        assert_eq!(h.stats().accesses, 0);
-    }
-
-    #[test]
     fn hit_rate_computation() {
         let mut s = TlbStats::default();
         assert_eq!(s.l1_hit_rate(), 1.0, "vacuous");
@@ -694,6 +649,5 @@ mod tests {
         s.stlb_hits = 1;
         assert!((s.l1_hit_rate() - 0.9).abs() < 1e-12);
         assert_eq!(s.l1_misses(), 1);
-        assert_eq!(s.l1_miss_l2_hit(), 1);
     }
 }

@@ -8,8 +8,13 @@
 //! * [`DualStlb`] — Skylake-style unified L2 TLB with 4 KB/2 MB dual-probe.
 //! * [`ColtTlb`] / [`detect_run`] — CoLT-SA coalesced TLB baseline.
 //! * [`RangeTlb`] — the RMM Range TLB baseline (L2-level range cache).
+//! * [`SkewedTlb`] — skewed-associative any-size alternative (ablation).
 //! * [`TlbHierarchy`] — the assembled two-level hierarchy in all four
 //!   organizations, with hit/miss statistics.
+//!
+//! Every structure keeps its entries in a [`tps_core::lru::LruStore`] and
+//! adds only its index function, hit predicate and same-entry key;
+//! replacement and shootdown are the store's.
 //!
 //! # Example
 //!

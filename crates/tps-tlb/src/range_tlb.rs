@@ -10,7 +10,7 @@
 //! vs. Fig. 11).
 
 use crate::entry::Asid;
-use tps_core::VirtAddr;
+use tps_core::lru::{CachedSpan, Invalidation, LruStore};
 
 /// A cached range translation: `[start_vpn, end_vpn)` maps to
 /// `vpn + delta`.
@@ -48,6 +48,16 @@ impl RangeEntry {
     }
 }
 
+impl CachedSpan for RangeEntry {
+    fn asid(&self) -> Asid {
+        self.asid
+    }
+
+    fn span(&self) -> (u64, u64) {
+        (self.start_vpn, self.end_vpn)
+    }
+}
+
 /// Fully-associative cache of range-table entries (32 entries in RMM).
 ///
 /// # Example
@@ -62,9 +72,7 @@ impl RangeEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RangeTlb {
-    capacity: usize,
-    entries: Vec<(RangeEntry, u64)>,
-    clock: u64,
+    store: LruStore<RangeEntry>,
 }
 
 impl RangeTlb {
@@ -76,89 +84,32 @@ impl RangeTlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         RangeTlb {
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            clock: 0,
+            store: LruStore::new(1, capacity),
         }
-    }
-
-    /// Entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Looks up the range covering a VPN.
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<RangeEntry> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries
-            .iter_mut()
-            .find(|(e, _)| e.covers(asid, vpn))
-            .map(|(e, stamp)| {
-                *stamp = clock;
-                *e
-            })
+        self.store.lookup(0, |e| e.covers(asid, vpn)).copied()
     }
 
     /// Installs a range entry, evicting the LRU one when full.
     pub fn fill(&mut self, entry: RangeEntry) {
-        self.clock += 1;
-        if let Some((e, stamp)) = self
-            .entries
-            .iter_mut()
-            .find(|(e, _)| e.asid == entry.asid && e.start_vpn == entry.start_vpn)
-        {
-            *e = entry;
-            *stamp = self.clock;
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push((entry, self.clock));
-            return;
-        }
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(i, _)| i)
-            .expect("full TLB is non-empty");
-        self.entries[victim] = (entry, self.clock);
+        self.store.fill(0, entry, |e| {
+            e.asid == entry.asid && e.start_vpn == entry.start_vpn
+        });
     }
 
-    /// Shoots down entries overlapping the given page range for the ASID.
-    pub fn invalidate(&mut self, asid: Asid, va: VirtAddr, order: tps_core::PageOrder) {
-        let start = va.align_down(order.shift()).base_page_number();
-        let end = start + order.base_pages();
-        self.entries
-            .retain(|(e, _)| !(e.asid == asid && e.start_vpn < end && start < e.end_vpn));
-    }
-
-    /// Removes every entry of an ASID.
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        self.entries.retain(|(e, _)| e.asid != asid);
-    }
-
-    /// Removes everything.
-    pub fn flush(&mut self) {
-        self.entries.clear();
+    /// Drops the entries a shootdown covers.
+    pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
+        self.store.shoot_down(inv);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_core::PageOrder;
+    use tps_core::{PageOrder, VirtAddr};
 
     fn r(start: u64, end: u64) -> RangeEntry {
         RangeEntry {
@@ -194,26 +145,18 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_pressure() {
-        // gcc-style behavior: more live ranges than entries -> thrashing.
-        let mut rt = RangeTlb::new(2);
-        rt.fill(r(0, 10));
-        rt.fill(r(100, 110));
-        assert!(rt.lookup(0, 5).is_some()); // refresh first
-        rt.fill(r(200, 210));
-        assert!(rt.lookup(0, 105).is_none(), "middle range evicted");
-        assert!(rt.lookup(0, 5).is_some());
-    }
-
-    #[test]
     fn invalidate_overlap() {
         let mut rt = RangeTlb::new(4);
+        let page = |vpn: u64| Invalidation::page(0, VirtAddr::new(vpn << 12), PageOrder::P4K);
         rt.fill(r(0, 1000));
-        rt.invalidate(0, VirtAddr::new(500 << 12), PageOrder::P4K);
-        assert!(rt.is_empty());
+        rt.shoot_down(page(500));
+        assert!(rt.lookup(0, 0).is_none());
         rt.fill(r(0, 1000));
-        rt.invalidate(0, VirtAddr::new(1000 << 12), PageOrder::P4K);
-        assert_eq!(rt.len(), 1, "adjacent page does not invalidate");
+        rt.shoot_down(page(1000));
+        assert!(
+            rt.lookup(0, 0).is_some(),
+            "adjacent page does not invalidate"
+        );
     }
 
     #[test]
@@ -221,7 +164,7 @@ mod tests {
         let mut rt = RangeTlb::new(4);
         rt.fill(r(0, 10));
         assert!(rt.lookup(9, 5).is_none());
-        rt.invalidate_asid(0);
-        assert!(rt.is_empty());
+        rt.shoot_down(Invalidation::Asid(0));
+        assert!(rt.lookup(0, 5).is_none());
     }
 }

@@ -1,7 +1,8 @@
 //! Fixed-page-size set-associative TLB (the conventional design).
 
 use crate::entry::{Asid, TlbEntry};
-use tps_core::{PageOrder, VirtAddr};
+use tps_core::lru::{Invalidation, LruStore};
+use tps_core::PageOrder;
 
 /// A set-associative TLB holding entries of one fixed page order.
 ///
@@ -23,12 +24,8 @@ use tps_core::{PageOrder, VirtAddr};
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocTlb {
-    sets: usize,
-    ways: usize,
     order: PageOrder,
-    /// entries[set] = (entry, lru_stamp)
-    entries: Vec<Vec<(TlbEntry, u64)>>,
-    clock: u64,
+    store: LruStore<TlbEntry>,
 }
 
 impl SetAssocTlb {
@@ -38,44 +35,21 @@ impl SetAssocTlb {
     ///
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize, order: PageOrder) -> Self {
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(ways > 0, "need at least one way");
         SetAssocTlb {
-            sets,
-            ways,
             order,
-            entries: vec![Vec::with_capacity(ways); sets],
-            clock: 0,
+            store: LruStore::new(sets, ways),
         }
-    }
-
-    /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.sets * self.ways
-    }
-
-    /// The fixed page order this TLB serves.
-    pub fn page_order(&self) -> PageOrder {
-        self.order
     }
 
     #[inline]
     fn set_of(&self, vpn: u64) -> usize {
-        ((vpn >> self.order.get()) & (self.sets as u64 - 1)) as usize
+        ((vpn >> self.order.get()) & (self.store.sets() as u64 - 1)) as usize
     }
 
     /// Looks up a base-page VPN; refreshes LRU on hit.
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<TlbEntry> {
-        self.clock += 1;
-        let clock = self.clock;
         let set = self.set_of(vpn);
-        self.entries[set]
-            .iter_mut()
-            .find(|(e, _)| e.covers(asid, vpn))
-            .map(|(e, stamp)| {
-                *stamp = clock;
-                *e
-            })
+        self.store.lookup(set, |e| e.covers(asid, vpn)).copied()
     }
 
     /// Installs an entry, evicting the set's LRU entry if needed.
@@ -85,66 +59,14 @@ impl SetAssocTlb {
     /// Panics if the entry's order differs from the TLB's fixed order.
     pub fn fill(&mut self, entry: TlbEntry) {
         assert_eq!(entry.order, self.order, "entry order mismatch");
-        self.clock += 1;
         let set = self.set_of(entry.vpn);
-        let ways = self.ways;
-        let slot = &mut self.entries[set];
-        if let Some((e, stamp)) = slot
-            .iter_mut()
-            .find(|(e, _)| e.asid == entry.asid && e.vpn == entry.vpn)
-        {
-            *e = entry;
-            *stamp = self.clock;
-            return;
-        }
-        if slot.len() < ways {
-            slot.push((entry, self.clock));
-            return;
-        }
-        let victim = slot
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(i, _)| i)
-            .expect("set is full");
-        slot[victim] = (entry, self.clock);
+        self.store
+            .fill(set, entry, |e| e.asid == entry.asid && e.vpn == entry.vpn);
     }
 
-    /// Removes entries overlapping `[va, va + (4K << order))` for the ASID
-    /// (TLB shootdown; `INVLPG` semantics generalized to a range).
-    pub fn invalidate(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        let start = va.align_down(order.shift()).base_page_number();
-        let end = start + order.base_pages();
-        for set in &mut self.entries {
-            set.retain(|(e, _)| {
-                let e_end = e.vpn + e.order.base_pages();
-                !(e.asid == asid && e.vpn < end && start < e_end)
-            });
-        }
-    }
-
-    /// Removes every entry of an ASID (context switch without PCID reuse).
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        for set in &mut self.entries {
-            set.retain(|(e, _)| e.asid != asid);
-        }
-    }
-
-    /// Removes everything.
-    pub fn flush(&mut self) {
-        for set in &mut self.entries {
-            set.clear();
-        }
-    }
-
-    /// Number of live entries (for occupancy statistics).
-    pub fn len(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
-    }
-
-    /// True if the TLB holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Drops the entries a shootdown covers.
+    pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
+        self.store.shoot_down(inv);
     }
 }
 
@@ -172,20 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_within_set() {
-        // 1 set, 2 ways: VPNs 0,16,32 with 16 sets would map to set 0; use
-        // sets=1 so everything collides.
-        let mut t = SetAssocTlb::new(1, 2, PageOrder::P4K);
-        t.fill(e(1));
-        t.fill(e(2));
-        assert!(t.lookup(0, 1).is_some()); // 2 becomes LRU
-        t.fill(e(3));
-        assert!(t.lookup(0, 2).is_none(), "LRU way evicted");
-        assert!(t.lookup(0, 1).is_some());
-        assert!(t.lookup(0, 3).is_some());
-    }
-
-    #[test]
     fn conflict_only_within_set() {
         let mut t = SetAssocTlb::new(16, 1, PageOrder::P4K);
         t.fill(e(0));
@@ -204,7 +112,7 @@ mod tests {
         let mut e2 = e(5);
         e2.pfn = 0x7777;
         t.fill(e2);
-        assert_eq!(t.len(), 1);
+        // A duplicate would sit behind the stale entry and never hit.
         assert_eq!(t.lookup(0, 5).unwrap().pfn, 0x7777);
     }
 
@@ -222,31 +130,6 @@ mod tests {
         // Any base VPN within the 2M page hits.
         assert!(t.lookup(0, 512 * 7 + 13).is_some());
         assert!(t.lookup(0, 512 * 8).is_none());
-    }
-
-    #[test]
-    fn invalidate_range_and_asid() {
-        let mut t = SetAssocTlb::new(16, 4, PageOrder::P4K);
-        for vpn in 0..8 {
-            t.fill(e(vpn));
-        }
-        let mut other = e(100);
-        other.asid = 3;
-        t.fill(other);
-        // Invalidate a 16K region (pages 2..6 partially: pages 4..8 at order 2
-        // aligned from va of page 5 -> aligns to page 4).
-        t.invalidate(0, VirtAddr::new(5 << 12), PageOrder::new(2).unwrap());
-        for vpn in 4..8 {
-            assert!(t.lookup(0, vpn).is_none(), "page {vpn} shot down");
-        }
-        for vpn in 0..4 {
-            assert!(t.lookup(0, vpn).is_some());
-        }
-        assert!(t.lookup(3, 100).is_some(), "other ASID untouched");
-        t.invalidate_asid(3);
-        assert!(t.lookup(3, 100).is_none());
-        t.flush();
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! design.
 
 use crate::entry::{Asid, TlbEntry};
-use tps_core::{PageOrder, VirtAddr};
+use tps_core::lru::{Invalidation, LruStore};
 
 /// One way of the skewed TLB: a direct-mapped array serving a size class.
 #[derive(Clone, Debug)]
@@ -19,9 +19,17 @@ struct Way {
     /// Largest order of the class; the index function shifts by this so
     /// every VPN inside a page of the class maps to one set.
     ceil: u8,
-    sets: Vec<Option<(TlbEntry, u64)>>,
     /// Way-specific hash multiplier (the "skew").
     skew: u64,
+    /// The way's sets, one entry each.
+    store: LruStore<TlbEntry>,
+}
+
+impl Way {
+    fn index(&self, vpn: u64) -> usize {
+        let page = vpn >> self.ceil;
+        (page.wrapping_mul(self.skew) >> (64 - self.store.sets().trailing_zeros())) as usize
+    }
 }
 
 /// Skewed-associative TLB supporting any page size.
@@ -43,7 +51,6 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct SkewedTlb {
     ways: Vec<Way>,
-    clock: u64,
 }
 
 /// Size classes of the four ways as (floor, ceil) order ranges:
@@ -60,10 +67,6 @@ impl SkewedTlb {
     ///
     /// Panics if `sets_per_way` is not a power of two.
     pub fn new(sets_per_way: usize) -> Self {
-        assert!(
-            sets_per_way.is_power_of_two(),
-            "sets must be a power of two"
-        );
         SkewedTlb {
             ways: WAY_CLASSES
                 .iter()
@@ -71,110 +74,49 @@ impl SkewedTlb {
                 .map(|(i, &(floor, ceil))| Way {
                     floor,
                     ceil,
-                    sets: vec![None; sets_per_way],
                     skew: 0x9e37_79b9_7f4a_7c15u64.rotate_left(17 * i as u32) | 1,
+                    store: LruStore::new(sets_per_way, 1),
                 })
                 .collect(),
-            clock: 0,
         }
-    }
-
-    /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.ways.iter().map(|w| w.sets.len()).sum()
-    }
-
-    fn index(way: &Way, vpn: u64) -> usize {
-        let sets = way.sets.len() as u64;
-        let page = vpn >> way.ceil;
-        (page.wrapping_mul(way.skew) >> (64 - sets.trailing_zeros())) as usize
     }
 
     /// Probes all ways, each at its own size-class index.
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<TlbEntry> {
-        self.clock += 1;
-        let clock = self.clock;
-        for way in &mut self.ways {
-            let idx = Self::index(way, vpn);
-            if let Some((e, stamp)) = &mut way.sets[idx] {
-                if e.covers(asid, vpn) {
-                    *stamp = clock;
-                    return Some(*e);
-                }
-            }
-        }
-        None
+        self.ways.iter_mut().find_map(|way| {
+            let idx = way.index(vpn);
+            way.store.lookup(idx, |e| e.covers(asid, vpn)).copied()
+        })
     }
 
-    /// Installs an entry into its size-class way, evicting the resident
-    /// entry of that set if older than any alternative placement.
+    /// Installs an entry into its size-class way, replacing whatever that
+    /// way's indexed set holds. Each way is direct-mapped and a page has
+    /// exactly one way, so there is no alternative placement to weigh.
     pub fn fill(&mut self, entry: TlbEntry) {
-        self.clock += 1;
-        // The way whose class contains the order (last way takes overflow).
+        // The way whose class contains the order (last way takes overflow;
+        // way 0's floor of 0 accepts every order).
         let way_idx = self
             .ways
             .iter()
-            .enumerate()
-            .filter(|(_, w)| w.floor <= entry.order.get())
-            .max_by_key(|(_, w)| w.floor)
-            .map(|(i, _)| i)
-            .expect("way 0 accepts every order");
+            .rposition(|w| w.floor <= entry.order.get())
+            .unwrap_or(0);
         let way = &mut self.ways[way_idx];
-        let idx = Self::index(way, entry.vpn);
-        way.sets[idx] = Some((entry, self.clock));
+        let idx = way.index(entry.vpn);
+        way.store.fill(idx, entry, |_| false);
     }
 
-    /// Shoots down entries overlapping the given page range for the ASID.
-    pub fn invalidate(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        let start = va.align_down(order.shift()).base_page_number();
-        let end = start + order.base_pages();
+    /// Drops the entries a shootdown covers.
+    pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
         for way in &mut self.ways {
-            for slot in &mut way.sets {
-                if let Some((e, _)) = slot {
-                    let e_end = e.vpn + e.order.base_pages();
-                    if e.asid == asid && e.vpn < end && start < e_end {
-                        *slot = None;
-                    }
-                }
-            }
+            way.store.shoot_down(inv);
         }
-    }
-
-    /// Removes every entry of an ASID.
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        for way in &mut self.ways {
-            for slot in &mut way.sets {
-                if matches!(slot, Some((e, _)) if e.asid == asid) {
-                    *slot = None;
-                }
-            }
-        }
-    }
-
-    /// Removes everything.
-    pub fn flush(&mut self) {
-        for way in &mut self.ways {
-            way.sets.iter_mut().for_each(|s| *s = None);
-        }
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.ways
-            .iter()
-            .map(|w| w.sets.iter().filter(|s| s.is_some()).count())
-            .sum()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tps_core::{PageOrder, VirtAddr};
 
     fn e(vpn: u64, order: u8) -> TlbEntry {
         let o = PageOrder::new(order).unwrap();
@@ -196,12 +138,6 @@ mod tests {
         assert!(t.lookup(0, 0).is_some());
         assert!(t.lookup(0, 64 + 7).is_some());
         assert!(t.lookup(0, (1 << 14) + 1000).is_some());
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn capacity_is_ways_times_sets() {
-        assert_eq!(SkewedTlb::new(8).capacity(), 32);
     }
 
     #[test]
@@ -211,7 +147,10 @@ mod tests {
         for vpn in 0..16 {
             t.fill(e(vpn, 0));
         }
-        assert!(t.len() <= 8, "entries confined to capacity");
+        assert!(
+            (0..16).filter(|&vpn| t.lookup(0, vpn).is_some()).count() <= 2,
+            "4K pages confined to way 0"
+        );
         // But a large page in another class is untouched by 4K pressure.
         t.fill(e(1 << 13, 13));
         for vpn in 16..32 {
@@ -221,10 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_and_flush() {
+    fn invalidation() {
         let mut t = SkewedTlb::new(8);
         t.fill(e(0, 4));
-        t.invalidate(0, VirtAddr::new(3 << 12), PageOrder::P4K);
+        t.shoot_down(Invalidation::page(
+            0,
+            VirtAddr::new(3 << 12),
+            PageOrder::P4K,
+        ));
         assert!(
             t.lookup(0, 0).is_none(),
             "overlapping large entry shot down"
@@ -233,11 +176,9 @@ mod tests {
         let mut other = e(8, 0);
         other.asid = 5;
         t.fill(other);
-        t.invalidate_asid(5);
+        t.shoot_down(Invalidation::Asid(5));
         assert!(t.lookup(5, 8).is_none());
         assert!(t.lookup(0, 0).is_some());
-        t.flush();
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn cow_demo() {
             os.handle_fault(parent, va, true).unwrap();
             va = VirtAddr::new(va.value() + BASE_PAGE_SIZE);
         }
-        let (child, _sds) = os.fork(parent);
+        let (child, _sds) = os.fork(parent).expect("fork mirrors existing leaves");
         // The child writes one word in the middle of the 256 KB page.
         os.handle_cow_fault(child, vma.base() + (100 << 10))
             .unwrap();
