@@ -4,18 +4,26 @@
 //! indexes a set and what an entry covers (a page mask, a CoLT run, an RMM
 //! range, a page-walk prefix). Replacement and shootdown are the same in
 //! all of them, so they live here once. A store is `sets × ways` entries;
-//! one set makes it fully associative. The structures are small — at most
-//! a few dozen entries per set — so a linear scan with a logical timestamp
-//! models true LRU faithfully and is plenty fast.
+//! one set makes it fully associative.
+//!
+//! Each set keeps its entries in slot order and threads them on a recency
+//! list (older/newer slot links), so a hit moves one entry to the newest
+//! end and the victim is the oldest end — both independent of the set's
+//! size, which matters for the 1552-entry TPS STLB. Owners of small sets
+//! find an entry with a linear scan ([`LruStore::lookup`],
+//! [`LruStore::fill`]); an owner that keeps its own index names slot
+//! positions instead ([`LruStore::touch`], [`LruStore::install`]).
 //!
 //! The replacement contract, on which the byte identity of every report
 //! rests:
 //!
-//! * the victim is the first entry of the set with the smallest stamp;
+//! * the victim is the least recently touched entry of the set (a lookup
+//!   hit or a fill touches an entry);
 //! * an update in place keeps the entry's position in its set;
 //! * a fill into a set with room appends;
 //! * removal ([`LruStore::retain_set`], [`LruStore::shoot_down`], an
-//!   abandoned fill) keeps the survivors in order.
+//!   abandoned fill) moves the survivors down, keeping both their slot
+//!   order and their recency order.
 //!
 //! # Example
 //!
@@ -84,17 +92,149 @@ impl Invalidation {
     }
 }
 
+/// No slot: the end of a recency list.
+const NIL: u32 = u32::MAX;
+
+/// A live entry and its neighbours in its set's recency list.
+#[derive(Copy, Clone, Debug)]
+struct Slot<E> {
+    entry: E,
+    older: u32,
+    newer: u32,
+}
+
+/// One set: its live entries in slot order, threaded on a recency list.
+#[derive(Clone, Debug)]
+struct Set<E> {
+    slots: Vec<Slot<E>>,
+    /// The least recently touched slot, the next victim.
+    oldest: u32,
+    newest: u32,
+}
+
+impl<E: Copy> Set<E> {
+    fn new(ways: usize) -> Self {
+        Set {
+            slots: Vec::with_capacity(ways),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
+
+    /// Makes `slot` the most recently touched. Already-newest is free.
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        if self.newest != slot as u32 {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+    }
+
+    #[inline]
+    fn unlink(&mut self, slot: usize) {
+        let Slot { older, newer, .. } = self.slots[slot];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    #[inline]
+    fn link_newest(&mut self, slot: usize) {
+        let s = &mut self.slots[slot];
+        s.older = self.newest;
+        s.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = slot as u32,
+            n => self.slots[n as usize].newer = slot as u32,
+        }
+        self.newest = slot as u32;
+    }
+
+    /// Appends `entry` as the newest; returns its slot.
+    #[inline]
+    fn push(&mut self, entry: E) -> usize {
+        let slot = self.slots.len();
+        self.slots.push(Slot {
+            entry,
+            older: NIL,
+            newer: NIL,
+        });
+        self.link_newest(slot);
+        slot
+    }
+
+    /// Points the neighbours of the entry just moved to `slot` at it.
+    #[inline]
+    fn relink_moved(&mut self, slot: usize) {
+        let Slot { older, newer, .. } = self.slots[slot];
+        match older {
+            NIL => self.oldest = slot as u32,
+            o => self.slots[o as usize].newer = slot as u32,
+        }
+        match newer {
+            NIL => self.newest = slot as u32,
+            n => self.slots[n as usize].older = slot as u32,
+        }
+    }
+
+    /// Removes the slots `keep` rejects, moving the survivors down in slot
+    /// order; their recency order is unchanged.
+    fn compact_slots(&mut self, mut keep: impl FnMut(usize, &E) -> bool) {
+        let len = self.slots.len();
+        let mut kept = 0;
+        for slot in 0..len {
+            if !keep(slot, &self.slots[slot].entry) {
+                self.unlink(slot);
+                continue;
+            }
+            // Every link names its neighbour's current slot: a survivor
+            // that moved has already repointed the links to it.
+            if kept != slot {
+                self.slots[kept] = self.slots[slot];
+                self.relink_moved(kept);
+            }
+            kept += 1;
+        }
+        self.slots.truncate(kept);
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+    }
+}
+
+/// What [`LruStore::install`] did with an entry.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Install<E> {
+    /// It overwrote the same-entry slot the caller named.
+    Updated,
+    /// It was appended at this slot of a set with room.
+    Appended(usize),
+    /// It replaced the LRU victim, returned here, at this slot.
+    Replaced(usize, E),
+    /// `abandon()` held: the victim was removed (the slots after it moved
+    /// down by one) and the entry was dropped.
+    Abandoned,
+}
+
 /// A `sets × ways` store with true LRU within each set.
 ///
 /// The owner picks the set (its index function) and supplies the hit and
-/// same-entry predicates; the store keeps the recency stamps, chooses
-/// victims and performs removals under the contract in the module doc.
+/// same-entry predicates — or, if it indexes its own sets, the slot
+/// positions ([`Self::touch`], [`Self::install`]); the store keeps each
+/// set's recency list, chooses victims and performs removals under the
+/// contract in the module doc.
 #[derive(Clone, Debug)]
 pub struct LruStore<E> {
     ways: usize,
-    /// `sets[s]` = the live entries of set `s` with their LRU stamps.
-    sets: Vec<Vec<(E, u64)>>,
-    clock: u64,
+    sets: Vec<Set<E>>,
 }
 
 impl<E: Copy> LruStore<E> {
@@ -102,14 +242,15 @@ impl<E: Copy> LruStore<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two, `ways` is zero or `ways`
+    /// does not fit a `u32` slot number.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0, "need at least one way");
+        assert!(ways < NIL as usize, "too many ways");
         LruStore {
             ways,
-            sets: vec![Vec::with_capacity(ways); sets],
-            clock: 0,
+            sets: vec![Set::new(ways); sets],
         }
     }
 
@@ -119,73 +260,86 @@ impl<E: Copy> LruStore<E> {
         self.sets.len()
     }
 
+    /// The live entries of `set`, in slot order.
+    #[inline]
+    pub fn entries(&self, set: usize) -> impl ExactSizeIterator<Item = &E> + '_ {
+        self.sets[set].slots.iter().map(|s| &s.entry)
+    }
+
+    /// The entry at `slot` of `set`, without refreshing its recency.
+    #[inline]
+    pub fn entry(&self, set: usize, slot: usize) -> &E {
+        &self.sets[set].slots[slot].entry
+    }
+
     /// Returns the first entry of `set` that `hit` accepts, refreshing its
     /// recency.
     #[inline]
     pub fn lookup(&mut self, set: usize, mut hit: impl FnMut(&E) -> bool) -> Option<&E> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.sets[set]
-            .iter_mut()
-            .find(|(e, _)| hit(e))
-            .map(|(e, stamp)| {
-                *stamp = clock;
-                &*e
-            })
+        let s = &mut self.sets[set];
+        let slot = s.slots.iter().position(|s| hit(&s.entry))?;
+        s.touch(slot);
+        Some(&s.slots[slot].entry)
+    }
+
+    /// Returns the entry at `slot` of `set`, refreshing its recency: a hit
+    /// the owner located through its own index.
+    #[inline]
+    pub fn touch(&mut self, set: usize, slot: usize) -> &E {
+        let s = &mut self.sets[set];
+        s.touch(slot);
+        &s.slots[slot].entry
     }
 
     /// Installs `entry` into `set`: over the first entry `same` matches,
     /// else appended while the set has room, else over the LRU victim.
     #[inline]
-    pub fn fill(&mut self, set: usize, entry: E, same: impl FnMut(&E) -> bool) {
-        self.fill_or_abandon(set, entry, same, || false);
+    pub fn fill(&mut self, set: usize, entry: E, mut same: impl FnMut(&E) -> bool) {
+        let slot = self.sets[set].slots.iter().position(|s| same(&s.entry));
+        self.install(set, slot, entry, || false);
     }
 
-    /// [`Self::fill`] with a hook at eviction: once the victim of a full
-    /// set is chosen, `abandon()` decides whether the install fails. If it
-    /// does, the victim is removed, `entry` is dropped and the call returns
-    /// `false`; the freed way is reused by a later fill.
+    /// Installs `entry` into `set`: over the entry at slot `same`, else
+    /// appended while the set has room, else over the LRU victim. Once the
+    /// victim of a full set is chosen, `abandon()` decides whether the
+    /// install fails; if it does, the victim is removed and `entry` is
+    /// dropped, and the freed way is reused by a later fill.
     #[inline]
-    pub fn fill_or_abandon(
+    pub fn install(
         &mut self,
         set: usize,
+        same: Option<usize>,
         entry: E,
-        mut same: impl FnMut(&E) -> bool,
         abandon: impl FnOnce() -> bool,
-    ) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let slots = &mut self.sets[set];
-        if let Some(slot) = slots.iter_mut().find(|(e, _)| same(e)) {
-            *slot = (entry, clock);
-            return true;
+    ) -> Install<E> {
+        let s = &mut self.sets[set];
+        if let Some(slot) = same {
+            s.slots[slot].entry = entry;
+            s.touch(slot);
+            return Install::Updated;
         }
-        if slots.len() < self.ways {
-            slots.push((entry, clock));
-            return true;
+        if s.slots.len() < self.ways {
+            return Install::Appended(s.push(entry));
         }
         // A full set is non-empty, so there is always a victim.
-        let victim = slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map_or(0, |(i, _)| i);
+        let victim = s.oldest as usize;
         if abandon() {
-            slots.remove(victim);
-            return false;
+            s.compact_slots(|slot, _| slot != victim);
+            return Install::Abandoned;
         }
-        slots[victim] = (entry, clock);
-        true
+        let old = std::mem::replace(&mut s.slots[victim].entry, entry);
+        s.touch(victim);
+        Install::Replaced(victim, old)
     }
 
     /// Removes the entries of `set` that `keep` rejects.
     pub fn retain_set(&mut self, set: usize, mut keep: impl FnMut(&E) -> bool) {
-        self.sets[set].retain(|(e, _)| keep(e));
+        self.sets[set].compact_slots(|_, e| keep(e));
     }
 
     /// Drops every entry.
     pub fn flush(&mut self) {
-        self.sets.iter_mut().for_each(Vec::clear);
+        self.sets.iter_mut().for_each(Set::clear);
     }
 }
 
@@ -193,7 +347,7 @@ impl<E: Copy + CachedSpan> LruStore<E> {
     /// Drops every entry the shootdown covers.
     pub fn shoot_down(&mut self, inv: Invalidation) {
         for set in &mut self.sets {
-            set.retain(|(e, _)| !inv.drops(e));
+            set.compact_slots(|_, e| !inv.drops(e));
         }
     }
 }
@@ -224,7 +378,10 @@ mod tests {
 
     /// Live keys, set by set in slot order.
     fn keys(s: &LruStore<E>) -> Vec<u64> {
-        s.sets.iter().flatten().map(|(e, _)| e.1).collect()
+        (0..s.sets())
+            .flat_map(|set| s.entries(set))
+            .map(|e| e.1)
+            .collect()
     }
 
     /// The replacement contract, table-driven over (sets, ways); one set
@@ -267,8 +424,12 @@ mod tests {
             for &k in &expect[0][1..] {
                 hit(&mut s, 0, k);
             }
-            let installed = s.fill_or_abandon(0, (0, key(0, 200), 1, 0), |_| false, || true);
-            assert!(!installed, "{sets}x{ways}: abandon reports the drop");
+            let outcome = s.install(0, None, (0, key(0, 200), 1, 0), || true);
+            assert_eq!(
+                outcome,
+                Install::Abandoned,
+                "{sets}x{ways}: abandon reports it"
+            );
             expect[0].remove(0);
             assert_eq!(
                 keys(&s),
@@ -282,6 +443,29 @@ mod tests {
                 expect.concat(),
                 "{sets}x{ways}: freed way appends"
             );
+            // Recency survives a compaction: refresh set 0 newest-slot
+            // first, drop its slot 0 so every survivor moves down, refill
+            // the freed way; victims then go oldest first, the newcomer
+            // last.
+            for &k in expect[0].iter().rev() {
+                hit(&mut s, 0, k);
+            }
+            let dropped = expect[0].remove(0);
+            s.retain_set(0, |e| e.1 != dropped);
+            fill(&mut s, 0, key(0, 300), 0);
+            expect[0].push(key(0, 300));
+            let mut victims: Vec<u64> = expect[0][..ways - 1].iter().rev().copied().collect();
+            victims.push(key(0, 300));
+            for (i, victim) in victims.into_iter().enumerate() {
+                let slot = expect[0].iter().position(|&k| k == victim).unwrap();
+                fill(&mut s, 0, key(0, 400 + i), 0);
+                expect[0][slot] = key(0, 400 + i);
+                assert_eq!(
+                    keys(&s),
+                    expect.concat(),
+                    "{sets}x{ways}: victim {victim} after compaction"
+                );
+            }
             // Removal keeps the survivors in order.
             let dropped = expect[sets - 1][0];
             s.retain_set(sets - 1, |e| e.1 != dropped);

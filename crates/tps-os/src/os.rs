@@ -379,17 +379,7 @@ impl Os {
         self.proc_mut(asid).page_table.mark_accessed(va, dirty)
     }
 
-    /// CoLT's PTE-cache-line probe: the `(pfn, writable)` mapping of a base
-    /// page if one is mapped.
-    pub fn probe_mapping(&self, asid: Asid, vpn: u64) -> Option<(u64, bool)> {
-        let va = VirtAddr::new(vpn << BASE_PAGE_SHIFT);
-        let leaf = self.processes[asid as usize].page_table.lookup(va)?;
-        let pfn = leaf.base.base_page_number()
-            + (vpn - va.align_down(leaf.order.shift()).base_page_number());
-        Some((pfn, leaf.flags.contains(PteFlags::WRITABLE)))
-    }
-
-    /// CoLT's probe generalized to any granularity: the `(frame, writable)`
+    /// CoLT's PTE-cache-line probe at any granularity: the `(frame, writable)`
     /// mapping of the page numbered `upn` *at the given order*, provided a
     /// leaf of exactly that order maps it (runs only coalesce equal sizes).
     pub fn probe_mapping_order(
@@ -1770,12 +1760,13 @@ mod tests {
         os.handle_fault(pid, vma.base() + BASE_PAGE_SIZE, true)
             .unwrap();
         let vpn = vma.base().base_page_number();
-        let (pfn0, w0) = os.probe_mapping(pid, vpn).unwrap();
-        let (pfn1, _) = os.probe_mapping(pid, vpn + 1).unwrap();
+        let probe = |vpn| os.probe_mapping_order(pid, vpn, PageOrder::P4K);
+        let (pfn0, w0) = probe(vpn).unwrap();
+        let (pfn1, _) = probe(vpn + 1).unwrap();
         assert!(w0);
         // Fresh buddy hands out consecutive pages: contiguity CoLT exploits.
         assert_eq!(pfn1, pfn0 + 1);
-        assert!(os.probe_mapping(pid, vpn + 5).is_none());
+        assert!(probe(vpn + 5).is_none());
     }
 
     #[test]

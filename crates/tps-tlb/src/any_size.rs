@@ -5,11 +5,17 @@
 //! The paper deploys this as a 32-entry L1 structure replacing the separate
 //! 2 MB and 1 GB L1 TLBs, and we also reuse it (with a larger capacity) as
 //! the TPS-mode STLB, whose design the paper leaves unspecified.
+//!
+//! Hardware compares every entry in parallel; the model instead indexes
+//! its entries by `(asid, order, vpn >> order)` and probes one key per
+//! page order present, so a probe costs the same at 32 entries as at 1552.
+//! Of the covering entries it returns the one in the lowest slot, exactly
+//! what a first-match scan in slot order would return.
 
 use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
-use tps_core::lru::{Invalidation, LruStore};
-use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
+use tps_core::lru::{Install, Invalidation, LruStore};
+use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr, MAX_PAGE_ORDER};
 
 /// What a fill did: installed the entry, or absorbed an injected fault.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -44,7 +50,135 @@ pub enum FillOutcome {
 #[derive(Clone, Debug)]
 pub struct AnySizeTlb {
     store: LruStore<TlbEntry>,
+    /// The slot of every live entry, by tag. Never iterated.
+    index: SlotIndex,
+    /// Live entries per page order.
+    order_counts: [u32; ORDERS],
+    /// Bit `o` set iff `order_counts[o] > 0`: the orders a lookup probes.
+    orders: u32,
     injector: Option<InjectorHandle>,
+}
+
+/// Number of distinct page orders.
+const ORDERS: usize = MAX_PAGE_ORDER as usize + 1;
+
+/// What the mask-then-compare matches: an entry covers `(asid, vpn)` iff
+/// its tag equals `Tag::probe(asid, order, vpn)` at its own order.
+#[derive(Copy, Clone, PartialEq, Eq)]
+struct Tag {
+    asid: Asid,
+    order: u8,
+    page: u64,
+}
+
+impl Tag {
+    #[inline]
+    fn probe(asid: Asid, order: u8, vpn: u64) -> Self {
+        Tag {
+            asid,
+            order,
+            page: vpn >> order,
+        }
+    }
+
+    #[inline]
+    fn of(e: &TlbEntry) -> Self {
+        Tag::probe(e.asid, e.order.get(), e.vpn)
+    }
+}
+
+/// Empty bucket.
+const EMPTY: u32 = u32::MAX;
+
+/// The tag → slot index: an open-addressing hash table of slot numbers,
+/// probed linearly and keyed by the tag of the entry in each slot. It has
+/// at least twice as many buckets as the TLB has slots, and a removal
+/// shifts the rest of its probe run back instead of leaving a tombstone,
+/// so the table never fills, never rehashes and never allocates after
+/// construction.
+#[derive(Clone, Debug)]
+struct SlotIndex {
+    buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the hash's top bits pick the bucket.
+    shift: u32,
+}
+
+impl SlotIndex {
+    fn new(capacity: usize) -> Self {
+        let buckets = (2 * capacity).next_power_of_two();
+        SlotIndex {
+            buckets: vec![EMPTY; buckets],
+            shift: 64 - buckets.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// The tag's first bucket (Fibonacci hashing).
+    #[inline]
+    fn home(&self, tag: Tag) -> usize {
+        let key = tag.page ^ ((tag.asid as u64) << 40) ^ ((tag.order as u64) << 58);
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The slot of the entry of `store` with this tag.
+    #[inline]
+    fn find(&self, store: &LruStore<TlbEntry>, tag: Tag) -> Option<usize> {
+        let mut b = self.home(tag);
+        while self.buckets[b] != EMPTY {
+            let slot = self.buckets[b] as usize;
+            if Tag::of(store.entry(0, slot)) == tag {
+                return Some(slot);
+            }
+            b = (b + 1) & self.mask();
+        }
+        None
+    }
+
+    /// Indexes `slot` under `tag`, which must not be indexed yet.
+    #[inline]
+    fn insert(&mut self, tag: Tag, slot: usize) {
+        let mut b = self.home(tag);
+        while self.buckets[b] != EMPTY {
+            b = (b + 1) & self.mask();
+        }
+        self.buckets[b] = slot as u32;
+    }
+
+    /// Unindexes `slot`, indexed under `tag`. Only `slot` itself may hold
+    /// a different entry by now (a victim already overwritten).
+    #[inline]
+    fn remove(&mut self, store: &LruStore<TlbEntry>, tag: Tag, slot: usize) {
+        let mask = self.mask();
+        let mut hole = self.home(tag);
+        while self.buckets[hole] != slot as u32 {
+            hole = (hole + 1) & mask;
+        }
+        // Backward-shift deletion: move each later member of the probe run
+        // into the hole, unless its home bucket lies cyclically in
+        // (hole, its bucket].
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let moving = self.buckets[b];
+            if moving == EMPTY {
+                break;
+            }
+            let home = self.home(Tag::of(store.entry(0, moving as usize)));
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = moving;
+                hole = b;
+            }
+        }
+        self.buckets[hole] = EMPTY;
+    }
+
+    fn clear(&mut self) {
+        self.buckets.fill(EMPTY);
+    }
 }
 
 impl AnySizeTlb {
@@ -57,6 +191,9 @@ impl AnySizeTlb {
         assert!(capacity > 0, "capacity must be positive");
         AnySizeTlb {
             store: LruStore::new(1, capacity),
+            index: SlotIndex::new(capacity),
+            order_counts: [0; ORDERS],
+            orders: 0,
             injector: None,
         }
     }
@@ -72,31 +209,48 @@ impl AnySizeTlb {
 
     /// Looks up a base-page VPN (mask-then-compare across all entries).
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<TlbEntry> {
-        self.store.lookup(0, |e| e.covers(asid, vpn)).copied()
+        let mut first = usize::MAX;
+        let mut orders = self.orders;
+        while orders != 0 {
+            let order = orders.trailing_zeros() as u8;
+            orders &= orders - 1;
+            if let Some(slot) = self.index.find(&self.store, Tag::probe(asid, order, vpn)) {
+                first = first.min(slot);
+            }
+        }
+        (first != usize::MAX).then(|| *self.store.touch(0, first))
     }
 
     /// Installs an entry of any order, evicting the LRU entry when full.
     ///
     /// If an existing entry covers the same page start at the same order it
-    /// is updated in place.
+    /// is updated in place. The entry's `vpn` must be aligned to its order,
+    /// as [`TlbEntry`] requires.
     pub fn fill(&mut self, entry: TlbEntry) -> FillOutcome {
+        debug_assert_eq!(entry.vpn & (entry.order.base_pages() - 1), 0);
         if should_fault(&self.injector, FaultSite::AnySizeFill) {
             return FillOutcome::Dropped;
         }
+        let tag = Tag::of(&entry);
+        let same = self.index.find(&self.store, tag);
         let injector = &self.injector;
-        let installed = self.store.fill_or_abandon(
-            0,
-            entry,
-            |e| e.asid == entry.asid && e.vpn == entry.vpn && e.order == entry.order,
+        match self.store.install(0, same, entry, || {
+            should_fault(injector, FaultSite::AnySizeEvict)
+        }) {
+            Install::Updated => {}
+            Install::Appended(slot) => self.index_entry(tag, slot),
+            Install::Replaced(slot, victim) => {
+                self.unindex_entry(Tag::of(&victim), slot);
+                self.index_entry(tag, slot);
+            }
             // The victim is already gone when the install fails: the way
             // stays empty until a later fill reuses it.
-            || should_fault(injector, FaultSite::AnySizeEvict),
-        );
-        if installed {
-            FillOutcome::Installed
-        } else {
-            FillOutcome::Abandoned
+            Install::Abandoned => {
+                self.reindex();
+                return FillOutcome::Abandoned;
+            }
         }
+        FillOutcome::Installed
     }
 
     /// Shoots down entries overlapping the given page range for the ASID.
@@ -106,9 +260,45 @@ impl AnySizeTlb {
 
     /// Drops the entries a shootdown covers.
     pub(crate) fn shoot_down(&mut self, inv: Invalidation) {
+        let live = self.store.entries(0).len();
         self.store.shoot_down(inv);
+        if self.store.entries(0).len() < live {
+            self.reindex();
+        }
+    }
+
+    #[inline]
+    fn index_entry(&mut self, tag: Tag, slot: usize) {
+        self.index.insert(tag, slot);
+        self.order_counts[tag.order as usize] += 1;
+        self.orders |= 1 << tag.order;
+    }
+
+    #[inline]
+    fn unindex_entry(&mut self, tag: Tag, slot: usize) {
+        self.index.remove(&self.store, tag, slot);
+        let count = &mut self.order_counts[tag.order as usize];
+        *count -= 1;
+        if *count == 0 {
+            self.orders &= !(1 << tag.order);
+        }
+    }
+
+    /// Rebuilds the index after a removal moved the surviving slots.
+    fn reindex(&mut self) {
+        self.index.clear();
+        self.order_counts = [0; ORDERS];
+        self.orders = 0;
+        let live = self.store.entries(0).len();
+        for slot in 0..live {
+            let tag = Tag::of(self.store.entry(0, slot));
+            self.index_entry(tag, slot);
+        }
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,9 @@
 //!
 //! Capacities follow Table I / §III-A2 of the paper. The TPS-mode STLB is
 //! modeled as a fully-associative any-size structure of the baseline STLB's
-//! capacity — the paper leaves its indexing unspecified, and TPS almost
-//! never reaches the STLB anyway.
+//! capacity — the paper leaves its indexing unspecified. A single TPS
+//! process rarely reaches it, but many tenants sharing the L1 do: in a
+//! 64-tenant machine the STLB serves nearly every access.
 
 use crate::any_size::{AnySizeTlb, FillOutcome};
 use crate::colt::{detect_run, ColtTlb};

@@ -14,7 +14,8 @@
 //!
 //! Every structure keeps its entries in a [`tps_core::lru::LruStore`] and
 //! adds only its index function, hit predicate and same-entry key;
-//! replacement and shootdown are the store's.
+//! replacement and shootdown are the store's. [`AnySizeTlb`] also indexes
+//! its entries by page-order tag, so a probe does not scan its set.
 //!
 //! # Example
 //!

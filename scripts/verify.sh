@@ -45,6 +45,19 @@ done
 cmp -s "$tmpdir/tenants-1-serial.json" "$tmpdir/tenants-8-serial.json" \
     && { echo "verify: tenants=8 report is identical to tenants=1 (axis inert?)" >&2; exit 1; }
 
+echo "==> translation oracle gate (64-tenant xsbench TPS: --verify == plain)"
+# --verify checks every TLB hit against the page table and fails the cell
+# on a disagreement, so a wrong hit in the indexed any-size STLB (which
+# serves nearly every access of this cell) cannot hide behind totals: the
+# verified report must equal the plain one byte for byte.
+for mode in plain verify; do
+    flag=(); [ "$mode" = verify ] && flag=(--verify)
+    ./target/release/tps_run --bench xsbench --mech tps --scale test --seed 7 \
+        --tenants 64 --threads 1 "${flag[@]}" --json "$tmpdir/oracle-$mode.json" >/dev/null
+done
+cmp "$tmpdir/oracle-plain.json" "$tmpdir/oracle-verify.json" \
+    || { echo "verify: --verify changed the 64-tenant TPS report (wrong TLB hit?)" >&2; exit 1; }
+
 echo "==> retry determinism gate (faults + retries, threads 1 vs 4)"
 # Cells may exhaust their retry budget under injected faults; exit 3
 # (structured cell failure, full JSON still written) is part of the
