@@ -57,6 +57,7 @@ fn cases() -> Vec<(&'static str, ExperimentSpec)> {
     vec![
         ("gups-all", base().bench("gups").all_mechanisms()),
         ("xsbench-all", base().bench("xsbench").all_mechanisms()),
+        ("graph500-all", base().bench("graph500").all_mechanisms()),
         (
             "gups-tenants8",
             base()
