@@ -62,10 +62,7 @@ impl<W: Workload> Workload for Initialized<W> {
             match self.phase {
                 Phase::Mmaps => match self.inner.next_event() {
                     Some(e @ Event::Mmap { region, bytes }) => {
-                        let _ = (region, bytes);
-                        if let Event::Mmap { region, bytes } = e {
-                            self.regions.push((region, bytes));
-                        }
+                        self.regions.push((region, bytes));
                         return Some(e);
                     }
                     other => {
