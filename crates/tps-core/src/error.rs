@@ -8,8 +8,6 @@ use std::fmt;
 pub enum TpsError {
     /// A page order above the supported maximum was requested.
     InvalidPageOrder(u8),
-    /// A byte count that is not a supported power-of-two page size.
-    InvalidPageSize(u64),
     /// An address violated an alignment requirement.
     Misaligned {
         /// The offending raw address.
@@ -73,13 +71,6 @@ pub enum TpsError {
         /// Human-readable description of the rejected field.
         detail: String,
     },
-    /// A worker thread panicked while executing one experiment cell. The
-    /// matrix runner converts the panic into this per-cell error so the
-    /// remaining cells still complete.
-    WorkerPanic {
-        /// The panic payload (message), when one was recoverable.
-        detail: String,
-    },
     /// A checkpoint journal could not be written, read, or reconciled with
     /// the spec it claims to belong to (I/O failure, malformed record,
     /// version or fingerprint mismatch).
@@ -109,13 +100,6 @@ impl TpsError {
     /// Builds an [`TpsError::InvalidSpec`] with the given description.
     pub fn invalid_spec(detail: impl Into<String>) -> Self {
         TpsError::InvalidSpec {
-            detail: detail.into(),
-        }
-    }
-
-    /// Builds an [`TpsError::WorkerPanic`] from a recovered panic message.
-    pub fn worker_panic(detail: impl Into<String>) -> Self {
-        TpsError::WorkerPanic {
             detail: detail.into(),
         }
     }
@@ -254,9 +238,6 @@ impl fmt::Display for TpsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TpsError::InvalidPageOrder(o) => write!(f, "page order {o} exceeds the maximum"),
-            TpsError::InvalidPageSize(b) => {
-                write!(f, "{b} bytes is not a supported power-of-two page size")
-            }
             TpsError::Misaligned { addr, shift } => {
                 write!(f, "address {addr:#x} is not aligned to 2^{shift} bytes")
             }
@@ -288,9 +269,6 @@ impl fmt::Display for TpsError {
             TpsError::InvalidSpec { detail } => {
                 write!(f, "invalid experiment spec: {detail}")
             }
-            TpsError::WorkerPanic { detail } => {
-                write!(f, "worker thread panicked: {detail}")
-            }
             TpsError::Checkpoint { detail } => {
                 write!(f, "checkpoint error: {detail}")
             }
@@ -311,7 +289,6 @@ mod tests {
     fn displays_are_lowercase_and_nonempty() {
         let errs: Vec<TpsError> = vec![
             TpsError::InvalidPageOrder(31),
-            TpsError::InvalidPageSize(3000),
             TpsError::Misaligned {
                 addr: 0x123,
                 shift: 12,
@@ -329,7 +306,6 @@ mod tests {
             TpsError::SharedMapping { vaddr: 0x3000 },
             TpsError::invariant(InvariantLayer::Buddy, "free list lost a block"),
             TpsError::invalid_spec("unknown benchmark \"nonesuch\""),
-            TpsError::worker_panic("machine out of physical memory"),
             TpsError::checkpoint("journal header missing"),
             TpsError::checkpoint_corrupt("entry 3 failed its crc"),
         ];

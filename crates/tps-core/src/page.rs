@@ -170,20 +170,6 @@ impl TryFrom<u8> for PageOrder {
 pub struct PageSize(PageOrder);
 
 impl PageSize {
-    /// Creates a page size from a byte count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TpsError::InvalidPageSize`] if `bytes` is not a power of two
-    /// at least 4 KB and at most the largest supported page.
-    pub fn from_bytes(bytes: u64) -> Result<Self, TpsError> {
-        if !bytes.is_power_of_two() || bytes < (1 << BASE_PAGE_SHIFT) {
-            return Err(TpsError::InvalidPageSize(bytes));
-        }
-        let order = (bytes.trailing_zeros() - BASE_PAGE_SHIFT) as u8;
-        Ok(PageSize(PageOrder::new(order)?))
-    }
-
     /// Creates a page size from an order.
     #[inline]
     pub const fn from_order(order: PageOrder) -> Self {
@@ -264,14 +250,6 @@ mod tests {
         assert_eq!(PageOrder::fitting(4096).unwrap().get(), 0);
         assert_eq!(PageOrder::fitting(28 * 1024).unwrap().get(), 2); // 16K fits in 28K
         assert_eq!(PageOrder::fitting(u64::MAX).unwrap().get(), MAX_PAGE_ORDER);
-    }
-
-    #[test]
-    fn page_size_from_bytes() {
-        assert_eq!(PageSize::from_bytes(32 * 1024).unwrap().order().get(), 3);
-        assert!(PageSize::from_bytes(3000).is_err());
-        assert!(PageSize::from_bytes(6144).is_err());
-        assert!(PageSize::from_bytes(1 << 60).is_err());
     }
 
     #[test]

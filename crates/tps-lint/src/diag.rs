@@ -44,12 +44,9 @@ fn json_escape(s: &str, out: &mut String) {
     }
 }
 
-/// Renders diagnostics as a machine-readable JSON document.
-///
-/// `grandfathered` is the number of violations absorbed by the frozen
-/// ratchet baseline — CI consumers need it to distinguish "clean" from
-/// "clean because the baseline still carries debt".
-pub fn to_json(diags: &[Diagnostic], grandfathered: usize, failed: bool) -> String {
+/// Renders diagnostics as a machine-readable JSON document. `failed` is
+/// true exactly when there is a diagnostic, matching the CLI's exit code.
+pub fn to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("{\n  \"diagnostics\": [\n");
     for (i, d) in diags.iter().enumerate() {
         out.push_str("    {\"path\": \"");
@@ -66,10 +63,9 @@ pub fn to_json(diags: &[Diagnostic], grandfathered: usize, failed: bool) -> Stri
         out.push('\n');
     }
     out.push_str(&format!(
-        "  ],\n  \"total\": {},\n  \"grandfathered\": {},\n  \"failed\": {}\n}}\n",
+        "  ],\n  \"total\": {},\n  \"failed\": {}\n}}\n",
         diags.len(),
-        grandfathered,
-        failed
+        !diags.is_empty()
     ));
     out
 }
@@ -102,17 +98,16 @@ mod tests {
             rule: "pub-item-docs",
             message: "tab\there\nnewline".into(),
         };
-        let j = to_json(&[d], 4, true);
+        let j = to_json(&[d]);
         assert!(j.contains("a\\\"b"));
         assert!(j.contains("tab\\there\\nnewline"));
         assert!(j.contains("\"failed\": true"));
         assert!(j.contains("\"total\": 1"));
-        assert!(j.contains("\"grandfathered\": 4"));
     }
 
     #[test]
     fn empty_json_document_is_well_formed() {
-        let j = to_json(&[], 0, false);
+        let j = to_json(&[]);
         assert!(j.contains("\"diagnostics\": [\n  ]"));
         assert!(j.contains("\"failed\": false"));
     }

@@ -8,15 +8,17 @@
 //! named slow paths (fault handling, debug oracles, constructors) the
 //! closure must not cross.
 //!
-//! The format is the same hand-rolled TOML subset as the ratchet file:
-//! `[section]` headers and `"key" = "value"` lines, where the value is
-//! the human reason for the entry. Unknown syntax is an error — a typo'd
-//! contract must not silently unfence the hot path.
+//! The file is compiled in ([`HotPaths::builtin`]), so every run — the
+//! CLI and the fixture tests alike — reads the contract of the tree it was
+//! built from. The format is a hand-rolled TOML subset: `[section]`
+//! headers and `"key" = "value"` lines, where the value is the human
+//! reason for the entry. Unknown syntax is an error — a typo'd contract
+//! must not silently unfence the hot path.
 
 use std::collections::BTreeMap;
 
 /// The committed workspace contract, compiled in so the fixture tests and
-/// `--workspace` runs agree on one default.
+/// `--workspace` runs share one copy.
 const BUILTIN: &str = include_str!("../../../hot-paths.toml");
 
 /// The declared hot-path entry points and cold boundaries.
@@ -37,12 +39,6 @@ impl HotPaths {
         // Validated by a unit test; failing here means the committed file
         // was broken after the last build that embedded it.
         Self::parse(BUILTIN).expect("committed hot-paths.toml parses")
-    }
-
-    /// An empty contract: no entry points, so the hot-path rules are
-    /// inert.
-    pub fn none() -> Self {
-        Self::default()
     }
 
     /// Parses the `hot-paths.toml` format. Unknown sections or syntax are

@@ -4,9 +4,8 @@
 //! campaigns plus a cross-layer auditor). This crate turns those invariants
 //! into *static* law: a hand-rolled Rust lexer ([`lexer`]), a per-file
 //! token-stream rule engine and a whole-workspace cross-file pass
-//! ([`rules`]), inline suppression with mandatory reasons, and a ratchet
-//! file ([`baseline`]) that freezes pre-existing violations so they can
-//! only shrink.
+//! ([`rules`]), and inline suppression with mandatory reasons. Any
+//! unsuppressed diagnostic fails the gate.
 //!
 //! The workspace pass is two-phase: pass 1 builds a conservative symbol
 //! index ([`symbol_index`] — definitions, `use` resolution, type bindings,
@@ -18,7 +17,8 @@
 //! Std-only by construction — the workspace has no registry access (the
 //! same constraint that produced the proptest shim).
 //!
-//! Run it as a tier-1 gate:
+//! Run it as a tier-1 gate (exit 0 clean, 1 on any finding, 2 on a usage
+//! or I/O error):
 //!
 //! ```text
 //! cargo run -p tps-lint -- --workspace
@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod diag;
 pub mod file;
 pub mod hot_paths;
@@ -35,79 +34,29 @@ pub mod lexer;
 pub mod rules;
 pub mod symbol_index;
 
-use baseline::Baseline;
 use diag::Diagnostic;
 use file::{FileCtx, SourceFile};
 use hot_paths::HotPaths;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The whole-workspace lint outcome, before baseline filtering.
-pub struct LintReport {
-    /// All unsuppressed diagnostics, sorted by path/line/col.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl LintReport {
-    /// Violation counts per `(rule, path)`.
-    pub fn counts(&self) -> BTreeMap<(&'static str, &str), usize> {
-        let mut counts: BTreeMap<(&'static str, &str), usize> = BTreeMap::new();
-        for d in &self.diagnostics {
-            *counts.entry((d.rule, d.path.as_str())).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Splits diagnostics into (over-budget, within-budget) against a
-    /// baseline. A `(rule, file)` group over its frozen budget reports
-    /// *all* of its diagnostics, so the offender is always in the list.
-    pub fn against(&self, base: &Baseline) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-        let counts = self.counts();
-        let mut over = Vec::new();
-        let mut within = Vec::new();
-        for d in &self.diagnostics {
-            let n = counts[&(d.rule, d.path.as_str())];
-            if n > base.budget(d.rule, &d.path) {
-                over.push(d.clone());
-            } else {
-                within.push(d.clone());
-            }
-        }
-        (over, within)
-    }
-
-    /// A baseline freezing exactly the current violations.
-    pub fn to_baseline(&self) -> Baseline {
-        let mut b = Baseline::new();
-        for ((rule, path), n) in self.counts() {
-            b.set(rule, path, n);
-        }
-        b
-    }
-}
-
 /// Lints a set of in-memory files: per-file rules, cross-file rules and
-/// suppression filtering. This is the core the CLI and the fixture tests
-/// share; the hot-path contract is the committed builtin.
-pub fn lint_files(files: &[SourceFile]) -> LintReport {
-    lint_files_with(files, &HotPaths::builtin())
-}
-
-/// [`lint_files`] with an explicit hot-path contract.
-pub fn lint_files_with(files: &[SourceFile], hot: &HotPaths) -> LintReport {
+/// suppression filtering, against the compiled-in hot-path contract.
+/// Returns every unsuppressed diagnostic, sorted by path/line/col. This is
+/// the core the CLI and the fixture tests share.
+pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     let ctxs: Vec<FileCtx<'_>> = files.iter().map(FileCtx::build).collect();
     let index = symbol_index::SymbolIndex::build(&ctxs);
     let mut diags = Vec::new();
     for ctx in &ctxs {
         rules::check_file(ctx, &mut diags);
     }
-    rules::check_workspace(&ctxs, &index, hot, &mut diags);
+    rules::check_workspace(&ctxs, &index, &HotPaths::builtin(), &mut diags);
     let mut diagnostics = rules::apply_suppressions(&ctxs, diags);
     diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
-    LintReport { diagnostics }
+    diagnostics
 }
 
 /// Lints one in-memory file (per-file rules only) — the fixture-test entry
@@ -118,21 +67,11 @@ pub fn lint_single(crate_name: &str, rel_path: &str, text: &str) -> Vec<Diagnost
         crate_name: crate_name.to_string(),
         text: text.to_string(),
     }])
-    .diagnostics
 }
 
-/// Walks the workspace at `root` and lints every Rust source file, using
-/// `<root>/hot-paths.toml` when present (the compiled-in copy otherwise).
-pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    let hot_file = root.join("hot-paths.toml");
-    let hot = if hot_file.is_file() {
-        HotPaths::parse(&fs::read_to_string(&hot_file)?).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("hot-paths.toml: {e}"))
-        })?
-    } else {
-        HotPaths::builtin()
-    };
-    Ok(lint_files_with(&collect_files(root)?, &hot))
+/// Walks the workspace at `root` and lints every Rust source file.
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
+    Ok(lint_files(&collect_files(root)?))
 }
 
 /// Finds the workspace root at or above `start` (the directory whose
@@ -239,23 +178,5 @@ mod tests {
     fn non_fault_path_crate_may_unwrap() {
         let src = "fn f() { let x = y.unwrap(); }\n";
         assert!(lint_single("tps-wl", "crates/tps-wl/src/f.rs", src).is_empty());
-    }
-
-    #[test]
-    fn report_counts_and_baseline_round_trip() {
-        let src = "fn f() { a.unwrap(); b.expect(\"x\"); }\n";
-        let report = lint_files(&[SourceFile {
-            rel_path: "crates/tps-mem/src/f.rs".into(),
-            crate_name: "tps-mem".into(),
-            text: src.into(),
-        }]);
-        assert_eq!(report.diagnostics.len(), 2);
-        let base = report.to_baseline();
-        assert_eq!(base.budget(rules::PANIC_FREE, "crates/tps-mem/src/f.rs"), 2);
-        let (over, within) = report.against(&base);
-        assert!(over.is_empty());
-        assert_eq!(within.len(), 2);
-        let (over, _) = report.against(&Baseline::new());
-        assert_eq!(over.len(), 2);
     }
 }

@@ -1,20 +1,16 @@
 //! CLI driver for `tps-lint`.
 //!
 //! ```text
-//! cargo run -p tps-lint -- --workspace [--format json] [--write-baseline]
-//!                          [--root DIR] [--baseline FILE] [--no-baseline]
+//! cargo run -p tps-lint -- --workspace [--format json] [--root DIR]
 //! cargo run -p tps-lint -- --explain <rule>
 //! ```
 //!
-//! Exit codes: 0 clean (or within the frozen baseline), 1 violations,
-//! 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 on any finding, 2 usage or I/O error.
 
 use std::env;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tps_lint::baseline::Baseline;
 use tps_lint::{diag, rules};
 
 const USAGE: &str = "\
@@ -27,39 +23,28 @@ USAGE:
 OPTIONS:
     --workspace        lint every crate in the enclosing workspace
     --format FMT       output format: text (default) or json
-    --json             shorthand for --format json
     --explain RULE     print what a rule enforces and why, then exit
-    --write-baseline   freeze the current violations into the ratchet file
-    --no-baseline      ignore the ratchet file (report every violation)
     --root DIR         workspace root (default: nearest [workspace] upward)
-    --baseline FILE    ratchet file (default: <root>/lint-baseline.toml)
     --help             this text
 ";
 
 struct Options {
     json: bool,
     explain: Option<String>,
-    write_baseline: bool,
-    no_baseline: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         json: false,
         explain: None,
-        write_baseline: false,
-        no_baseline: false,
         root: None,
-        baseline: None,
     };
     let mut workspace = false;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--json" => opts.json = true,
             "--format" => {
                 let v = args.next().ok_or("--format needs `text` or `json`")?;
                 match v.as_str() {
@@ -72,15 +57,9 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--explain needs a rule name")?;
                 opts.explain = Some(v);
             }
-            "--write-baseline" => opts.write_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
             "--root" => {
                 let v = args.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
-            }
-            "--baseline" => {
-                let v = args.next().ok_or("--baseline needs a file")?;
-                opts.baseline = Some(PathBuf::from(v));
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -132,97 +111,30 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = match tps_lint::lint_workspace(&root) {
-        Ok(r) => r,
+    let diagnostics = match tps_lint::lint_workspace(&root) {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("error: failed to read workspace at {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.toml"));
-
-    if opts.write_baseline {
-        let text = report.to_baseline().serialize();
-        if let Err(e) = fs::write(&baseline_path, text) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "tps-lint: froze {} violation(s) into {}",
-            report.diagnostics.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if opts.no_baseline {
-        Baseline::new()
-    } else if baseline_path.is_file() {
-        match fs::read_to_string(&baseline_path).map_err(|e| e.to_string()) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!(
-                        "error: corrupt ratchet file {}: {e}",
-                        baseline_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::new()
-    };
-
-    let (over, within) = report.against(&baseline);
-    let failed = !over.is_empty();
-
     if opts.json {
-        print!("{}", diag::to_json(&over, within.len(), failed));
+        print!("{}", diag::to_json(&diagnostics));
     } else {
-        for d in &over {
+        for d in &diagnostics {
             println!("{d}");
         }
-        if failed {
-            eprintln!(
-                "tps-lint: {} violation(s) above the frozen baseline ({} grandfathered)",
-                over.len(),
-                within.len()
-            );
+        if diagnostics.is_empty() {
+            eprintln!("tps-lint: clean");
         } else {
-            eprintln!(
-                "tps-lint: clean ({} grandfathered violation(s) within the baseline)",
-                within.len()
-            );
-        }
-        // Nudge when the ratchet can be tightened.
-        let counts = report.counts();
-        for (rule, path, budget) in baseline.iter() {
-            let now = counts
-                .iter()
-                .find(|((r, p), _)| *r == rule && *p == path)
-                .map(|(_, n)| *n)
-                .unwrap_or(0);
-            if now < budget {
-                eprintln!(
-                    "tps-lint: note: {rule} in {path} is below its frozen budget \
-                     ({now} < {budget}); tighten with --write-baseline"
-                );
-            }
+            eprintln!("tps-lint: {} violation(s)", diagnostics.len());
         }
     }
 
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if diagnostics.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -8,8 +8,8 @@
 //! can reach the deterministic crates' state or report fields.
 //!
 //! Every rule here runs only over [`DET_CRATES`] (plus `tps-check` for the
-//! wall-clock rule), skips test code, and flows through the same
-//! baseline/ratchet/suppression machinery as the per-file rules.
+//! wall-clock rule), skips test code, and honours the same inline
+//! suppressions as the per-file rules.
 
 use crate::diag::Diagnostic;
 use crate::file::FileCtx;

@@ -60,9 +60,7 @@ fn check(files: Vec<SourceFile>) {
     for f in &files {
         expected_errors(&f.rel_path, &f.text, &mut expected);
     }
-    let report = lint_files(&files);
-    let actual: BTreeSet<(String, u32, String)> = report
-        .diagnostics
+    let actual: BTreeSet<(String, u32, String)> = lint_files(&files)
         .iter()
         .map(|d| (d.path.clone(), d.line, d.rule.to_string()))
         .collect();
@@ -113,12 +111,12 @@ fn load_multi(rule: &str, which: &str) -> Vec<SourceFile> {
 fn check_single_rule(rule: &str) {
     let good = load_single(rule, "good");
     assert!(
-        lint_files(&good).diagnostics.is_empty(),
+        lint_files(&good).is_empty(),
         "{rule}/good.rs should lint clean"
     );
     let bad = load_single(rule, "bad");
     assert!(
-        !lint_files(&bad).diagnostics.is_empty(),
+        !lint_files(&bad).is_empty(),
         "{rule}/bad.rs should produce diagnostics"
     );
     check(bad);
@@ -127,12 +125,12 @@ fn check_single_rule(rule: &str) {
 fn check_multi_rule(rule: &str) {
     let good = load_multi(rule, "good");
     assert!(
-        lint_files(&good).diagnostics.is_empty(),
+        lint_files(&good).is_empty(),
         "{rule}/good/ should lint clean"
     );
     let bad = load_multi(rule, "bad");
     assert!(
-        !lint_files(&bad).diagnostics.is_empty(),
+        !lint_files(&bad).is_empty(),
         "{rule}/bad/ should produce diagnostics"
     );
     check(bad);

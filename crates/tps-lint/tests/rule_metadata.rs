@@ -38,7 +38,7 @@ fn every_rule_round_trips_through_the_json_renderer() {
             message: format!("sample {rule} finding"),
         })
         .collect();
-    let j = to_json(&diags, 0, true);
+    let j = to_json(&diags);
     for rule in RULES {
         assert!(
             j.contains(&format!("\"rule\": \"{rule}\"")),

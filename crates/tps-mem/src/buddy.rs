@@ -92,11 +92,6 @@ pub struct BuddyAllocator {
     total_bytes: u64,
     free_bytes: u64,
     max_order: u8,
-    /// Cumulative operation counts (used by the OS system-time model).
-    splits: u64,
-    merges: u64,
-    allocs: u64,
-    frees: u64,
     /// Optional fault injector consulted by [`BuddyAllocator::alloc`].
     /// `None` (the default) costs one branch per allocation. Cloning the
     /// allocator shares the injector stream with the clone.
@@ -126,10 +121,6 @@ impl BuddyAllocator {
             total_bytes,
             free_bytes: 0,
             max_order,
-            splits: 0,
-            merges: 0,
-            allocs: 0,
-            frees: 0,
             injector: None,
         };
         // Greedy decomposition of [0, total) into maximal aligned blocks.
@@ -221,11 +212,9 @@ impl BuddyAllocator {
             cur -= 1;
             let half = 1u64 << (BASE_PAGE_SHIFT + cur as u32);
             self.free_lists[cur as usize].insert(base + half);
-            self.splits += 1;
         }
         self.allocated.insert(base, want);
         self.free_bytes -= order.bytes();
-        self.allocs += 1;
         Ok(PhysAddr::new(base))
     }
 
@@ -265,7 +254,6 @@ impl BuddyAllocator {
         }
         self.allocated.remove(&base.value());
         self.free_bytes += order.bytes();
-        self.frees += 1;
         // Merge with the buddy while it is free.
         let mut cur_base = base.value();
         let mut cur_order = order.get();
@@ -276,7 +264,6 @@ impl BuddyAllocator {
             if self.free_lists[cur_order as usize].remove(&buddy) {
                 cur_base = cur_base.min(buddy);
                 cur_order += 1;
-                self.merges += 1;
             } else {
                 break;
             }
@@ -307,26 +294,6 @@ impl BuddyAllocator {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    /// Number of split operations performed so far.
-    pub fn split_count(&self) -> u64 {
-        self.splits
-    }
-
-    /// Number of buddy-merge operations performed so far.
-    pub fn merge_count(&self) -> u64 {
-        self.merges
-    }
-
-    /// Number of allocations performed so far.
-    pub fn alloc_count(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Number of frees performed so far.
-    pub fn free_count(&self) -> u64 {
-        self.frees
     }
 
     /// Checks internal invariants; used by tests and debug assertions.
@@ -535,17 +502,6 @@ mod tests {
         b.free(a, o(0)).unwrap();
         assert_eq!(b.free_bytes(), 1 << 20);
         b.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn op_counters_advance() {
-        let mut b = BuddyAllocator::new(1 << 20);
-        let x = b.alloc(o(0)).unwrap();
-        assert!(b.split_count() > 0);
-        assert_eq!(b.alloc_count(), 1);
-        b.free(x, o(0)).unwrap();
-        assert!(b.merge_count() > 0);
-        assert_eq!(b.free_count(), 1);
     }
 }
 

@@ -122,13 +122,6 @@ impl PolicyConfig {
         self
     }
 
-    /// Caps the largest created page order.
-    #[must_use]
-    pub fn with_max_order(mut self, max_order: PageOrder) -> Self {
-        self.max_order = max_order;
-        self
-    }
-
     /// Chooses the reservation rounding mode.
     #[must_use]
     pub fn with_rounding(mut self, rounding: ReservationRounding) -> Self {
@@ -191,11 +184,9 @@ mod tests {
     fn builder_chain() {
         let c = PolicyConfig::new(PolicyKind::Tps)
             .with_threshold(0.5)
-            .with_max_order(PageOrder::new(14).unwrap())
             .with_rounding(ReservationRounding::PowerOfTwo);
         assert_eq!(c.kind, PolicyKind::Tps);
         assert_eq!(c.promotion_threshold, 0.5);
-        assert_eq!(c.max_order.get(), 14);
         assert_eq!(c.rounding, ReservationRounding::PowerOfTwo);
     }
 

@@ -62,11 +62,6 @@ impl TimingBreakdown {
         self.pwc / self.total()
     }
 
-    /// Fraction of execution time spent in the OS (paper Fig. 17).
-    pub fn system_fraction(&self) -> f64 {
-        self.t_os / self.total()
-    }
-
     /// Speedup of `self` relative to `baseline` (>1 means faster).
     pub fn speedup_over(&self, baseline: &TimingBreakdown) -> f64 {
         baseline.total() / self.total()
@@ -218,9 +213,9 @@ mod tests {
         let model = TimingModel::default();
         let b = model.evaluate(&stats(10_000, 40_000), false);
         assert!(b.walk_active_fraction() > 0.0 && b.walk_active_fraction() < 1.0);
-        assert_eq!(b.system_fraction(), 0.0, "OS time is a full-run quantity");
+        assert_eq!(b.t_os, 0.0, "OS time is a full-run quantity");
         let full = model.evaluate_full_run(&stats(10_000, 40_000), false);
-        assert!(full.system_fraction() > 0.0 && full.system_fraction() < 0.05);
+        assert!(full.t_os < 0.05 * full.total());
         assert!((full.t_os - 10_000.0).abs() < 1e-9);
     }
 }

@@ -131,9 +131,6 @@ pub fn detect_run(
 pub struct ColtTlb {
     granularity: PageOrder,
     store: LruStore<ColtEntry>,
-    /// Sum of run lengths of filled entries (for reach statistics).
-    filled_pages: u64,
-    fills: u64,
 }
 
 impl ColtTlb {
@@ -147,8 +144,6 @@ impl ColtTlb {
         ColtTlb {
             granularity,
             store: LruStore::new(sets, ways),
-            filled_pages: 0,
-            fills: 0,
         }
     }
 
@@ -181,20 +176,9 @@ impl ColtTlb {
     /// Panics if the entry's granularity differs from the TLB's.
     pub fn fill(&mut self, entry: ColtEntry) {
         assert_eq!(entry.granularity, self.granularity, "granularity mismatch");
-        self.fills += 1;
-        self.filled_pages += entry.run_len as u64;
         let set = self.set_of_upn(entry.base_upn);
         self.store.retain_set(set, |e| !e.overlaps(&entry));
         self.store.fill(set, entry, |_| false);
-    }
-
-    /// Average pages per filled entry (the achieved coalescing factor).
-    pub fn mean_run_len(&self) -> f64 {
-        if self.fills == 0 {
-            1.0
-        } else {
-            self.filled_pages as f64 / self.fills as f64
-        }
     }
 
     /// Drops the entries a shootdown covers.
@@ -298,7 +282,6 @@ mod tests {
         };
         t.fill(long);
         assert_eq!(t.lookup(0, 15).unwrap().run_len, 8);
-        assert!((t.mean_run_len() - 5.0).abs() < 1e-9, "(2+8)/2 fills");
     }
 
     #[test]

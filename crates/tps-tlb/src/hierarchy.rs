@@ -480,14 +480,6 @@ impl TlbHierarchy {
     pub fn stats(&self) -> TlbStats {
         self.stats
     }
-
-    /// Mean CoLT run length (1.0 for other organizations).
-    pub fn colt_mean_run_len(&self) -> f64 {
-        match &self.l1 {
-            L1::Colt { c4k, .. } => c4k.mean_run_len(),
-            _ => 1.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -568,7 +560,6 @@ mod tests {
             assert!(h.lookup_l1(0, VirtAddr::new(i << 12)).is_some(), "page {i}");
         }
         assert!(h.lookup_l1(0, VirtAddr::new(8 << 12)).is_none());
-        assert!(h.colt_mean_run_len() > 7.9);
     }
 
     #[test]

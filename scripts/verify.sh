@@ -186,7 +186,7 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # library and binary targets.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tps-lint --workspace (workspace invariants, ratcheted)"
+echo "==> tps-lint --workspace (workspace invariants: any finding fails)"
 cargo run -q --release -p tps-lint -- --workspace
 
 echo "==> tps-lint --workspace --format json (machine-readable gate)"
@@ -196,35 +196,18 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-for key in ("diagnostics", "total", "grandfathered", "failed"):
+for key in ("diagnostics", "total", "failed"):
     assert key in doc, f"lint JSON is missing {key!r}"
 assert isinstance(doc["diagnostics"], list), "diagnostics must be a list"
 assert doc["total"] == len(doc["diagnostics"]), "total disagrees with the list"
-assert doc["failed"] is False, "lint JSON reports failed=true (non-ratcheted output)"
+assert doc["failed"] is False, "lint JSON reports failed=true"
 PYEOF
 else
     # Fallback without python3: structural greps.
     grep -q '"failed": false' "$tmpdir/lint.json" \
         || { echo "verify: lint JSON reports failure or is malformed" >&2; exit 1; }
-    grep -q '"grandfathered":' "$tmpdir/lint.json" \
-        || { echo "verify: lint JSON is missing the grandfathered count" >&2; exit 1; }
-fi
-
-echo "==> scripts/lint-ratchet.sh (baseline may only shrink)"
-scripts/lint-ratchet.sh
-
-echo "==> zero-debt gate (lint-baseline.toml grandfathers nothing)"
-# Every rule's baseline was burned to zero, the four hot-path rules since
-# they shipped; a section of any rule would grandfather new debt (the
-# ratchet script's new-rule exception must never be used to smuggle one
-# in). Fix the finding or suppress it inline with an audit reason.
-[ -f hot-paths.toml ] \
-    || { echo "verify: hot-paths.toml is missing — the reachability pass has no contract" >&2; exit 1; }
-if grep -q '^\[' lint-baseline.toml; then
-    echo "verify: lint-baseline.toml grandfathers findings:" >&2
-    grep -A3 '^\[' lint-baseline.toml >&2
-    echo "verify: burn the finding down or suppress it inline with an audit reason" >&2
-    exit 1
+    grep -q '"total":' "$tmpdir/lint.json" \
+        || { echo "verify: lint JSON is missing the total count" >&2; exit 1; }
 fi
 
 echo "==> cargo fmt --check"
