@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use crate::audit::Auditor;
-use crate::plan::{FaultPlan, FaultPlanConfig};
+use crate::{FaultPlan, FaultPlanConfig};
 use tps_core::rng::Rng;
 use tps_core::{InjectorHandle, PageOrder, TpsError, VirtAddr};
 use tps_os::{Os, OsStats, PolicyConfig, PolicyKind, Vma};

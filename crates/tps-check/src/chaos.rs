@@ -38,48 +38,13 @@ use tps_sim::{
 };
 use tps_wl::SuiteScale;
 
-/// SplitMix64's golden-gamma increment, reused to spread schedule indices.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+use crate::{ScheduleConfig, ScheduleFailure};
 
-/// Configuration of one chaos campaign.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Number of seeded kill/corruption/storm schedules to run.
-    pub schedules: u64,
-    /// Campaign base seed; every schedule's randomness derives from
-    /// `seed ^ (index * GOLDEN)`, so a failing index replays alone.
-    pub seed: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            schedules: 240,
-            seed: 0x7e57_c4a0_0000_0001,
-        }
-    }
-}
-
-/// One pinned schedule failure: everything needed to replay it.
-#[derive(Clone, Debug)]
-pub struct ChaosFailure {
-    /// The schedule's index within the campaign.
-    pub schedule: u64,
-    /// The schedule's derived seed (what [`run_schedule`] re-derives).
-    pub seed: u64,
-    /// What contract broke.
-    pub detail: String,
-}
-
-impl std::fmt::Display for ChaosFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "schedule {} (seed {:#x}): {}",
-            self.schedule, self.seed, self.detail
-        )
-    }
-}
+/// The pinned chaos campaign: 240 kill/corruption/storm schedules.
+pub const DEFAULT_CONFIG: ScheduleConfig = ScheduleConfig {
+    schedules: 240,
+    seed: 0x7e57_c4a0_0000_0001,
+};
 
 /// Aggregated outcome of a chaos campaign.
 #[derive(Clone, Debug, Default)]
@@ -102,7 +67,7 @@ pub struct ChaosReport {
     pub salvaged: u64,
     /// Contract violations, pinned for replay. Empty means the campaign
     /// passed.
-    pub failures: Vec<ChaosFailure>,
+    pub failures: Vec<ScheduleFailure>,
 }
 
 impl ChaosReport {
@@ -196,12 +161,12 @@ fn build_reference(dir: &Path) -> Result<Reference, String> {
 
 /// Runs the whole campaign in `dir` (scratch space; created if missing).
 /// Deterministic: same config, same verdicts.
-pub fn run_chaos_campaign(config: &ChaosConfig, dir: &Path) -> ChaosReport {
+pub fn run_chaos_campaign(config: &ScheduleConfig, dir: &Path) -> ChaosReport {
     let mut report = ChaosReport::default();
     let reference = match build_reference(dir) {
         Ok(reference) => reference,
         Err(detail) => {
-            report.failures.push(ChaosFailure {
+            report.failures.push(ScheduleFailure {
                 schedule: u64::MAX,
                 seed: config.seed,
                 detail,
@@ -216,7 +181,7 @@ pub fn run_chaos_campaign(config: &ChaosConfig, dir: &Path) -> ChaosReport {
             1 => report.corruptions += 1,
             _ => report.io_storms += 1,
         }
-        let seed = schedule_seed(config.seed, s);
+        let seed = config.schedule_seed(s);
         match run_schedule_inner(&reference, seed, s, dir) {
             Ok(outcome) => {
                 report.resumed += outcome.resumed;
@@ -224,7 +189,7 @@ pub fn run_chaos_campaign(config: &ChaosConfig, dir: &Path) -> ChaosReport {
                 report.harmless += outcome.harmless;
                 report.salvaged += outcome.salvaged;
             }
-            Err(detail) => report.failures.push(ChaosFailure {
+            Err(detail) => report.failures.push(ScheduleFailure {
                 schedule: s,
                 seed,
                 detail,
@@ -239,19 +204,9 @@ pub fn run_chaos_campaign(config: &ChaosConfig, dir: &Path) -> ChaosReport {
 /// # Errors
 ///
 /// The broken contract's description, exactly as the campaign pins it.
-pub fn run_schedule(config: &ChaosConfig, schedule: u64, dir: &Path) -> Result<(), String> {
+pub fn run_schedule(config: &ScheduleConfig, schedule: u64, dir: &Path) -> Result<(), String> {
     let reference = build_reference(dir)?;
-    run_schedule_inner(
-        &reference,
-        schedule_seed(config.seed, schedule),
-        schedule,
-        dir,
-    )
-    .map(|_| ())
-}
-
-fn schedule_seed(base: u64, schedule: u64) -> u64 {
-    base ^ schedule.wrapping_mul(GOLDEN)
+    run_schedule_inner(&reference, config.schedule_seed(schedule), schedule, dir).map(|_| ())
 }
 
 fn run_schedule_inner(

@@ -45,52 +45,15 @@ use tps_sim::{
 use tps_wl::{Event, Workload, WorkloadProfile};
 
 use crate::audit::Auditor;
-use crate::plan::{FaultPlan, FaultPlanConfig};
-
-/// SplitMix64's golden-gamma increment, reused to spread schedule indices.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+use crate::{FaultPlan, FaultPlanConfig, ScheduleConfig, ScheduleFailure};
 
 const MIB: u64 = 1 << 20;
 
-/// Configuration of one containment campaign.
-#[derive(Clone, Copy, Debug)]
-pub struct ContainmentConfig {
-    /// Number of seeded multi-tenant schedules to run.
-    pub schedules: u64,
-    /// Campaign base seed; every schedule's randomness derives from
-    /// `seed ^ (index * GOLDEN)`, so a failing index replays alone.
-    pub seed: u64,
-}
-
-impl Default for ContainmentConfig {
-    fn default() -> Self {
-        ContainmentConfig {
-            schedules: 240,
-            seed: 0x7e57_dead_0000_0002,
-        }
-    }
-}
-
-/// One pinned schedule failure: everything needed to replay it.
-#[derive(Clone, Debug)]
-pub struct ContainmentFailure {
-    /// The schedule's index within the campaign.
-    pub schedule: u64,
-    /// The schedule's derived seed (what [`run_schedule`] re-derives).
-    pub seed: u64,
-    /// What contract broke.
-    pub detail: String,
-}
-
-impl std::fmt::Display for ContainmentFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "schedule {} (seed {:#x}): {}",
-            self.schedule, self.seed, self.detail
-        )
-    }
-}
+/// The pinned containment campaign: 240 multi-tenant schedules.
+pub const DEFAULT_CONFIG: ScheduleConfig = ScheduleConfig {
+    schedules: 240,
+    seed: 0x7e57_dead_0000_0002,
+};
 
 /// Aggregated outcome of a containment campaign.
 #[derive(Clone, Debug, Default)]
@@ -114,7 +77,7 @@ pub struct ContainmentReport {
     pub completed: u64,
     /// Contract violations, pinned for replay. Empty means the campaign
     /// passed.
-    pub failures: Vec<ContainmentFailure>,
+    pub failures: Vec<ScheduleFailure>,
 }
 
 impl ContainmentReport {
@@ -504,10 +467,6 @@ fn run_manual(plan: &SchedulePlan) -> Result<MachineRunStats, String> {
     result.map_err(panic_detail)?
 }
 
-fn schedule_seed(base: u64, schedule: u64) -> u64 {
-    base ^ schedule.wrapping_mul(GOLDEN)
-}
-
 fn run_schedule_inner(seed: u64, schedule: u64) -> Result<MachineRunStats, String> {
     let plan = derive_plan(seed, schedule);
     if plan.manual {
@@ -524,11 +483,11 @@ fn run_schedule_inner(seed: u64, schedule: u64) -> Result<MachineRunStats, Strin
 }
 
 /// Runs the whole campaign. Deterministic: same config, same verdicts.
-pub fn run_containment_campaign(config: &ContainmentConfig) -> ContainmentReport {
+pub fn run_containment_campaign(config: &ScheduleConfig) -> ContainmentReport {
     let mut report = ContainmentReport::default();
     for s in 0..config.schedules {
         report.schedules += 1;
-        let seed = schedule_seed(config.seed, s);
+        let seed = config.schedule_seed(s);
         let plan = derive_plan(seed, s);
         if plan.manual {
             report.manual += 1;
@@ -554,7 +513,7 @@ pub fn run_containment_campaign(config: &ContainmentConfig) -> ContainmentReport
                     }
                 }
             }
-            Err(detail) => report.failures.push(ContainmentFailure {
+            Err(detail) => report.failures.push(ScheduleFailure {
                 schedule: s,
                 seed,
                 detail,
@@ -569,6 +528,6 @@ pub fn run_containment_campaign(config: &ContainmentConfig) -> ContainmentReport
 /// # Errors
 ///
 /// The broken contract's description, exactly as the campaign pins it.
-pub fn run_schedule(config: &ContainmentConfig, schedule: u64) -> Result<(), String> {
-    run_schedule_inner(schedule_seed(config.seed, schedule), schedule).map(|_| ())
+pub fn run_schedule(config: &ScheduleConfig, schedule: u64) -> Result<(), String> {
+    run_schedule_inner(config.schedule_seed(schedule), schedule).map(|_| ())
 }

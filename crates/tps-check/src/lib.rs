@@ -49,8 +49,9 @@ mod audit;
 pub mod campaign;
 pub mod chaos;
 pub mod containment;
-mod plan;
+mod schedule;
 pub mod shadow;
 
 pub use audit::Auditor;
-pub use plan::{FaultPlan, FaultPlanConfig};
+pub use schedule::{ScheduleConfig, ScheduleFailure};
+pub use tps_core::{FaultPlan, FaultPlanConfig};

@@ -10,7 +10,7 @@
 //! TLBs, and no injector. Injected hardware faults may only cost time;
 //! any divergence from the reference is a correctness violation.
 
-use crate::plan::{FaultPlan, FaultPlanConfig};
+use crate::{FaultPlan, FaultPlanConfig};
 use tps_core::rng::Rng;
 use tps_core::{PhysAddr, VirtAddr, BASE_PAGE_SIZE};
 use tps_os::{Os, PolicyConfig, PolicyKind, Vma};

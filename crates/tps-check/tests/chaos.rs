@@ -8,11 +8,11 @@
 //! `chaos::run_schedule` at the (schedule, seed) pair the assertion
 //! message prints.
 
-use tps_check::chaos::{run_chaos_campaign, scratch_dir, ChaosConfig};
+use tps_check::chaos::{run_chaos_campaign, scratch_dir, DEFAULT_CONFIG};
 
 #[test]
 fn chaos_campaign_holds_every_artifact_contract() {
-    let config = ChaosConfig::default();
+    let config = DEFAULT_CONFIG;
     assert!(
         config.schedules >= 200,
         "the acceptance bar is >= 200 pinned-seed schedules"

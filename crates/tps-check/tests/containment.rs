@@ -4,11 +4,11 @@
 //! buddy state after every kill, per-tenant statistics that sum exactly
 //! to the rollup, and byte-for-byte reproducible kill sequences.
 
-use tps_check::containment::{run_containment_campaign, ContainmentConfig};
+use tps_check::containment::{run_containment_campaign, DEFAULT_CONFIG};
 
 #[test]
 fn containment_campaign_holds_every_contract() {
-    let config = ContainmentConfig::default();
+    let config = DEFAULT_CONFIG;
     assert!(
         config.schedules >= 200,
         "the campaign must stay substantial"
@@ -32,6 +32,6 @@ fn containment_campaign_holds_every_contract() {
 
 #[test]
 fn one_pinned_schedule_replays_in_isolation() {
-    let config = ContainmentConfig::default();
+    let config = DEFAULT_CONFIG;
     tps_check::containment::run_schedule(&config, 0).expect("schedule 0 upholds the contracts");
 }

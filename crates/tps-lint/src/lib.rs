@@ -59,16 +59,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     diagnostics
 }
 
-/// Lints one in-memory file (per-file rules only) — the fixture-test entry
-/// point for single-file rules.
-pub fn lint_single(crate_name: &str, rel_path: &str, text: &str) -> Vec<Diagnostic> {
-    lint_files(&[SourceFile {
-        rel_path: rel_path.to_string(),
-        crate_name: crate_name.to_string(),
-        text: text.to_string(),
-    }])
-}
-
 /// Walks the workspace at `root` and lints every Rust source file.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     Ok(lint_files(&collect_files(root)?))
@@ -161,22 +151,30 @@ fn walk(root: &Path, dir: &Path, crate_name: &str, out: &mut Vec<SourceFile>) ->
 mod tests {
     use super::*;
 
+    fn lint_one(crate_name: &str, text: &str) -> Vec<Diagnostic> {
+        lint_files(&[SourceFile {
+            rel_path: format!("crates/{crate_name}/src/f.rs"),
+            crate_name: crate_name.to_string(),
+            text: text.to_string(),
+        }])
+    }
+
     #[test]
     fn single_file_lint_flags_and_suppresses() {
         let bad = "fn f() { let x = y.unwrap(); }\n";
-        let diags = lint_single("tps-os", "crates/tps-os/src/f.rs", bad);
+        let diags = lint_one("tps-os", bad);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, rules::PANIC_FREE);
         assert_eq!(diags[0].line, 1);
 
         let ok = "fn f() { let x = y.unwrap(); } \
                   // tps-lint::allow(panic-free-fault-path, reason = \"test of suppression\")\n";
-        assert!(lint_single("tps-os", "crates/tps-os/src/f.rs", ok).is_empty());
+        assert!(lint_one("tps-os", ok).is_empty());
     }
 
     #[test]
     fn non_fault_path_crate_may_unwrap() {
         let src = "fn f() { let x = y.unwrap(); }\n";
-        assert!(lint_single("tps-wl", "crates/tps-wl/src/f.rs", src).is_empty());
+        assert!(lint_one("tps-wl", src).is_empty());
     }
 }

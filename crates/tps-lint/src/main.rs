@@ -5,7 +5,8 @@
 //! cargo run -p tps-lint -- --explain <rule>
 //! ```
 //!
-//! Exit codes: 0 clean, 1 on any finding, 2 usage or I/O error.
+//! Exit codes: 0 clean (or `--help`, which prints the usage on stdout),
+//! 1 on any finding, 2 usage or I/O error.
 
 use std::env;
 use std::path::PathBuf;
@@ -29,6 +30,7 @@ OPTIONS:
 ";
 
 struct Options {
+    help: bool,
     json: bool,
     explain: Option<String>,
     root: Option<PathBuf>,
@@ -36,6 +38,7 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
+        help: false,
         json: false,
         explain: None,
         root: None,
@@ -61,11 +64,11 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
             }
-            "--help" | "-h" => return Err(String::new()),
+            "--help" | "-h" => opts.help = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if !workspace && opts.explain.is_none() {
+    if !workspace && opts.explain.is_none() && !opts.help {
         return Err("pass --workspace or --explain <rule>".to_string());
     }
     Ok(opts)
@@ -75,13 +78,14 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprint!("{USAGE}");
+            eprint!("error: {msg}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
+    if opts.help {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
 
     if let Some(rule) = &opts.explain {
         return match rules::explain(rule) {

@@ -2,7 +2,7 @@
 //!
 //! | code | meaning                           |
 //! |------|-----------------------------------|
-//! | 0    | no unsuppressed finding           |
+//! | 0    | no unsuppressed finding, `--help` |
 //! | 1    | one or more findings              |
 //! | 2    | usage or I/O error                |
 
@@ -89,4 +89,21 @@ fn retired_flags_are_unknown_arguments() {
         );
     }
     let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn help_prints_the_usage_on_stdout_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tps-lint"))
+            .arg(flag)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("USAGE:") && stdout.contains("--workspace"),
+            "{flag}: {stdout}"
+        );
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
 }

@@ -310,18 +310,22 @@ impl Os {
         &self.noise_blocks
     }
 
-    /// Models IPI delivery for a batch of shootdowns: an installed fault
-    /// injector may drop a delivery, which the OS detects (ack timeout) and
-    /// re-issues, counting [`OsStats::shootdowns_retried`]. The returned
-    /// shootdown lists are therefore always complete. Bounded retries keep
-    /// a pathological injector from hanging the simulation. Re-issues are
-    /// charged to `payer` (see [`Os::ledger`]).
-    fn deliver_shootdowns(&mut self, payer: Option<Asid>, shootdowns: &[Shootdown]) {
+    /// Issues a batch of TLB shootdowns on `payer`'s account (see
+    /// [`Os::ledger`]): counts them, charges one IPI each, and models their
+    /// delivery. An installed fault injector may drop a delivery, which the
+    /// OS detects (ack timeout) and re-issues, counting
+    /// [`OsStats::shootdowns_retried`]. The returned shootdown lists are
+    /// therefore always complete. Bounded retries keep a pathological
+    /// injector from hanging the simulation.
+    fn issue_shootdowns(&mut self, payer: Option<Asid>, shootdowns: &[Shootdown]) {
+        let cost = self.cost.shootdown;
+        let ledger = self.ledger(payer);
+        ledger.shootdowns += shootdowns.len() as u64;
+        ledger.op_cycles += cost * shootdowns.len() as u64;
         if self.injector.is_none() {
             return;
         }
         const MAX_RETRIES: u32 = 8;
-        let cost = self.cost.shootdown;
         for _ in shootdowns {
             let mut attempts = 0;
             while attempts < MAX_RETRIES
@@ -570,14 +574,12 @@ impl Os {
             let proc = self.proc_mut(asid);
             for seg in &segments {
                 let va = VirtAddr::new(va_base.value() + seg.offset);
-                let before = proc.page_table.pte_writes();
-                proc.page_table.map(
+                pte_cost += proc.page_table.map(
                     va,
                     seg.base,
                     seg.order,
                     PteFlags::WRITABLE | PteFlags::USER,
                 )?;
-                pte_cost += proc.page_table.pte_writes() - before;
                 zero_pages += seg.order.base_pages();
             }
         }
@@ -619,10 +621,9 @@ impl Os {
                     } else {
                         PageOrder::P4K
                     };
-                    let before = proc.page_table.pte_writes();
-                    proc.page_table
-                        .map(va, pa, order, PteFlags::WRITABLE | PteFlags::USER)?;
-                    pte_cost += proc.page_table.pte_writes() - before;
+                    pte_cost +=
+                        proc.page_table
+                            .map(va, pa, order, PteFlags::WRITABLE | PteFlags::USER)?;
                     zero_pages += order.base_pages();
                     off += order.bytes();
                 }
@@ -703,22 +704,6 @@ impl Os {
         }
     }
 
-    fn map_counted(
-        &mut self,
-        asid: Asid,
-        va: VirtAddr,
-        pa: PhysAddr,
-        order: PageOrder,
-        flags: PteFlags,
-    ) -> Result<(), TpsError> {
-        let proc = self.proc_mut(asid);
-        let before = proc.page_table.pte_writes();
-        proc.page_table.map(va, pa, order, flags)?;
-        let writes = proc.page_table.pte_writes() - before;
-        self.charge(asid, self.cost.pte_write * writes);
-        Ok(())
-    }
-
     fn fault_direct_4k(
         &mut self,
         asid: Asid,
@@ -727,14 +712,15 @@ impl Os {
     ) -> Result<FaultOutcome, TpsError> {
         let page_va = va.align_down(BASE_PAGE_SHIFT);
         let pa = self.alloc_direct(asid, vma.base(), PageOrder::P4K)?;
-        self.map_counted(
-            asid,
+        let proc = self.proc_mut(asid);
+        let stores = proc.page_table.map(
             page_va,
             pa,
             PageOrder::P4K,
             PteFlags::WRITABLE | PteFlags::USER,
         )?;
-        self.proc_mut(asid).touched_pages += 1;
+        proc.touched_pages += 1;
+        self.charge(asid, self.cost.pte_write * stores);
         Ok(FaultOutcome {
             va,
             mapped_order: PageOrder::P4K,
@@ -752,14 +738,15 @@ impl Os {
         let chunk_end = chunk.value() + PageOrder::P2M.bytes();
         if chunk >= vma.base() && chunk_end <= vma.end().value() {
             if let Ok(pa) = self.alloc_direct(asid, vma.base(), PageOrder::P2M) {
-                self.map_counted(
-                    asid,
+                let proc = self.proc_mut(asid);
+                let stores = proc.page_table.map(
                     chunk,
                     pa,
                     PageOrder::P2M,
                     PteFlags::WRITABLE | PteFlags::USER,
                 )?;
-                self.proc_mut(asid).touched_pages += 1;
+                proc.touched_pages += 1;
+                self.charge(asid, self.cost.pte_write * stores);
                 return Ok(FaultOutcome {
                     va,
                     mapped_order: PageOrder::P2M,
@@ -875,13 +862,13 @@ impl Os {
         let mut mapped_order = match current {
             Some(leaf) => leaf.order,
             None => {
-                self.map_counted(
-                    asid,
+                let stores = self.proc_mut(asid).page_table.map(
                     page_va,
                     pa.align_down(BASE_PAGE_SHIFT),
                     PageOrder::P4K,
                     PteFlags::WRITABLE | PteFlags::USER,
                 )?;
+                self.charge(asid, self.cost.pte_write * stores);
                 PageOrder::P4K
             }
         };
@@ -909,7 +896,8 @@ impl Os {
             // Never promote over copy-on-write-shared leaves: a writable
             // large page would bypass the sharing (only possible after a
             // fork, so the scan is free for ordinary processes).
-            if !self.shares.is_empty() && self.range_has_shared_leaf(asid, va_k, order) {
+            let va_end = va_k + order.bytes();
+            if !self.shares.is_empty() && self.first_shared_leaf(asid, va_k, va_end).is_some() {
                 return Ok(FaultOutcome {
                     va,
                     mapped_order,
@@ -926,8 +914,9 @@ impl Os {
             };
             debug_assert!(va_k.is_aligned(order.shift()));
             debug_assert!(pa_k.is_aligned(order.shift()));
-            self.map_counted(asid, va_k, pa_k, order, PteFlags::WRITABLE | PteFlags::USER)?;
-            self.charge(asid, self.cost.promote_op);
+            let rw = PteFlags::WRITABLE | PteFlags::USER;
+            let stores = self.proc_mut(asid).page_table.map(va_k, pa_k, order, rw)?;
+            self.charge(asid, self.cost.pte_write * stores + self.cost.promote_op);
             self.proc_mut(asid).stats.promotions += 1;
             mapped_order = order;
             promoted = true;
@@ -965,44 +954,30 @@ impl Os {
         self.processes[child as usize].address_space =
             self.processes[parent as usize].address_space.clone();
         let mut shootdowns = Vec::new();
-        let mut pte_cost = 0u64;
+        let mut stores = 0u64;
+        let ro = PteFlags::USER; // no WRITABLE
         for vma in &parent_vmas {
-            let mut va = vma.base();
-            while va < vma.end() {
-                let leaf = self.processes[parent as usize].page_table.lookup(va);
-                match leaf {
-                    Some(leaf) => {
-                        let ro = PteFlags::USER; // no WRITABLE
-                                                 // Downgrade the parent and mirror into the child.
-                        let (pp, cp) = {
-                            let p = &mut self.processes[parent as usize].page_table;
-                            let before = p.pte_writes();
-                            p.map(va, leaf.base, leaf.order, ro)?;
-                            let pw = p.pte_writes() - before;
-                            let c = &mut self.processes[child as usize].page_table;
-                            let before = c.pte_writes();
-                            c.map(va, leaf.base, leaf.order, ro)?;
-                            (pw, c.pte_writes() - before)
-                        };
-                        pte_cost += pp + cp;
-                        self.shares.share(leaf.base.base_page_number(), leaf.order);
-                        shootdowns.push(Shootdown {
-                            asid: parent,
-                            va,
-                            order: leaf.order,
-                        });
-                        va = VirtAddr::new(va.value() + leaf.order.bytes());
-                    }
-                    None => va = VirtAddr::new(va.value() + (1 << BASE_PAGE_SHIFT)),
+            let mut cursor = vma.base();
+            while let Some((va, leaf)) = self.processes[parent as usize]
+                .page_table
+                .next_leaf(cursor, vma.end())
+            {
+                // Downgrade the parent and mirror into the child.
+                for pid in [parent, child] {
+                    let pt = &mut self.processes[pid as usize].page_table;
+                    stores += pt.map(va, leaf.base, leaf.order, ro)?;
                 }
+                self.shares.share(leaf.base.base_page_number(), leaf.order);
+                shootdowns.push(Shootdown {
+                    asid: parent,
+                    va,
+                    order: leaf.order,
+                });
+                cursor = va + leaf.order.bytes();
             }
         }
-        self.proc_mut(parent).stats.shootdowns += shootdowns.len() as u64;
-        self.charge(
-            parent,
-            self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64,
-        );
-        self.deliver_shootdowns(Some(parent), &shootdowns);
+        self.charge(parent, self.cost.pte_write * stores);
+        self.issue_shootdowns(Some(parent), &shootdowns);
         Ok((child, shootdowns))
     }
 
@@ -1046,27 +1021,25 @@ impl Os {
             .find(va)
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?
             .base();
-        let mut shootdowns = vec![Shootdown {
-            asid,
-            va: va_page,
-            order,
-        }];
-
-        if self.shares.count(pfn, order) <= 1 {
-            // Sole owner: regain write permission in place.
-            self.map_counted(asid, va_page, leaf.base, order, rw)?;
-            self.proc_mut(asid).stats.shootdowns += 1;
-            self.charge(asid, self.cost.shootdown);
-            self.deliver_shootdowns(Some(asid), &shootdowns);
-            return Ok(shootdowns);
-        }
 
         match self.cow_policy {
+            // Sole owner: regain write permission in place.
+            _ if self.shares.count(pfn, order) <= 1 => {
+                let stores = self
+                    .proc_mut(asid)
+                    .page_table
+                    .map(va_page, leaf.base, order, rw)?;
+                self.charge(asid, self.cost.pte_write * stores);
+            }
             CowPolicy::CopyWholePage => {
                 let new = self.alloc_direct(asid, vma_base, order)?;
                 self.proc_mut(asid).stats.cow_bytes_copied += order.bytes();
                 self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
-                self.map_counted(asid, va_page, new, order, rw)?;
+                let stores = self
+                    .proc_mut(asid)
+                    .page_table
+                    .map(va_page, new, order, rw)?;
+                self.charge(asid, self.cost.pte_write * stores);
                 self.shares.release(pfn, order)?;
             }
             CowPolicy::CopySmallest => {
@@ -1077,25 +1050,27 @@ impl Os {
                 for i in 0..order.base_pages() {
                     let sub_va = VirtAddr::new(va_page.value() + i * BASE_PAGE_SIZE);
                     let sub_pa = PhysAddr::from_pfn(pfn + i);
-                    self.map_counted(asid, sub_va, sub_pa, PageOrder::P4K, ro)?;
+                    let pt = &mut self.proc_mut(asid).page_table;
+                    let stores = pt.map(sub_va, sub_pa, PageOrder::P4K, ro)?;
+                    self.charge(asid, self.cost.pte_write * stores);
                 }
                 let fault_va = va.align_down(BASE_PAGE_SHIFT);
                 let fault_sub = (fault_va - va_page) >> BASE_PAGE_SHIFT;
                 let new = self.alloc_direct(asid, vma_base, PageOrder::P4K)?;
                 self.proc_mut(asid).stats.cow_bytes_copied += BASE_PAGE_SIZE;
                 self.charge(asid, self.cost.zero_4k);
-                self.map_counted(asid, fault_va, new, PageOrder::P4K, rw)?;
+                let pt = &mut self.proc_mut(asid).page_table;
+                let stores = pt.map(fault_va, new, PageOrder::P4K, rw)?;
+                self.charge(asid, self.cost.pte_write * stores);
                 self.shares.release(pfn + fault_sub, PageOrder::P4K)?;
             }
         }
-        self.proc_mut(asid).stats.shootdowns += 1;
-        self.charge(asid, self.cost.shootdown);
-        shootdowns.push(Shootdown {
+        let shootdowns = vec![Shootdown {
             asid,
             va: va_page,
             order,
-        });
-        self.deliver_shootdowns(Some(asid), &shootdowns);
+        }];
+        self.issue_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 
@@ -1121,8 +1096,7 @@ impl Os {
         len: u64,
         writable: bool,
     ) -> Result<Vec<Shootdown>, TpsError> {
-        if !va.is_aligned(BASE_PAGE_SHIFT) || !len.is_multiple_of(1 << BASE_PAGE_SHIFT) || len == 0
-        {
+        if !va.is_aligned(BASE_PAGE_SHIFT) || !len.is_multiple_of(BASE_PAGE_SIZE) || len == 0 {
             return Err(TpsError::Misaligned {
                 addr: va.value(),
                 shift: BASE_PAGE_SHIFT,
@@ -1144,22 +1118,22 @@ impl Os {
             PteFlags::USER
         };
         let mut shootdowns = Vec::new();
-        let mut cursor = va.align_down(BASE_PAGE_SHIFT);
-        while cursor.value() < end {
-            let Some(leaf) = self.processes[asid as usize].page_table.lookup(cursor) else {
-                cursor = VirtAddr::new(cursor.value() + (1 << BASE_PAGE_SHIFT));
-                continue;
-            };
+        let mut cursor = va;
+        while let Some((leaf_va, leaf)) = self.processes[asid as usize]
+            .page_table
+            .next_leaf(cursor, VirtAddr::new(end))
+        {
             if self.shares.count(leaf.base.base_page_number(), leaf.order) > 1 {
                 return Err(TpsError::SharedMapping {
-                    vaddr: cursor.value(),
+                    vaddr: leaf_va.max(va).value(),
                 });
             }
-            let leaf_va = cursor.align_down(leaf.order.shift());
             let leaf_end = leaf_va.value() + leaf.order.bytes();
             let fully_inside = leaf_va.value() >= va.value() && leaf_end <= end;
             if fully_inside {
-                self.map_counted(asid, leaf_va, leaf.base, leaf.order, new_flags)?;
+                let pt = &mut self.proc_mut(asid).page_table;
+                let stores = pt.map(leaf_va, leaf.base, leaf.order, new_flags)?;
+                self.charge(asid, self.cost.pte_write * stores);
             } else {
                 // Straddling leaf: split to base pages, changing only the
                 // in-range ones.
@@ -1172,13 +1146,10 @@ impl Os {
                     let sub_va = VirtAddr::new(leaf_va.value() + i * BASE_PAGE_SIZE);
                     let sub_pa = PhysAddr::new(leaf.base.value() + i * BASE_PAGE_SIZE);
                     let inside = sub_va.value() >= va.value() && sub_va.value() < end;
-                    self.map_counted(
-                        asid,
-                        sub_va,
-                        sub_pa,
-                        PageOrder::P4K,
-                        if inside { new_flags } else { keep_flags },
-                    )?;
+                    let flags = if inside { new_flags } else { keep_flags };
+                    let pt = &mut self.proc_mut(asid).page_table;
+                    let stores = pt.map(sub_va, sub_pa, PageOrder::P4K, flags)?;
+                    self.charge(asid, self.cost.pte_write * stores);
                 }
             }
             shootdowns.push(Shootdown {
@@ -1188,9 +1159,7 @@ impl Os {
             });
             cursor = VirtAddr::new(leaf_end);
         }
-        self.proc_mut(asid).stats.shootdowns += shootdowns.len() as u64;
-        self.charge(asid, self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(Some(asid), &shootdowns);
+        self.issue_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 
@@ -1281,42 +1250,32 @@ impl Os {
 
         // Rewrite page-table leaves pointing into moved blocks.
         let mut shootdowns = Vec::new();
-        let mut pte_cost = 0u64;
+        let mut stores = 0u64;
         for pid in 0..self.processes.len() {
             let vmas: Vec<Vma> = self.processes[pid].address_space.iter().cloned().collect();
             for vma in vmas {
-                let mut va = vma.base();
-                while va < vma.end() {
-                    let leaf = self.processes[pid].page_table.lookup(va);
-                    match leaf {
-                        Some(leaf) => {
-                            if let Some(new) = relocate(leaf.base) {
-                                let pt = &mut self.processes[pid].page_table;
-                                let before = pt.pte_writes();
-                                pt.map(va, new, leaf.order, leaf.flags).map_err(|e| {
-                                    TpsError::invariant(
-                                        InvariantLayer::PageTable,
-                                        format!("remap to migrated frame at {va} failed: {e}"),
-                                    )
-                                })?;
-                                pte_cost += pt.pte_writes() - before;
-                                shootdowns.push(Shootdown {
-                                    asid: pid as Asid,
-                                    va,
-                                    order: leaf.order,
-                                });
-                            }
-                            va = VirtAddr::new(va.value() + leaf.order.bytes());
-                        }
-                        None => va = VirtAddr::new(va.value() + (1 << BASE_PAGE_SHIFT)),
+                let pt = &mut self.processes[pid].page_table;
+                let mut cursor = vma.base();
+                while let Some((va, leaf)) = pt.next_leaf(cursor, vma.end()) {
+                    if let Some(new) = relocate(leaf.base) {
+                        stores += pt.map(va, new, leaf.order, leaf.flags).map_err(|e| {
+                            TpsError::invariant(
+                                InvariantLayer::PageTable,
+                                format!("remap to migrated frame at {va} failed: {e}"),
+                            )
+                        })?;
+                        shootdowns.push(Shootdown {
+                            asid: pid as Asid,
+                            va,
+                            order: leaf.order,
+                        });
                     }
+                    cursor = va + leaf.order.bytes();
                 }
             }
         }
-        self.machine_stats.shootdowns += shootdowns.len() as u64;
-        self.machine_stats.op_cycles +=
-            self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64;
-        self.deliver_shootdowns(None, &shootdowns);
+        self.machine_stats.op_cycles += self.cost.pte_write * stores;
+        self.issue_shootdowns(None, &shootdowns);
         Ok((outcome, shootdowns))
     }
 
@@ -1339,12 +1298,11 @@ impl Os {
                 .cloned()
                 .collect();
             for vma in vmas {
-                let mut va = vma.base();
-                while va < vma.end() {
-                    let Some(leaf) = self.processes[asid as usize].page_table.lookup(va) else {
-                        va = VirtAddr::new(va.value() + (1 << BASE_PAGE_SHIFT));
-                        continue;
-                    };
+                let mut cursor = vma.base();
+                while let Some((va, leaf)) = self.processes[asid as usize]
+                    .page_table
+                    .next_leaf(cursor, vma.end())
+                {
                     let order = leaf.order;
                     let next = order.get() + 1;
                     let buddy_va = VirtAddr::new(va.value() + order.bytes());
@@ -1363,21 +1321,18 @@ impl Os {
                                         == leaf.flags.contains(PteFlags::WRITABLE)
                                     && self.shares.count(b.base.base_page_number(), order) <= 1
                             });
+                    cursor = va + order.bytes();
                     if mergeable {
                         let merged_order = PageOrder::new_unchecked(next);
                         // Remapping existing leaves does not fail in
                         // practice; a pair whose remap fails stays unmerged.
-                        if self
-                            .map_counted(asid, va, leaf.base, merged_order, leaf.flags)
-                            .is_ok()
-                        {
-                            self.charge(asid, self.cost.promote_op);
+                        let pt = &mut self.proc_mut(asid).page_table;
+                        if let Ok(stores) = pt.map(va, leaf.base, merged_order, leaf.flags) {
+                            self.charge(asid, self.cost.pte_write * stores + self.cost.promote_op);
                             merged_this_pass += 1;
-                            va = VirtAddr::new(va.value() + merged_order.bytes());
-                            continue;
+                            cursor = va + merged_order.bytes();
                         }
                     }
-                    va = VirtAddr::new(va.value() + order.bytes());
                 }
             }
             total += merged_this_pass;
@@ -1389,23 +1344,17 @@ impl Os {
         total
     }
 
-    /// True if any leaf inside `[va, va + size)` is CoW-shared.
-    fn range_has_shared_leaf(&self, asid: Asid, va: VirtAddr, order: PageOrder) -> bool {
-        let proc = &self.processes[asid as usize];
-        let end = va.value() + order.bytes();
-        let mut cur = va;
-        while cur.value() < end {
-            match proc.page_table.lookup(cur) {
-                Some(leaf) => {
-                    if self.shares.count(leaf.base.base_page_number(), leaf.order) > 1 {
-                        return true;
-                    }
-                    cur = VirtAddr::new(cur.value() + leaf.order.bytes());
-                }
-                None => cur = VirtAddr::new(cur.value() + (1 << BASE_PAGE_SHIFT)),
+    /// The base of the first CoW-shared leaf meeting `[start, end)`.
+    fn first_shared_leaf(&self, asid: Asid, start: VirtAddr, end: VirtAddr) -> Option<VirtAddr> {
+        let pt = &self.processes[asid as usize].page_table;
+        let mut cursor = start;
+        while let Some((va, leaf)) = pt.next_leaf(cursor, end) {
+            if self.shares.count(leaf.base.base_page_number(), leaf.order) > 1 {
+                return Some(va);
             }
+            cursor = va + leaf.order.bytes();
         }
-        false
+        None
     }
 
     /// Serves `munmap` of the VMA starting at `base`, freeing frames and
@@ -1417,52 +1366,32 @@ impl Os {
     pub fn munmap(&mut self, asid: Asid, base: VirtAddr) -> Result<Vec<Shootdown>, TpsError> {
         // Reject ranges with live CoW sharing: the block-ownership model
         // cannot reclaim frames another process still references.
-        {
-            let proc = &self.processes[asid as usize];
-            if let Some(vma) = proc.address_space.find(base) {
-                let mut va = vma.base();
-                while va < vma.end() {
-                    match proc.page_table.lookup(va) {
-                        Some(leaf) => {
-                            if self.shares.count(leaf.base.base_page_number(), leaf.order) > 1 {
-                                return Err(TpsError::SharedMapping { vaddr: va.value() });
-                            }
-                            va = VirtAddr::new(va.value() + leaf.order.bytes());
-                        }
-                        None => va = VirtAddr::new(va.value() + (1 << BASE_PAGE_SHIFT)),
-                    }
-                }
-            }
+        let vma = self.processes[asid as usize].address_space.find(base);
+        if let Some(va) = vma.and_then(|vma| self.first_shared_leaf(asid, vma.base(), vma.end())) {
+            return Err(TpsError::SharedMapping { vaddr: va.value() });
         }
         let vma = self.proc_mut(asid).address_space.unmap_region(base)?;
         self.proc_mut(asid).stats.munmaps += 1;
         let mut shootdowns = Vec::new();
 
         // Unmap every leaf in the range.
-        let mut pte_cost = 0u64;
+        let mut stores = 0u64;
         {
-            let proc = self.proc_mut(asid);
-            let mut va = vma.base();
-            while va < vma.end() {
-                match proc.page_table.lookup(va) {
-                    Some(leaf) => {
-                        let before = proc.page_table.pte_writes();
-                        proc.page_table.unmap(va, leaf.order).map_err(|e| {
-                            TpsError::invariant(
-                                InvariantLayer::PageTable,
-                                format!("munmap of just-looked-up leaf at {va} failed: {e}"),
-                            )
-                        })?;
-                        pte_cost += proc.page_table.pte_writes() - before;
-                        shootdowns.push(Shootdown {
-                            asid,
-                            va,
-                            order: leaf.order,
-                        });
-                        va = VirtAddr::new(va.value() + leaf.order.bytes());
-                    }
-                    None => va = VirtAddr::new(va.value() + (1 << BASE_PAGE_SHIFT)),
-                }
+            let pt = &mut self.proc_mut(asid).page_table;
+            let mut cursor = vma.base();
+            while let Some((va, leaf)) = pt.next_leaf(cursor, vma.end()) {
+                stores += pt.unmap(va, leaf.order).map_err(|e| {
+                    TpsError::invariant(
+                        InvariantLayer::PageTable,
+                        format!("munmap of just-listed leaf at {va} failed: {e}"),
+                    )
+                })?;
+                shootdowns.push(Shootdown {
+                    asid,
+                    va,
+                    order: leaf.order,
+                });
+                cursor = va + leaf.order.bytes();
             }
         }
 
@@ -1509,12 +1438,8 @@ impl Os {
                 .retain(|r| r.end_vpn <= start || r.start_vpn >= end);
         }
 
-        self.proc_mut(asid).stats.shootdowns += shootdowns.len() as u64;
-        self.charge(
-            asid,
-            self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64,
-        );
-        self.deliver_shootdowns(Some(asid), &shootdowns);
+        self.charge(asid, self.cost.pte_write * stores);
+        self.issue_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 }
@@ -1899,6 +1824,35 @@ mod tests {
         let leaf = os.page_table(child).lookup(vma.base()).unwrap();
         assert_eq!(leaf.order, PageOrder::P4K);
         assert_eq!(os.stats().cow_bytes_copied, BASE_PAGE_SIZE);
+    }
+
+    #[test]
+    fn shared_cow_fault_issues_exactly_one_shootdown() {
+        use tps_core::{FaultPlan, FaultPlanConfig};
+        for policy in [CowPolicy::CopyWholePage, CowPolicy::CopySmallest] {
+            let (mut os, parent) = os(PolicyKind::Tps);
+            os.set_cow_policy(policy);
+            let vma = os.mmap(parent, 64 << 10).unwrap();
+            touch_all(&mut os, parent, &vma);
+            let (child, _) = os.fork(parent).unwrap();
+            // Every delivery is dropped, so each one spends the full retry
+            // budget of 8 re-issues.
+            let (handle, _plan) = FaultPlan::handles(FaultPlanConfig {
+                shootdown_deliver: 1.0,
+                ..FaultPlanConfig::disabled(7)
+            });
+            os.set_fault_injector(Some(handle));
+            let before = os.process(child).stats();
+            let sds = os.handle_cow_fault(child, vma.base() + 0x5000).unwrap();
+            let after = os.process(child).stats();
+            assert_eq!(sds.len(), 1, "{policy:?}: {sds:?}");
+            assert_eq!(after.shootdowns - before.shootdowns, 1, "{policy:?}");
+            assert_eq!(
+                after.shootdowns_retried - before.shootdowns_retried,
+                8,
+                "{policy:?}: one delivery"
+            );
+        }
     }
 
     #[test]

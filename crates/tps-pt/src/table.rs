@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, HashMap};
 use tps_core::inject::should_fault;
 use tps_core::{
     level_base_order, level_for_order, FaultSite, InjectorHandle, LeafInfo, PageOrder, PhysAddr,
-    Pte, PteFlags, TpsError, VirtAddr, BASE_PAGE_SIZE, PT_ENTRIES,
+    Pte, PteFlags, TpsError, VirtAddr, BASE_PAGE_SHIFT, BASE_PAGE_SIZE, PT_ENTRIES,
 };
 
 /// Physical base of the pool from which page-table node frames are drawn.
@@ -20,8 +20,9 @@ pub const PT_POOL_BASE: u64 = 1 << 38;
 /// true PTE plus alias PTEs — within one node, where `rel` is the order
 /// relative to the leaf level.
 ///
-/// All mutation counters (`pte_writes`, node allocations) are exposed so the
-/// OS model can charge system time for page-table maintenance.
+/// [`Self::map`] and [`Self::unmap`] return the PTE stores they made, so the
+/// OS model can charge system time for page-table maintenance, and
+/// [`Self::next_leaf`] lists the mapped pages of a range.
 ///
 /// Nodes live in a dense arena: the node at `PT_POOL_BASE + k * 4K` is slot
 /// `k`. Slots are never reused — a freed node leaves an empty slot — so
@@ -32,7 +33,6 @@ pub struct PageTable {
     nodes: Vec<Option<Box<[Pte; PT_ENTRIES]>>>,
     live_nodes: usize,
     root: PhysAddr,
-    pte_writes: u64,
     levels: u8,
     /// Fine-grained A/D tracking (paper §III-C1): when enabled, a tailored
     /// page's otherwise-unused alias-PTE bits hold a dirty bit vector over
@@ -69,7 +69,6 @@ impl PageTable {
             nodes: Vec::new(),
             live_nodes: 0,
             root: PhysAddr::new(PT_POOL_BASE),
-            pte_writes: 0,
             levels,
             fine_grained_ad: false,
             ad_vectors: HashMap::new(),
@@ -111,12 +110,6 @@ impl PageTable {
     /// Number of live page-table nodes (each 4 KB).
     pub fn node_count(&self) -> usize {
         self.live_nodes
-    }
-
-    /// Cumulative count of PTE stores performed (incl. alias PTEs) — cost
-    /// input for the OS system-time model.
-    pub fn pte_writes(&self) -> u64 {
-        self.pte_writes
     }
 
     /// Installs (or removes) a fault injector consulted at every alias-PTE
@@ -171,17 +164,21 @@ impl PageTable {
             .unwrap_or(Pte::EMPTY)
     }
 
-    /// Writes the entry at `(node, index)`. A dead node or out-of-range
-    /// index drops the store without counting a PTE write — the paired
-    /// [`Self::read_entry`] then reads not-present, so the table stays
-    /// self-consistent instead of panicking on the fault path.
-    fn write_entry(&mut self, node: PhysAddr, index: usize, pte: Pte) {
-        if let Some(entry) = self
+    /// Writes the entry at `(node, index)`, returning the PTE stores made
+    /// (1, or 0 when dropped). A dead node or out-of-range index drops the
+    /// store — the paired [`Self::read_entry`] then reads not-present, so
+    /// the table stays self-consistent instead of panicking on the fault
+    /// path.
+    fn write_entry(&mut self, node: PhysAddr, index: usize, pte: Pte) -> u64 {
+        match self
             .node_mut(node)
             .and_then(|entries| entries.get_mut(index))
         {
-            *entry = pte;
-            self.pte_writes += 1;
+            Some(entry) => {
+                *entry = pte;
+                1
+            }
+            None => 0,
         }
     }
 
@@ -205,13 +202,14 @@ impl PageTable {
     }
 
     /// Ensures intermediate nodes exist down to `target_level`, returning
-    /// the node at that level for `va`.
+    /// the node at that level for `va` and the table-entry stores made.
     ///
     /// If an intermediate slot holds a huge/tailored leaf, returns an error:
     /// the caller must unmap first (mapping *under* a huge page is a bug).
-    fn descend_to(&mut self, va: VirtAddr, target_level: u8) -> Result<PhysAddr, TpsError> {
+    fn descend_to(&mut self, va: VirtAddr, target_level: u8) -> Result<(PhysAddr, u64), TpsError> {
         let mut node = self.root;
         let mut level = self.levels;
+        let mut stores = 0;
         while level > target_level {
             let idx = va.pt_index(level);
             let pte = self.read_entry(node, idx);
@@ -225,12 +223,12 @@ impl PageTable {
                 node = pte.next_table();
             } else {
                 let child = self.alloc_node();
-                self.write_entry(node, idx, Pte::table(child));
+                stores += self.write_entry(node, idx, Pte::table(child));
                 node = child;
             }
             level -= 1;
         }
-        Ok(node)
+        Ok((node, stores))
     }
 
     /// Maps a page of the given order at `va -> pa`.
@@ -241,6 +239,9 @@ impl PageTable {
     /// tailored leaf at the same level is overwritten in place over just
     /// this page's slots (the page-split path); the caller then maps the
     /// rest of the old leaf's slots.
+    ///
+    /// Returns the PTE stores made: new intermediate table entries, the
+    /// true PTE and every alias PTE, and each retried alias store.
     ///
     /// # Errors
     ///
@@ -253,7 +254,7 @@ impl PageTable {
         pa: PhysAddr,
         order: PageOrder,
         flags: PteFlags,
-    ) -> Result<(), TpsError> {
+    ) -> Result<u64, TpsError> {
         if !va.is_aligned(order.shift()) {
             return Err(TpsError::Misaligned {
                 addr: va.value(),
@@ -267,7 +268,7 @@ impl PageTable {
             });
         }
         let level = level_for_order(order);
-        let node = self.descend_to(va, level)?;
+        let (node, mut stores) = self.descend_to(va, level)?;
         let rel = order.get() - level_base_order(level);
         let first = va.pt_index(level) & !((1usize << rel) - 1);
         debug_assert_eq!(
@@ -288,11 +289,11 @@ impl PageTable {
                 // detected and retried; the failed attempt still cost one
                 // PTE write.
                 self.alias_install_retries += 1;
-                self.write_entry(node, first + i, pte);
+                stores += self.write_entry(node, first + i, pte);
             }
-            self.write_entry(node, first + i, pte);
+            stores += self.write_entry(node, first + i, pte);
         }
-        Ok(())
+        Ok(stores)
     }
 
     /// Drops the dirty vector recorded for the page at `va`. Skips the hash
@@ -322,13 +323,14 @@ impl PageTable {
         }
     }
 
-    /// Unmaps the page of the given order at `va` (all alias PTEs cleared).
+    /// Unmaps the page of the given order at `va` (all alias PTEs cleared),
+    /// returning the PTE stores made.
     ///
     /// # Errors
     ///
     /// Returns [`TpsError::Unmapped`] if no leaf of exactly this order is
     /// mapped at `va`, or [`TpsError::Misaligned`] for a misaligned `va`.
-    pub fn unmap(&mut self, va: VirtAddr, order: PageOrder) -> Result<(), TpsError> {
+    pub fn unmap(&mut self, va: VirtAddr, order: PageOrder) -> Result<u64, TpsError> {
         if !va.is_aligned(order.shift()) {
             return Err(TpsError::Misaligned {
                 addr: va.value(),
@@ -343,17 +345,55 @@ impl PageTable {
         }
         let rel = order.get() - level_base_order(level);
         let first = idx & !((1usize << rel) - 1);
+        let mut stores = 0;
         for i in 0..(1usize << rel) {
-            self.write_entry(node, first + i, Pte::EMPTY);
+            stores += self.write_entry(node, first + i, Pte::EMPTY);
         }
         self.forget_dirty_vector(va);
-        Ok(())
+        Ok(stores)
     }
 
     /// Functional (timing-free) lookup: the leaf covering `va`, if mapped.
     pub fn lookup(&self, va: VirtAddr) -> Option<LeafInfo> {
         let (_, _, level, pte) = self.find_leaf(va)?;
         pte.decode_leaf(level).ok()
+    }
+
+    /// The leaf covering `from`, or else the first leaf that starts before
+    /// `end`, with the address of its true PTE (the page base, which lies
+    /// below `from` when `from` is inside the page). `None` if no leaf
+    /// meets `[from, end)`.
+    ///
+    /// Resuming at `base + order.bytes()` lists each tailored page once and
+    /// steps over its alias PTEs. A non-present entry skips its whole
+    /// subtree at every level, so a hole costs one read per empty entry,
+    /// not a descent per 4 KB. A dangling table pointer or an undecodable
+    /// leaf reads as a hole: the scan never panics.
+    pub fn next_leaf(&self, from: VirtAddr, end: VirtAddr) -> Option<(VirtAddr, LeafInfo)> {
+        let mut va = from.value();
+        while va < end.value() {
+            let mut node = self.root;
+            let mut level = self.levels;
+            loop {
+                let pte = self.read_entry(node, VirtAddr::new(va).pt_index(level));
+                if pte.is_present() && !pte.is_leaf(level) {
+                    node = pte.next_table();
+                    level -= 1;
+                    continue;
+                }
+                if let Ok(leaf) = pte.decode_leaf(level) {
+                    return Some((VirtAddr::new(va).align_down(leaf.order.shift()), leaf));
+                }
+                // Skip the entry's whole span; re-descend from the root
+                // once the scan leaves this node.
+                let shift = BASE_PAGE_SHIFT + 9 * u32::from(level - 1);
+                va = ((va >> shift) + 1) << shift;
+                if va >= end.value() || VirtAddr::new(va).pt_index(level) == 0 {
+                    break;
+                }
+            }
+        }
+        None
     }
 
     /// Functional translation of `va` to a physical address.
@@ -408,37 +448,15 @@ impl PageTable {
     /// are not double-counted: only the true PTE (aligned slot) counts.
     pub fn page_census(&self) -> BTreeMap<PageOrder, u64> {
         let mut census = BTreeMap::new();
-        self.census_node(self.root, self.levels, &mut census);
-        census
-    }
-
-    fn census_node(&self, node: PhysAddr, level: u8, census: &mut BTreeMap<PageOrder, u64>) {
-        // A dangling table pointer has nothing to count; the auditor
-        // (`check_invariants`) is what reports it.
-        let Some(entries) = self.node(node) else {
-            return;
-        };
-        let mut idx = 0usize;
-        while idx < PT_ENTRIES {
-            let pte = entries[idx];
-            if pte.is_present() {
-                if pte.is_leaf(level) {
-                    // `is_leaf` passed, so decode cannot fail; an undecodable
-                    // entry is skipped rather than panicking mid-census.
-                    let Ok(leaf) = pte.decode_leaf(level) else {
-                        idx += 1;
-                        continue;
-                    };
-                    let rel = leaf.order.get() - level_base_order(level);
-                    *census.entry(leaf.order).or_insert(0) += 1;
-                    idx += 1usize << rel; // skip alias PTEs
-                    continue;
-                } else if level > 1 {
-                    self.census_node(pte.next_table(), level - 1, census);
-                }
+        let mut cursor = VirtAddr::ZERO;
+        while let Some((va, leaf)) = self.next_leaf(cursor, VirtAddr::new(u64::MAX)) {
+            *census.entry(leaf.order).or_insert(0) += 1;
+            cursor = va + leaf.order.bytes();
+            if cursor <= va {
+                break; // the page ends the address space
             }
-            idx += 1;
         }
+        census
     }
 
     /// Total bytes of virtual address space currently mapped.
@@ -788,11 +806,16 @@ mod tests {
     #[test]
     fn pte_write_counter_advances() {
         let mut pt = PageTable::new();
-        let before = pt.pte_writes();
-        pt.map(VirtAddr::new(0x10_0000), PhysAddr::new(2 * MIB), o(3), w())
+        let stores = pt
+            .map(VirtAddr::new(0x10_0000), PhysAddr::new(2 * MIB), o(3), w())
             .unwrap();
         // 3 intermediate entries + 8 leaf slots.
-        assert_eq!(pt.pte_writes() - before, 3 + 8);
+        assert_eq!(stores, 3 + 8);
+        // A second page under the same nodes stores only its own slots;
+        // unmapping clears every slot.
+        let va = VirtAddr::new(0x10_8000);
+        assert_eq!(pt.map(va, PhysAddr::new(4 * MIB), o(2), w()).unwrap(), 4);
+        assert_eq!(pt.unmap(va, o(2)).unwrap(), 4);
     }
 
     #[test]
@@ -807,13 +830,13 @@ mod tests {
             ..FaultPlanConfig::disabled(21)
         })));
         pt.set_fault_injector(Some(plan.clone() as InjectorHandle));
-        let before = pt.pte_writes();
-        pt.map(VirtAddr::new(0x10_0000), PhysAddr::new(2 * MIB), o(3), w())
+        let stores = pt
+            .map(VirtAddr::new(0x10_0000), PhysAddr::new(2 * MIB), o(3), w())
             .unwrap();
         // Every one of the 7 alias stores faulted once and was retried:
         // 3 intermediate + 8 leaf + 7 retries.
         assert_eq!(pt.alias_install_retries(), 7);
-        assert_eq!(pt.pte_writes() - before, 3 + 8 + 7);
+        assert_eq!(stores, 3 + 8 + 7);
         assert_eq!(plan.borrow().injected_at("alias-install"), 7);
         // The mapping is intact: every constituent translates.
         for i in 0..8u64 {
@@ -849,13 +872,11 @@ mod tests {
             assert_eq!(pt.read_entry(node, 0), Pte::EMPTY, "{:#x}", node.value());
         }
         assert_eq!(pt.read_entry(root, PT_ENTRIES), Pte::EMPTY);
-        let before = pt.pte_writes();
         let leaf = Pte::leaf(PhysAddr::new(0x5000), o(0), w());
         for node in [below_pool, misaligned, past_end] {
-            pt.write_entry(node, 0, leaf);
+            assert_eq!(pt.write_entry(node, 0, leaf), 0, "dropped stores count 0");
         }
-        pt.write_entry(root, PT_ENTRIES, leaf);
-        assert_eq!(pt.pte_writes(), before, "dropped stores are not counted");
+        assert_eq!(pt.write_entry(root, PT_ENTRIES, leaf), 0);
         pt.check_invariants().unwrap();
     }
 }
@@ -995,6 +1016,34 @@ mod five_level_tests {
     }
 
     #[test]
+    fn next_leaf_skips_empty_upper_level_entries() {
+        let end = VirtAddr::new(u64::MAX);
+        for levels in [4, 5] {
+            let mut pt = PageTable::with_levels(levels);
+            let near = VirtAddr::new(BASE_PAGE_SIZE);
+            // Level-4 entry 3, level-3 entry 5: every entry between the two
+            // pages at levels 2 to 4 is a hole.
+            let far = VirtAddr::new((3 << 39) | (5 << 30) | 0x4000);
+            let top = VirtAddr::new(u64::MAX).align_down(BASE_PAGE_SHIFT);
+            pt.map(near, PhysAddr::new(0x7000), o(0), PteFlags::WRITABLE)
+                .unwrap();
+            pt.map(far, PhysAddr::new(0x8000), o(2), PteFlags::WRITABLE)
+                .unwrap();
+            pt.map(top, PhysAddr::new(0x9000), o(0), PteFlags::WRITABLE)
+                .unwrap();
+            let found = |from: VirtAddr, end| pt.next_leaf(from, end).map(|(va, l)| (va, l.order));
+            assert_eq!(found(near + BASE_PAGE_SIZE, end), Some((far, o(2))));
+            // From an alias slot, the page is reported at its true PTE.
+            assert_eq!(found(far + 0x2abc, end), Some((far, o(2))));
+            assert_eq!(found(near + BASE_PAGE_SIZE, far), None, "starts at end");
+            assert_eq!(found(far + 0x4000, end), Some((top, o(0))));
+            assert_eq!(found(top, top), None, "empty range");
+            // The census reaches the last page of the address space.
+            assert_eq!(pt.page_census().values().sum::<u64>(), 3);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "only 4- or 5-level")]
     fn rejects_other_level_counts() {
         PageTable::with_levels(3);
@@ -1006,6 +1055,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use tps_core::{GIB, MIB};
 
     fn o(x: u8) -> PageOrder {
         PageOrder::new(x).unwrap()
@@ -1051,21 +1101,27 @@ mod proptests {
             prop_assert_eq!(pt.page_census().values().sum::<u64>(), 0);
         }
 
-        /// Over random map / promote / unmap sequences, the arena hands out
-        /// node addresses `PT_POOL_BASE + k * 4K` with `k` strictly
-        /// increasing and never reused, `node_count` tracks the reachable
-        /// nodes, and a freed node reads as empty.
+        /// Over random map / promote / split / unmap sequences on 4- and
+        /// 5-level tables, the arena hands out node addresses
+        /// `PT_POOL_BASE + k * 4K` with `k` strictly increasing and never
+        /// reused, `node_count` tracks the reachable nodes, and a freed node
+        /// reads as empty. `next_leaf` lists the same pages as the per-4 KB
+        /// `lookup` scan: around every step, over random ranges that start
+        /// mid-page or on an alias slot, and over the whole table, whose
+        /// holes span whole level-2 to level-4 entries. `page_census`
+        /// matches the scan's per-order counts.
         #[test]
         fn arena_never_reuses_node_addresses(
-            ops in prop::collection::vec((0u8..6, 0u64..1024), 1..48),
+            levels in 4u8..6,
+            ops in prop::collection::vec(((0u8..7, 0usize..3), 0u64..1024), 1..48),
+            probes in prop::collection::vec(((0usize..3, 0u64..1536), 0u64..1536), 4..8),
         ) {
-            let window = VirtAddr::new(tps_core::GIB);
-            let mut pt = PageTable::new();
+            let mut pt = PageTable::with_levels(levels);
             let mut live = reachable_nodes(&pt);
             let mut freed = BTreeSet::new();
             let mut next_k = 1;
-            for (kind, slot) in ops {
-                let va = VirtAddr::new(window.value() + slot * BASE_PAGE_SIZE);
+            for ((kind, region), slot) in ops {
+                let va = VirtAddr::new(REGIONS[region] + slot * BASE_PAGE_SIZE);
                 let order = match kind {
                     0 => Some(0),
                     1 => Some(3),
@@ -1074,8 +1130,8 @@ mod proptests {
                     4 => Some(18),
                     _ => None,
                 };
-                match order.map(o) {
-                    Some(order) => {
+                match (kind, order.map(o)) {
+                    (_, Some(order)) => {
                         let va = va.align_down(order.shift());
                         // Remap the way the OS does: a larger page covering
                         // this one goes first.
@@ -1085,10 +1141,28 @@ mod proptests {
                         let pa = PhysAddr::new(va.value());
                         pt.map(va, pa, order, PteFlags::WRITABLE).unwrap();
                     }
-                    None => {
+                    (5, None) => {
                         if let Some(leaf) = pt.lookup(va) {
                             let base = va.align_down(leaf.order.shift());
                             pt.unmap(base, leaf.order).unwrap();
+                        }
+                    }
+                    _ => {
+                        // Split into halves the way `mprotect` does: in
+                        // place within a node, through an unmap across
+                        // levels. A 1 GB page stays whole, so every page
+                        // starts inside a window.
+                        let splits = |l: &LeafInfo| (1..=10).contains(&l.order.get());
+                        if let Some(leaf) = pt.lookup(va).filter(splits) {
+                            let base = va.align_down(leaf.order.shift());
+                            let half = o(leaf.order.get() - 1);
+                            if level_for_order(half) != level_for_order(leaf.order) {
+                                pt.unmap(base, leaf.order).unwrap();
+                            }
+                            for k in 0..2 {
+                                let off = k * half.bytes();
+                                pt.map(base + off, leaf.base + off, half, PteFlags::WRITABLE).unwrap();
+                            }
                         }
                     }
                 }
@@ -1110,8 +1184,70 @@ mod proptests {
                     }
                 }
                 live = now;
+                let (from, end) = (VirtAddr::new(va.value() - MIB), va + MIB);
+                prop_assert_eq!(walk(&pt, from, end), scan(&pt, from, end));
+            }
+            for &((region, start), len) in &probes {
+                // Mid-page and alias-slot starts: a 4 KB-granular start plus
+                // a sub-page offset.
+                let from = VirtAddr::new(REGIONS[region] + start * BASE_PAGE_SIZE + start % 3 * 1000);
+                let end = from + len * BASE_PAGE_SIZE;
+                prop_assert_eq!(walk(&pt, from, end), scan(&pt, from, end));
+            }
+            // Every page starts in a window, so scanning the windows (and
+            // the level-2 holes between the first two) lists the table; the
+            // walk also crosses the empty level-3 entries at 0 and 2 GB.
+            let mut whole = scan(&pt, VirtAddr::new(GIB - 2 * MIB), VirtAddr::new(GIB + 12 * MIB));
+            whole.extend(scan(&pt, VirtAddr::new(3 * GIB - 2 * MIB), VirtAddr::new(3 * GIB + 4 * MIB)));
+            prop_assert_eq!(walk(&pt, VirtAddr::new(0), VirtAddr::new(u64::MAX)), whole.clone());
+            let mut census = BTreeMap::new();
+            for (_, leaf) in &whole {
+                *census.entry(leaf.order).or_insert(0u64) += 1;
+            }
+            prop_assert_eq!(pt.page_census(), census);
+            prop_assert_eq!(
+                pt.mapped_bytes(),
+                whole.iter().map(|(_, leaf)| leaf.order.bytes()).sum::<u64>()
+            );
+        }
+    }
+
+    /// Bases of the three 4 MB mapping windows: two in one level-3 entry
+    /// with whole level-2 holes between them, and one past an empty
+    /// level-3 entry.
+    const REGIONS: [u64; 3] = [GIB, GIB + 8 * MIB, 3 * GIB];
+
+    /// The pages `next_leaf` lists over `[from, end)`, resuming after each.
+    fn walk(pt: &PageTable, from: VirtAddr, end: VirtAddr) -> Vec<(VirtAddr, LeafInfo)> {
+        let mut out = Vec::new();
+        let mut cursor = from;
+        while let Some((va, leaf)) = pt.next_leaf(cursor, end) {
+            out.push((va, leaf));
+            let next = va + leaf.order.bytes();
+            if next <= cursor {
+                break; // no progress: the listing is already wrong
+            }
+            cursor = next;
+        }
+        out
+    }
+
+    /// The reference `next_leaf` replaced: a `lookup` per 4 KB over
+    /// `[from, end)`, stepping over each page found.
+    fn scan(pt: &PageTable, from: VirtAddr, end: VirtAddr) -> Vec<(VirtAddr, LeafInfo)> {
+        let mut out = Vec::new();
+        let mut va = from.align_down(BASE_PAGE_SHIFT);
+        while va < end {
+            match pt.lookup(va) {
+                Some(leaf) => {
+                    let base = va.align_down(leaf.order.shift());
+                    out.push((base, leaf));
+                    va = base + leaf.order.bytes();
+                }
+                None => va = va + BASE_PAGE_SIZE,
             }
         }
+        out
     }
 
     /// Node addresses reachable from the root, found through `read_entry`.
