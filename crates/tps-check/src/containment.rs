@@ -39,9 +39,10 @@ use tps_core::rng::Rng;
 use tps_core::{TenantFaultCause, BASE_PAGE_SIZE};
 use tps_os::OsStats;
 use tps_sim::{
-    Machine, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom, RunStats,
+    HwFaultStats, Machine, MachineBuilder, MachineConfig, MachineRunStats, Mechanism, OnOom,
     TenantOutcome, TenantSpec,
 };
+use tps_tlb::TlbStats;
 use tps_wl::{Event, Workload, WorkloadProfile};
 
 use crate::audit::Auditor;
@@ -328,9 +329,9 @@ fn digest(stats: &MachineRunStats) -> Digest {
 }
 
 /// The books-balance checks shared by both modes: a clean audit of the
-/// final OS state, per-tenant OS and hardware counters summing exactly to
-/// the machine-wide rollup, and per-tenant accesses summing to the global
-/// TLB counters.
+/// final OS state, and every per-tenant counter group (OS, TLB measured
+/// and full run, hardware faults, MMU-cache hits) summing exactly to the
+/// machine-wide rollup.
 fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String> {
     let violations = Auditor::new().audit(machine.os());
     if !violations.is_empty() {
@@ -340,52 +341,27 @@ fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String>
             violations.join("; ")
         ));
     }
-    let mut os_sum = OsStats::default();
-    for tenant in &stats.per_tenant {
-        os_sum.accumulate(&tenant.os);
+    let (mut os, mut mem, mut full_mem, mut hw_faults) =
+        <(OsStats, TlbStats, TlbStats, HwFaultStats)>::default();
+    let mut hits = (0, 0, 0);
+    for t in &stats.per_tenant {
+        os.accumulate(&t.os);
+        mem.accumulate(&t.mem);
+        full_mem.accumulate(&t.full_mem);
+        hw_faults.accumulate(&t.hw_faults);
+        hits = (
+            hits.0 + t.mmu_cache_hits.0,
+            hits.1 + t.mmu_cache_hits.1,
+            hits.2 + t.mmu_cache_hits.2,
+        );
     }
-    if os_sum != stats.global.os {
+    let sums = (os, mem, full_mem, hw_faults, hits);
+    let g = &stats.global;
+    let rollup = (g.os, g.mem, g.full_mem, g.hw_faults, g.mmu_cache_hits);
+    if sums != rollup {
         return Err(format!(
-            "attribution leak: per-tenant OS stats sum to {os_sum:?} \
-             but the machine-wide rollup reads {:?}",
-            stats.global.os
-        ));
-    }
-    let sum = |field: fn(&RunStats) -> u64| stats.per_tenant.iter().map(field).sum::<u64>();
-    let hw = &stats.global.hw_faults;
-    let hw_sums = [
-        (sum(|t| t.hw_faults.walk_restarts), hw.walk_restarts),
-        (
-            sum(|t| t.hw_faults.alias_install_retries),
-            hw.alias_install_retries,
-        ),
-        (
-            sum(|t| t.hw_faults.mmu_cache_fill_drops),
-            hw.mmu_cache_fill_drops,
-        ),
-        (sum(|t| t.hw_faults.tlb_fill_drops), hw.tlb_fill_drops),
-        (
-            sum(|t| t.hw_faults.tlb_evict_abandons),
-            hw.tlb_evict_abandons,
-        ),
-        (sum(|t| t.hw_faults.stlb_probe_misses), hw.stlb_probe_misses),
-        (sum(|t| t.mmu_cache_hits.0), stats.global.mmu_cache_hits.0),
-        (sum(|t| t.mmu_cache_hits.1), stats.global.mmu_cache_hits.1),
-        (sum(|t| t.mmu_cache_hits.2), stats.global.mmu_cache_hits.2),
-    ];
-    if hw_sums.iter().any(|(tenants, global)| tenants != global) {
-        return Err(format!(
-            "attribution leak: per-tenant hardware counters sum to {:?} but the rollup \
-             reads {:?} (hw faults, then MMU-cache hits)",
-            hw_sums.map(|(tenants, _)| tenants),
-            hw_sums.map(|(_, global)| global)
-        ));
-    }
-    let accesses: u64 = stats.per_tenant.iter().map(|t| t.mem.accesses).sum();
-    if accesses != stats.global.mem.accesses {
-        return Err(format!(
-            "per-tenant accesses sum to {accesses} but the rollup reads {}",
-            stats.global.mem.accesses
+            "attribution leak: per-tenant counters (OS, TLB, full-run TLB, hardware faults, \
+             MMU-cache hits) sum to {sums:?} but the machine-wide rollup reads {rollup:?}"
         ));
     }
     Ok(())

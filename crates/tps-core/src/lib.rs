@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod counter;
 mod error;
 pub mod inject;
 pub mod lru;

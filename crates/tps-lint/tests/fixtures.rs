@@ -123,15 +123,20 @@ fn check_single_rule(rule: &str) {
 }
 
 fn check_multi_rule(rule: &str) {
-    let good = load_multi(rule, "good");
+    check_multi_dirs(rule, "good", "bad");
+}
+
+/// [`check_multi_rule`] over a named pair of fixture directories.
+fn check_multi_dirs(rule: &str, good_dir: &str, bad_dir: &str) {
+    let good = load_multi(rule, good_dir);
     assert!(
         lint_files(&good).is_empty(),
-        "{rule}/good/ should lint clean"
+        "{rule}/{good_dir}/ should lint clean"
     );
-    let bad = load_multi(rule, "bad");
+    let bad = load_multi(rule, bad_dir);
     assert!(
         !lint_files(&bad).is_empty(),
-        "{rule}/bad/ should produce diagnostics"
+        "{rule}/{bad_dir}/ should produce diagnostics"
     );
     check(bad);
 }
@@ -219,4 +224,9 @@ fn fault_site_coverage_fixtures() {
 #[test]
 fn stats_counter_coverage_fixtures() {
     check_multi_rule("stats-counter-coverage");
+}
+
+#[test]
+fn stats_counter_coverage_sees_counter_table_fields() {
+    check_multi_dirs("stats-counter-coverage", "macro-good", "macro-bad");
 }

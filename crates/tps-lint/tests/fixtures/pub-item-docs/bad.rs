@@ -7,3 +7,10 @@ pub struct Bare { //~ ERROR pub-item-docs
 }
 
 pub const LIMIT: u64 = 7; //~ ERROR pub-item-docs
+
+tps_core::counter_table! {
+    #[derive(Clone, Copy, Default)]
+    pub struct BareCounters { //~ ERROR pub-item-docs
+        pub hits: u64,
+    }
+}

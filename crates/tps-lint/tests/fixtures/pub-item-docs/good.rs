@@ -19,3 +19,13 @@ pub(crate) fn internal() {}
 /// Out-of-line modules carry their docs as `//!` inner docs.
 pub mod with_outer_doc;
 pub mod documented_in_file;
+
+// A struct declared through the counter table keeps its doc comment.
+tps_core::counter_table! {
+    /// Documented counters.
+    #[derive(Clone, Copy, Default)]
+    pub struct Counters {
+        /// Hits.
+        pub hits: u64,
+    }
+}

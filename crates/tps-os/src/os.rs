@@ -48,56 +48,39 @@ pub struct FaultOutcome {
     pub promoted: bool,
 }
 
-/// Aggregate OS activity counters (system-time model, Fig. 17).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct OsStats {
-    /// `mmap` calls served.
-    pub mmaps: u64,
-    /// `munmap` calls served.
-    pub munmaps: u64,
-    /// Page faults handled.
-    pub faults: u64,
-    /// Page promotions performed.
-    pub promotions: u64,
-    /// Frame reservations created.
-    pub reservations_created: u64,
-    /// Faults served without any reservation (fragmentation fallback).
-    pub fallback_4k: u64,
-    /// TLB shootdowns issued.
-    pub shootdowns: u64,
-    /// Copy-on-write write faults handled.
-    pub cow_faults: u64,
-    /// Bytes copied by CoW faults.
-    pub cow_bytes_copied: u64,
-    /// Total modeled OS cycles (allocator + page table + handler work).
-    pub op_cycles: u64,
-    /// Degradations caused specifically by a failed physical allocation
-    /// (exhaustion or an injected fault), as opposed to alignment-driven
-    /// 4 KB fallbacks. Always `<= fallback_4k`.
-    pub oom_fallbacks: u64,
-    /// Compaction passes interrupted before processing every movable block.
-    pub compaction_aborts: u64,
-    /// TLB-shootdown IPIs re-issued after the delivery was dropped (only a
-    /// fault injector can drop one; zero in normal operation).
-    pub shootdowns_retried: u64,
-}
-
-impl OsStats {
-    /// Adds `delta` into this counter set, field by field.
-    pub fn accumulate(&mut self, delta: &OsStats) {
-        self.mmaps += delta.mmaps;
-        self.munmaps += delta.munmaps;
-        self.faults += delta.faults;
-        self.promotions += delta.promotions;
-        self.reservations_created += delta.reservations_created;
-        self.fallback_4k += delta.fallback_4k;
-        self.shootdowns += delta.shootdowns;
-        self.cow_faults += delta.cow_faults;
-        self.cow_bytes_copied += delta.cow_bytes_copied;
-        self.op_cycles += delta.op_cycles;
-        self.oom_fallbacks += delta.oom_fallbacks;
-        self.compaction_aborts += delta.compaction_aborts;
-        self.shootdowns_retried += delta.shootdowns_retried;
+tps_core::counter_table! {
+    /// Aggregate OS activity counters (system-time model, Fig. 17).
+    #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+    pub struct OsStats {
+        /// `mmap` calls served.
+        pub mmaps: u64,
+        /// `munmap` calls served.
+        pub munmaps: u64,
+        /// Page faults handled.
+        pub faults: u64,
+        /// Page promotions performed.
+        pub promotions: u64,
+        /// Frame reservations created.
+        pub reservations_created: u64,
+        /// Faults served without any reservation (fragmentation fallback).
+        pub fallback_4k: u64,
+        /// TLB shootdowns issued.
+        pub shootdowns: u64,
+        /// Copy-on-write write faults handled.
+        pub cow_faults: u64,
+        /// Bytes copied by CoW faults.
+        pub cow_bytes_copied: u64,
+        /// Total modeled OS cycles (allocator + page table + handler work).
+        pub op_cycles: u64,
+        /// Degradations caused specifically by a failed physical allocation
+        /// (exhaustion or an injected fault), as opposed to alignment-driven
+        /// 4 KB fallbacks. Always `<= fallback_4k`.
+        pub oom_fallbacks: u64,
+        /// Compaction passes interrupted before processing every movable block.
+        pub compaction_aborts: u64,
+        /// TLB-shootdown IPIs re-issued after the delivery was dropped (only a
+        /// fault injector can drop one; zero in normal operation).
+        pub shootdowns_retried: u64,
     }
 }
 
@@ -1088,7 +1071,7 @@ impl Os {
     /// * [`TpsError::Misaligned`] unless `va`/`len` are base-page aligned.
     /// * [`TpsError::Unmapped`] if the range leaves the VMA.
     /// * [`TpsError::SharedMapping`] if a CoW-shared page intersects the
-    ///   range (resolve sharing first).
+    ///   range (resolve sharing first). Nothing is changed or charged.
     pub fn mprotect(
         &mut self,
         asid: Asid,
@@ -1112,6 +1095,13 @@ impl Os {
                 return Err(TpsError::Unmapped { vaddr: end });
             }
         }
+        // Check the whole range before rewriting anything, so a shared
+        // leaf past the start leaves every permission unchanged.
+        if let Some(leaf_va) = self.first_shared_leaf(asid, va, VirtAddr::new(end)) {
+            return Err(TpsError::SharedMapping {
+                vaddr: leaf_va.max(va).value(),
+            });
+        }
         let new_flags = if writable {
             PteFlags::WRITABLE | PteFlags::USER
         } else {
@@ -1123,11 +1113,6 @@ impl Os {
             .page_table
             .next_leaf(cursor, VirtAddr::new(end))
         {
-            if self.shares.count(leaf.base.base_page_number(), leaf.order) > 1 {
-                return Err(TpsError::SharedMapping {
-                    vaddr: leaf_va.max(va).value(),
-                });
-            }
             let leaf_end = leaf_va.value() + leaf.order.bytes();
             let fully_inside = leaf_va.value() >= va.value() && leaf_end <= end;
             if fully_inside {
@@ -1926,6 +1911,38 @@ mod tests {
             64 << 10,
             "permissions re-converged: merged back to one page"
         );
+    }
+
+    #[test]
+    fn mprotect_of_a_partly_shared_range_changes_nothing() {
+        let (mut os, parent) = os(PolicyKind::Tps);
+        os.set_cow_policy(CowPolicy::CopySmallest);
+        let vma = os.mmap(parent, 64 << 10).unwrap();
+        touch_all(&mut os, parent, &vma); // one 64K page
+        os.fork(parent).unwrap();
+        // The parent's write copies page 0 and leaves pages 1..16 shared.
+        os.handle_cow_fault(parent, vma.base()).unwrap();
+        let leaves = |os: &Os| {
+            (0..16u64)
+                .map(|i| {
+                    os.page_table(parent)
+                        .lookup(vma.base() + i * BASE_PAGE_SIZE)
+                })
+                .collect::<Vec<_>>()
+        };
+        let before = (leaves(&os), os.process(parent).stats());
+        assert!(before.0[0].unwrap().flags.contains(PteFlags::WRITABLE));
+        let err = os.mprotect(parent, vma.base(), 64 << 10, false);
+        assert_eq!(
+            err,
+            Err(TpsError::SharedMapping {
+                vaddr: vma.base().value() + BASE_PAGE_SIZE
+            })
+        );
+        let after = (leaves(&os), os.process(parent).stats());
+        assert_eq!(after.0, before.0, "no leaf rewritten");
+        assert_eq!(after.1.shootdowns, before.1.shootdowns);
+        assert_eq!(after.1.op_cycles, before.1.op_cycles, "nothing charged");
     }
 
     #[test]

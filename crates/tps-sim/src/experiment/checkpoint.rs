@@ -544,30 +544,21 @@ fn stats_to_json(stats: &RunStats) -> Json {
     profile.set("walk_savable", Json::F64(p.walk_savable));
     profile.set("smt_slowdown", Json::F64(p.smt_slowdown));
     obj.set("profile", profile);
-    obj.set("mem", tlb_stats_to_json(&stats.mem));
+    obj.set(
+        "mem",
+        Json::counters(&TlbStats::FIELDS, &stats.mem.values()),
+    );
     obj.set("walks", Json::U64(stats.walks));
     obj.set("walk_refs", Json::U64(stats.walk_refs));
     obj.set("alias_extras", Json::U64(stats.alias_extras));
     obj.set("ad_updates", Json::U64(stats.ad_updates));
-    let o = &stats.os;
-    let mut os = Json::object();
-    os.set("mmaps", Json::U64(o.mmaps));
-    os.set("munmaps", Json::U64(o.munmaps));
-    os.set("faults", Json::U64(o.faults));
-    os.set("promotions", Json::U64(o.promotions));
-    os.set("reservations_created", Json::U64(o.reservations_created));
-    os.set("fallback_4k", Json::U64(o.fallback_4k));
-    os.set("shootdowns", Json::U64(o.shootdowns));
-    os.set("cow_faults", Json::U64(o.cow_faults));
-    os.set("cow_bytes_copied", Json::U64(o.cow_bytes_copied));
-    os.set("op_cycles", Json::U64(o.op_cycles));
-    os.set("oom_fallbacks", Json::U64(o.oom_fallbacks));
-    os.set("compaction_aborts", Json::U64(o.compaction_aborts));
-    os.set("shootdowns_retried", Json::U64(o.shootdowns_retried));
-    obj.set("os", os);
+    obj.set("os", Json::counters(&OsStats::FIELDS, &stats.os.values()));
     obj.set("instructions", Json::U64(stats.instructions));
     obj.set("full_instructions", Json::U64(stats.full_instructions));
-    obj.set("full_mem", tlb_stats_to_json(&stats.full_mem));
+    obj.set(
+        "full_mem",
+        Json::counters(&TlbStats::FIELDS, &stats.full_mem.values()),
+    );
     obj.set("full_walk_refs", Json::U64(stats.full_walk_refs));
     let mut census = Json::object();
     for (order, pages) in &stats.page_census {
@@ -581,25 +572,10 @@ fn stats_to_json(stats: &RunStats) -> Json {
         "mmu_cache_hits",
         Json::Array(vec![Json::U64(pde), Json::U64(pdpte), Json::U64(pml4e)]),
     );
-    let hw = &stats.hw_faults;
-    let mut hw_obj = Json::object();
-    hw_obj.set("walk_restarts", Json::U64(hw.walk_restarts));
-    hw_obj.set("alias_install_retries", Json::U64(hw.alias_install_retries));
-    hw_obj.set("mmu_cache_fill_drops", Json::U64(hw.mmu_cache_fill_drops));
-    hw_obj.set("tlb_fill_drops", Json::U64(hw.tlb_fill_drops));
-    hw_obj.set("tlb_evict_abandons", Json::U64(hw.tlb_evict_abandons));
-    hw_obj.set("stlb_probe_misses", Json::U64(hw.stlb_probe_misses));
-    obj.set("hw_faults", hw_obj);
-    obj
-}
-
-fn tlb_stats_to_json(mem: &TlbStats) -> Json {
-    let mut obj = Json::object();
-    obj.set("accesses", Json::U64(mem.accesses));
-    obj.set("l1_hits", Json::U64(mem.l1_hits));
-    obj.set("stlb_hits", Json::U64(mem.stlb_hits));
-    obj.set("range_hits", Json::U64(mem.range_hits));
-    obj.set("l2_misses", Json::U64(mem.l2_misses));
+    obj.set(
+        "hw_faults",
+        Json::counters(&HwFaultStats::FIELDS, &stats.hw_faults.values()),
+    );
     obj
 }
 
@@ -621,16 +597,6 @@ fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
-fn tlb_stats_from_json(obj: &Json) -> Result<TlbStats, String> {
-    Ok(TlbStats {
-        accesses: u64_field(obj, "accesses")?,
-        l1_hits: u64_field(obj, "l1_hits")?,
-        stlb_hits: u64_field(obj, "stlb_hits")?,
-        range_hits: u64_field(obj, "range_hits")?,
-        l2_misses: u64_field(obj, "l2_misses")?,
-    })
-}
-
 fn stats_from_json(obj: &Json) -> Result<RunStats, String> {
     let profile_obj = obj.get("profile").ok_or("missing profile")?;
     let profile = WorkloadProfile {
@@ -640,22 +606,6 @@ fn stats_from_json(obj: &Json) -> Result<RunStats, String> {
         l1_miss_criticality: f64_field(profile_obj, "l1_miss_criticality")?,
         walk_savable: f64_field(profile_obj, "walk_savable")?,
         smt_slowdown: f64_field(profile_obj, "smt_slowdown")?,
-    };
-    let os_obj = obj.get("os").ok_or("missing os")?;
-    let os = OsStats {
-        mmaps: u64_field(os_obj, "mmaps")?,
-        munmaps: u64_field(os_obj, "munmaps")?,
-        faults: u64_field(os_obj, "faults")?,
-        promotions: u64_field(os_obj, "promotions")?,
-        reservations_created: u64_field(os_obj, "reservations_created")?,
-        fallback_4k: u64_field(os_obj, "fallback_4k")?,
-        shootdowns: u64_field(os_obj, "shootdowns")?,
-        cow_faults: u64_field(os_obj, "cow_faults")?,
-        cow_bytes_copied: u64_field(os_obj, "cow_bytes_copied")?,
-        op_cycles: u64_field(os_obj, "op_cycles")?,
-        oom_fallbacks: u64_field(os_obj, "oom_fallbacks")?,
-        compaction_aborts: u64_field(os_obj, "compaction_aborts")?,
-        shootdowns_retried: u64_field(os_obj, "shootdowns_retried")?,
     };
     let mut page_census = std::collections::BTreeMap::new();
     if let Json::Object(pairs) = obj.get("page_census").ok_or("missing page_census")? {
@@ -676,33 +626,24 @@ fn stats_from_json(obj: &Json) -> Result<RunStats, String> {
         }
         _ => return Err("mmu_cache_hits is not a 3-array".to_string()),
     };
-    let hw_obj = obj.get("hw_faults").ok_or("missing hw_faults")?;
-    let hw_faults = HwFaultStats {
-        walk_restarts: u64_field(hw_obj, "walk_restarts")?,
-        alias_install_retries: u64_field(hw_obj, "alias_install_retries")?,
-        mmu_cache_fill_drops: u64_field(hw_obj, "mmu_cache_fill_drops")?,
-        tlb_fill_drops: u64_field(hw_obj, "tlb_fill_drops")?,
-        tlb_evict_abandons: u64_field(hw_obj, "tlb_evict_abandons")?,
-        stlb_probe_misses: u64_field(hw_obj, "stlb_probe_misses")?,
-    };
     Ok(RunStats {
         name: str_field(obj, "name")?.to_string(),
         profile,
-        mem: tlb_stats_from_json(obj.get("mem").ok_or("missing mem")?)?,
+        mem: TlbStats::from_values(obj.counters_at("mem", &TlbStats::FIELDS)?),
         walks: u64_field(obj, "walks")?,
         walk_refs: u64_field(obj, "walk_refs")?,
         alias_extras: u64_field(obj, "alias_extras")?,
         ad_updates: u64_field(obj, "ad_updates")?,
-        os,
+        os: OsStats::from_values(obj.counters_at("os", &OsStats::FIELDS)?),
         instructions: u64_field(obj, "instructions")?,
         full_instructions: u64_field(obj, "full_instructions")?,
-        full_mem: tlb_stats_from_json(obj.get("full_mem").ok_or("missing full_mem")?)?,
+        full_mem: TlbStats::from_values(obj.counters_at("full_mem", &TlbStats::FIELDS)?),
         full_walk_refs: u64_field(obj, "full_walk_refs")?,
         page_census,
         resident_bytes: u64_field(obj, "resident_bytes")?,
         touched_bytes: u64_field(obj, "touched_bytes")?,
         mmu_cache_hits: hits,
-        hw_faults,
+        hw_faults: HwFaultStats::from_values(obj.counters_at("hw_faults", &HwFaultStats::FIELDS)?),
     })
 }
 
@@ -742,7 +683,11 @@ mod tests {
 
     /// Wraps a rollup as the solo-machine outcome cells journal.
     fn solo(stats: RunStats) -> MachineRunStats {
-        MachineRunStats::solo_completed(stats)
+        MachineRunStats {
+            global: stats.clone(),
+            per_tenant: vec![stats],
+            outcomes: vec![TenantOutcome::Completed],
+        }
     }
 
     #[test]
@@ -760,6 +705,71 @@ mod tests {
             back.profile.base_cpi.to_bits(),
             stats.profile.base_cpi.to_bits()
         );
+    }
+
+    /// Builds every counter group from distinct non-zero values, so a
+    /// swapped, dropped or mis-summed counter cannot hide behind a zero.
+    #[test]
+    fn counter_groups_round_trip_sum_and_report_in_table_order() {
+        use std::array::from_fn;
+        // Descending from `top`, so `accesses >= l1_hits` as a report needs.
+        fn down<const N: usize>(top: u64) -> [u64; N] {
+            from_fn(|i| top - i as u64)
+        }
+        let distinct = |base: u64| {
+            let mut s = cached_stats().clone();
+            s.mem = TlbStats::from_values(down(base + 99));
+            s.full_mem = TlbStats::from_values(down(base + 89));
+            s.os = OsStats::from_values(down(base + 79));
+            s.hw_faults = HwFaultStats::from_values(down(base + 59));
+            s
+        };
+        let (a, b) = (distinct(100), distinct(1_000));
+
+        let back = stats_from_json(&Json::parse(&stats_to_json(&a).render_compact()).unwrap());
+        let back = back.unwrap();
+        assert_eq!(back.mem, a.mem);
+        assert_eq!(back.full_mem, a.full_mem);
+        assert_eq!(back.os, a.os);
+        assert_eq!(back.hw_faults, a.hw_faults);
+
+        let sum =
+            |x: &[u64], y: &[u64]| -> Vec<u64> { x.iter().zip(y).map(|(x, y)| x + y).collect() };
+        let rolled = crate::machine::rollup(&[a.clone(), b.clone()], OsStats::default());
+        assert_eq!(
+            rolled.mem.values().to_vec(),
+            sum(&a.mem.values(), &b.mem.values())
+        );
+        assert_eq!(
+            rolled.full_mem.values().to_vec(),
+            sum(&a.full_mem.values(), &b.full_mem.values())
+        );
+        assert_eq!(
+            rolled.hw_faults.values().to_vec(),
+            sum(&a.hw_faults.values(), &b.hw_faults.values())
+        );
+        let mut os = a.os;
+        os.accumulate(&b.os);
+        assert_eq!(os.values().to_vec(), sum(&a.os.values(), &b.os.values()));
+
+        let hw = &a.hw_faults;
+        let expected = [
+            ("walk_restarts", hw.walk_restarts),
+            ("alias_install_retries", hw.alias_install_retries),
+            ("mmu_cache_fill_drops", hw.mmu_cache_fill_drops),
+            ("tlb_fill_drops", hw.tlb_fill_drops),
+            ("tlb_evict_abandons", hw.tlb_evict_abandons),
+            ("stlb_probe_misses", hw.stlb_probe_misses),
+        ];
+        let report = super::super::report::stats_json(&a);
+        let Some(Json::Object(pairs)) = report.get("hw_faults") else {
+            panic!("report has no hw_faults object");
+        };
+        let pairs: Vec<(&str, u64)> = pairs
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64().unwrap()))
+            .collect();
+        assert_eq!(pairs, expected);
     }
 
     #[test]

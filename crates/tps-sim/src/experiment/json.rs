@@ -112,6 +112,31 @@ impl Json {
         }
     }
 
+    /// An object of counters, `names[i]: values[i]` in table order — the
+    /// shape a `counter_table!` group takes in journals and reports.
+    pub(crate) fn counters(names: &[&str], values: &[u64]) -> Json {
+        let pairs = names.iter().zip(values);
+        Json::Object(pairs.map(|(k, v)| (k.to_string(), Json::U64(*v))).collect())
+    }
+
+    /// Reads back the counter group [`Json::counters`] wrote under `key`,
+    /// in `names` order.
+    pub(crate) fn counters_at<const N: usize>(
+        &self,
+        key: &str,
+        names: &[&str; N],
+    ) -> Result<[u64; N], String> {
+        let group = self.get(key).ok_or_else(|| format!("missing {key}"))?;
+        let mut values = [0; N];
+        for (value, name) in values.iter_mut().zip(names) {
+            *value = group
+                .get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing u64 field {name:?}"))?;
+        }
+        Ok(values)
+    }
+
     /// The value as a u64, accepting an integral `F64` (a parser that saw
     /// `1` where a float was written emits `U64(1)` and vice versa).
     pub(crate) fn as_u64(&self) -> Option<u64> {

@@ -349,7 +349,7 @@ mod tests {
             .scale(SuiteScale::Test)
             .tenants(TenantCount::new(4).unwrap());
         let stats = run_single(&spec, "gups", Mechanism::Tps, 9).unwrap();
-        assert_eq!(stats.tenant_count(), 4);
+        assert_eq!(stats.per_tenant.len(), 4);
         for tenant in &stats.per_tenant {
             assert!(tenant.mem.accesses > 0);
         }

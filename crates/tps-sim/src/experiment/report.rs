@@ -1,7 +1,7 @@
 //! Aggregated experiment results and their versioned JSON serialization.
 
 use crate::config::Mechanism;
-use crate::stats::{MachineRunStats, RunStats};
+use crate::stats::{HwFaultStats, MachineRunStats, RunStats};
 use crate::timing::TimingModel;
 use tps_wl::SuiteScale;
 
@@ -346,7 +346,7 @@ fn cell_json(cell: &CellReport) -> Json {
     obj
 }
 
-fn stats_json(stats: &RunStats) -> Json {
+pub(super) fn stats_json(stats: &RunStats) -> Json {
     let mut obj = Json::object();
     obj.set("accesses", Json::U64(stats.mem.accesses));
     obj.set("l1_hits", Json::U64(stats.mem.l1_hits));
@@ -373,15 +373,10 @@ fn stats_json(stats: &RunStats) -> Json {
         census.set(&format!("{}", order.get()), Json::U64(*pages));
     }
     obj.set("page_census", census);
-    let hw = &stats.hw_faults;
-    let mut hw_obj = Json::object();
-    hw_obj.set("walk_restarts", Json::U64(hw.walk_restarts));
-    hw_obj.set("alias_install_retries", Json::U64(hw.alias_install_retries));
-    hw_obj.set("mmu_cache_fill_drops", Json::U64(hw.mmu_cache_fill_drops));
-    hw_obj.set("tlb_fill_drops", Json::U64(hw.tlb_fill_drops));
-    hw_obj.set("tlb_evict_abandons", Json::U64(hw.tlb_evict_abandons));
-    hw_obj.set("stlb_probe_misses", Json::U64(hw.stlb_probe_misses));
-    obj.set("hw_faults", hw_obj);
+    obj.set(
+        "hw_faults",
+        Json::counters(&HwFaultStats::FIELDS, &stats.hw_faults.values()),
+    );
     obj
 }
 
@@ -439,7 +434,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"tenants\": 2"), "{json}");
         let machine = report.machine_stats("gups", Mechanism::Tps).unwrap();
-        assert_eq!(machine.tenant_count(), 2);
+        assert_eq!(machine.per_tenant.len(), 2);
         // A solo report keeps the pre-tenant document: no tenants keys.
         assert!(!tiny_report().to_json().contains("\"tenants\""));
     }

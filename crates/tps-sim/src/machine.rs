@@ -13,7 +13,7 @@ use crate::stats::{HwFaultStats, MachineRunStats, RunStats, TenantOutcome};
 use std::collections::BTreeMap;
 use tps_core::{InjectorHandle, TenantFault, TenantFaultCause, TpsError, VirtAddr};
 use tps_mem::BuddyAllocator;
-use tps_os::Os;
+use tps_os::{Os, OsStats};
 use tps_tlb::{Asid, TlbStats};
 use tps_wl::{build_seeded, Event, SuiteScale, Workload, WorkloadProfile};
 
@@ -729,7 +729,7 @@ impl Machine {
                 None => TenantOutcome::Completed,
             })
             .collect();
-        let global = self.rollup(&per_tenant);
+        let global = rollup(&per_tenant, self.os.stats());
         MachineRunStats {
             global,
             per_tenant,
@@ -850,71 +850,56 @@ impl Machine {
             hw_faults,
         }
     }
+}
 
-    /// The machine-wide rollup: counter sums across tenants, plus the OS
-    /// work done for no tenant (compaction) in `os`. For a single tenant
-    /// this is exactly what the old solo driver reported.
-    fn rollup(&self, per_tenant: &[RunStats]) -> RunStats {
-        if let [solo] = per_tenant {
-            return RunStats {
-                os: self.os.stats(),
-                ..solo.clone()
-            };
+/// The machine-wide rollup: counter sums across tenants, with `os` the
+/// machine's OS total (tenants plus the work done for no tenant, such as
+/// compaction). For a single tenant this is exactly what the old solo
+/// driver reported.
+pub(crate) fn rollup(per_tenant: &[RunStats], os: OsStats) -> RunStats {
+    if let [solo] = per_tenant {
+        return RunStats { os, ..solo.clone() };
+    }
+    let sum = |field: fn(&RunStats) -> u64| per_tenant.iter().map(field).sum::<u64>();
+    let mut mem = TlbStats::default();
+    let mut full_mem = TlbStats::default();
+    let mut hw_faults = HwFaultStats::default();
+    let mut page_census = BTreeMap::new();
+    for s in per_tenant {
+        mem.accumulate(&s.mem);
+        full_mem.accumulate(&s.full_mem);
+        hw_faults.accumulate(&s.hw_faults);
+        for (order, count) in &s.page_census {
+            *page_census.entry(*order).or_insert(0) += count;
         }
-        let sum = |field: fn(&RunStats) -> u64| per_tenant.iter().map(field).sum::<u64>();
-        let sum_tlb = |field: fn(&RunStats) -> &TlbStats| {
-            let mut total = TlbStats::default();
-            for s in per_tenant {
-                let f = field(s);
-                total.accesses += f.accesses;
-                total.l1_hits += f.l1_hits;
-                total.stlb_hits += f.stlb_hits;
-                total.range_hits += f.range_hits;
-                total.l2_misses += f.l2_misses;
-            }
-            total
-        };
-        let mut page_census = BTreeMap::new();
-        for s in per_tenant {
-            for (order, count) in &s.page_census {
-                *page_census.entry(*order).or_insert(0) += count;
-            }
-        }
-        let name = if per_tenant.iter().all(|s| s.name == per_tenant[0].name) {
-            per_tenant[0].name.clone()
-        } else {
-            "mixed".to_string()
-        };
-        RunStats {
-            name: name.clone(),
-            profile: weighted_profile(name, per_tenant),
-            mem: sum_tlb(|s| &s.mem),
-            walks: sum(|s| s.walks),
-            walk_refs: sum(|s| s.walk_refs),
-            alias_extras: sum(|s| s.alias_extras),
-            ad_updates: sum(|s| s.ad_updates),
-            os: self.os.stats(),
-            instructions: sum(|s| s.instructions),
-            full_instructions: sum(|s| s.full_instructions),
-            full_mem: sum_tlb(|s| &s.full_mem),
-            full_walk_refs: sum(|s| s.full_walk_refs),
-            page_census,
-            resident_bytes: sum(|s| s.resident_bytes),
-            touched_bytes: sum(|s| s.touched_bytes),
-            mmu_cache_hits: (
-                sum(|s| s.mmu_cache_hits.0),
-                sum(|s| s.mmu_cache_hits.1),
-                sum(|s| s.mmu_cache_hits.2),
-            ),
-            hw_faults: HwFaultStats {
-                walk_restarts: sum(|s| s.hw_faults.walk_restarts),
-                alias_install_retries: sum(|s| s.hw_faults.alias_install_retries),
-                mmu_cache_fill_drops: sum(|s| s.hw_faults.mmu_cache_fill_drops),
-                tlb_fill_drops: sum(|s| s.hw_faults.tlb_fill_drops),
-                tlb_evict_abandons: sum(|s| s.hw_faults.tlb_evict_abandons),
-                stlb_probe_misses: sum(|s| s.hw_faults.stlb_probe_misses),
-            },
-        }
+    }
+    let name = if per_tenant.iter().all(|s| s.name == per_tenant[0].name) {
+        per_tenant[0].name.clone()
+    } else {
+        "mixed".to_string()
+    };
+    RunStats {
+        name: name.clone(),
+        profile: weighted_profile(name, per_tenant),
+        mem,
+        walks: sum(|s| s.walks),
+        walk_refs: sum(|s| s.walk_refs),
+        alias_extras: sum(|s| s.alias_extras),
+        ad_updates: sum(|s| s.ad_updates),
+        os,
+        instructions: sum(|s| s.instructions),
+        full_instructions: sum(|s| s.full_instructions),
+        full_mem,
+        full_walk_refs: sum(|s| s.full_walk_refs),
+        page_census,
+        resident_bytes: sum(|s| s.resident_bytes),
+        touched_bytes: sum(|s| s.touched_bytes),
+        mmu_cache_hits: (
+            sum(|s| s.mmu_cache_hits.0),
+            sum(|s| s.mmu_cache_hits.1),
+            sum(|s| s.mmu_cache_hits.2),
+        ),
+        hw_faults,
     }
 }
 
@@ -952,7 +937,6 @@ mod tests {
     use crate::config::Mechanism;
     use tps_core::rng::SplitMix64;
     use tps_core::BASE_PAGE_SIZE;
-    use tps_os::OsStats;
     use tps_wl::{Gups, GupsParams, Initialized};
 
     fn gups(updates: u64) -> Initialized<Gups> {
@@ -1190,7 +1174,7 @@ mod tests {
             .build()
             .unwrap()
             .run();
-        assert_eq!(stats.tenant_count(), 3);
+        assert_eq!(stats.per_tenant.len(), 3);
         let per_sum: u64 = stats.per_tenant.iter().map(|s| s.mem.accesses).sum();
         assert_eq!(stats.global.mem.accesses, per_sum);
         assert_eq!(stats.tenant(0).mem.accesses, 2_000);
@@ -1592,7 +1576,7 @@ mod tests {
             .build()
             .unwrap()
             .run();
-        assert_eq!(stats.tenant_count(), 1000);
+        assert_eq!(stats.per_tenant.len(), 1000);
         for (slot, t) in stats.per_tenant.iter().enumerate() {
             assert!(t.mem.accesses > 0, "tenant {slot} did no work");
         }

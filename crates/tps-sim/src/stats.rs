@@ -30,36 +30,33 @@ impl TenantOutcome {
     }
 }
 
-/// Degradation counters from injected hardware-model faults.
-///
-/// Every counter records a fault a hardware structure absorbed on a
-/// panic-free path: the run stays architecturally correct, only slower.
-/// All zero when no fault injector is installed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HwFaultStats {
-    /// Page walks restarted from the root after a `walk-step` fault.
-    pub walk_restarts: u64,
-    /// Alias-PTE stores retried after an `alias-install` fault.
-    pub alias_install_retries: u64,
-    /// MMU paging-structure-cache fills dropped by a `mmu-cache-fill` fault.
-    pub mmu_cache_fill_drops: u64,
-    /// Any-size TLB fills dropped by an `any-size-fill` fault.
-    pub tlb_fill_drops: u64,
-    /// Any-size TLB evictions abandoned by an `any-size-evict` fault.
-    pub tlb_evict_abandons: u64,
-    /// Dual-STLB probes forced to miss by an `stlb-probe` fault.
-    pub stlb_probe_misses: u64,
+tps_core::counter_table! {
+    /// Degradation counters from injected hardware-model faults.
+    ///
+    /// Every counter records a fault a hardware structure absorbed on a
+    /// panic-free path: the run stays architecturally correct, only slower.
+    /// All zero when no fault injector is installed.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HwFaultStats {
+        /// Page walks restarted from the root after a `walk-step` fault.
+        pub walk_restarts: u64,
+        /// Alias-PTE stores retried after an `alias-install` fault.
+        pub alias_install_retries: u64,
+        /// MMU paging-structure-cache fills dropped by a `mmu-cache-fill` fault.
+        pub mmu_cache_fill_drops: u64,
+        /// Any-size TLB fills dropped by an `any-size-fill` fault.
+        pub tlb_fill_drops: u64,
+        /// Any-size TLB evictions abandoned by an `any-size-evict` fault.
+        pub tlb_evict_abandons: u64,
+        /// Dual-STLB probes forced to miss by an `stlb-probe` fault.
+        pub stlb_probe_misses: u64,
+    }
 }
 
 impl HwFaultStats {
     /// Sum of every degradation counter.
     pub fn total(&self) -> u64 {
-        self.walk_restarts
-            + self.alias_install_retries
-            + self.mmu_cache_fill_drops
-            + self.tlb_fill_drops
-            + self.tlb_evict_abandons
-            + self.stlb_probe_misses
+        self.values().iter().sum()
     }
 }
 
@@ -132,21 +129,6 @@ pub struct MachineRunStats {
 }
 
 impl MachineRunStats {
-    /// Wraps a single-tenant run that completed normally — the inverse of
-    /// [`MachineRunStats::into_solo`].
-    pub fn solo_completed(stats: RunStats) -> Self {
-        MachineRunStats {
-            global: stats.clone(),
-            per_tenant: vec![stats],
-            outcomes: vec![TenantOutcome::Completed],
-        }
-    }
-
-    /// Number of tenants that ran.
-    pub fn tenant_count(&self) -> usize {
-        self.per_tenant.len()
-    }
-
     /// One tenant's outcome. Tenants of runs recorded before outcomes
     /// existed (or slots out of range) report `Completed`.
     pub fn outcome(&self, slot: usize) -> TenantOutcome {

@@ -262,7 +262,7 @@ fn smt_sibling_kill_shows_in_the_report_and_survives_resume() {
             .unwrap();
         let machine = first.cells()[0].result.as_ref().unwrap();
         assert_eq!(
-            machine.tenant_count(),
+            machine.per_tenant.len(),
             1,
             "{policy}: projected to the primary"
         );

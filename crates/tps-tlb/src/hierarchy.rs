@@ -118,19 +118,21 @@ pub enum L2Hit {
     Miss,
 }
 
-/// Hit/miss counters of the hierarchy.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// L1 lookups performed (= memory accesses translated).
-    pub accesses: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L2 hits in the STLB structures.
-    pub stlb_hits: u64,
-    /// L2 hits provided by the Range TLB after an STLB miss.
-    pub range_hits: u64,
-    /// Accesses that missed every TLB level (page walks).
-    pub l2_misses: u64,
+tps_core::counter_table! {
+    /// Hit/miss counters of the hierarchy.
+    #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+    pub struct TlbStats {
+        /// L1 lookups performed (= memory accesses translated).
+        pub accesses: u64,
+        /// L1 hits.
+        pub l1_hits: u64,
+        /// L2 hits in the STLB structures.
+        pub stlb_hits: u64,
+        /// L2 hits provided by the Range TLB after an STLB miss.
+        pub range_hits: u64,
+        /// Accesses that missed every TLB level (page walks).
+        pub l2_misses: u64,
+    }
 }
 
 impl TlbStats {

@@ -75,7 +75,7 @@ fn main() {
         .tenant(TenantSpec::workload(NoisyNeighbor { region: 0, step: 0 }).memory_cap(NOISY_CAP));
     let mut machine = builder.build().expect("65 tenants fit in 8 GB");
     let stats = machine.run();
-    assert_eq!(stats.tenant_count(), TENANTS + 1);
+    assert_eq!(stats.per_tenant.len(), TENANTS + 1);
 
     // The noisy neighbor died at its cap, mid-run, and nobody else
     // noticed: every suite tenant still completed.

@@ -43,7 +43,7 @@
 //!     .tenants((0..4).map(|i| TenantSpec::suite("gups", SuiteScale::Test, 100 + i)))
 //!     .build()?
 //!     .run();
-//! assert_eq!(stats.tenant_count(), 4);
+//! assert_eq!(stats.per_tenant.len(), 4);
 //! let shared: u64 = stats.per_tenant.iter().map(|t| t.mem.accesses).sum();
 //! assert_eq!(shared, stats.global.mem.accesses);
 //! # Ok::<(), tps::core::TpsError>(())
