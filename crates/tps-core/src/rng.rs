@@ -39,6 +39,70 @@ impl SplitMix64 {
     }
 }
 
+/// The low 256 coefficients of the characteristic polynomial p(x) of the
+/// xoshiro256 state transition, which is linear over GF(2): p(x) = x²⁵⁶ +
+/// the terms whose bits are set here, bit i of the little-endian words being
+/// the coefficient of xⁱ. x^(2¹²⁸) mod p is the published `jump()` constant
+/// (pinned by a test), which pins p too.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// A polynomial over GF(2) reduced mod p, in [`CHAR_POLY`]'s layout.
+type Poly = [u64; 4];
+
+/// Whether the coefficient of xⁱ in `a` is set.
+fn coeff(a: &Poly, i: usize) -> bool {
+    a[i / 64] >> (i % 64) & 1 != 0
+}
+
+fn xor_into(acc: &mut [u64; 4], x: [u64; 4]) {
+    for (a, x) in acc.iter_mut().zip(x) {
+        *a ^= x;
+    }
+}
+
+/// `a · x mod p`: a shift, and x²⁵⁶ ≡ the low terms of p on carry-out.
+fn mul_x(a: Poly) -> Poly {
+    let mut r = [
+        a[0] << 1,
+        a[1] << 1 | a[0] >> 63,
+        a[2] << 1 | a[1] >> 63,
+        a[3] << 1 | a[2] >> 63,
+    ];
+    if a[3] >> 63 != 0 {
+        xor_into(&mut r, CHAR_POLY);
+    }
+    r
+}
+
+/// `a · b mod p`, by Horner's rule over `b`'s coefficients.
+fn mul_mod(a: Poly, b: Poly) -> Poly {
+    let mut r = [0; 4];
+    for i in (0..256).rev() {
+        r = mul_x(r);
+        if coeff(&b, i) {
+            xor_into(&mut r, a);
+        }
+    }
+    r
+}
+
+/// `xⁿ mod p`, by square-and-multiply from `n`'s highest bit.
+fn x_pow_mod(n: u64) -> Poly {
+    let mut r = [1, 0, 0, 0];
+    for bit in (0..u64::BITS - n.leading_zeros()).rev() {
+        r = mul_mod(r, r);
+        if n >> bit & 1 != 0 {
+            r = mul_x(r);
+        }
+    }
+    r
+}
+
 /// xoshiro256++ deterministic PRNG.
 #[derive(Clone, Debug)]
 pub struct Rng {
@@ -68,6 +132,36 @@ impl Rng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
+    }
+
+    /// Moves the generator `n` draws ahead in O(log n) steps: afterwards it
+    /// is exactly as if [`Rng::next_u64`] had been called `n` times.
+    ///
+    /// The state transition T is linear over GF(2), and p(T) = 0 for its
+    /// characteristic polynomial p, so Tⁿ = r(T) with r(x) = xⁿ mod p. r is
+    /// applied the way the reference `jump()` applies its constant: step the
+    /// state 256 times and XOR together the states at r's set coefficients.
+    ///
+    /// ```
+    /// use tps_core::rng::Rng;
+    /// let mut stepped = Rng::new(7);
+    /// let mut jumped = stepped.clone();
+    /// for _ in 0..1000 {
+    ///     stepped.next_u64();
+    /// }
+    /// jumped.advance(1000);
+    /// assert_eq!(stepped.next_u64(), jumped.next_u64());
+    /// ```
+    pub fn advance(&mut self, n: u64) {
+        let r = x_pow_mod(n);
+        let mut acc = [0; 4];
+        for i in 0..256 {
+            if coeff(&r, i) {
+                xor_into(&mut acc, self.s);
+            }
+            self.next_u64();
+        }
+        self.s = acc;
     }
 
     /// Uniform value in `[0, bound)` using Lemire's multiply-shift method.
@@ -169,6 +263,59 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(xs, sorted, "shuffle of 100 elements should move something");
+    }
+
+    fn advanced(seed: u64, n: u64) -> Rng {
+        let mut r = Rng::new(seed);
+        r.advance(n);
+        r
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        let mut r = Rng::new(17);
+        for n in 0..=600 {
+            // `r` has taken n single steps; compare states, not one output.
+            assert_eq!(advanced(17, n).s, r.s, "n {n}");
+            r.next_u64();
+        }
+        for n in [12_345, (1 << 20) + 7] {
+            let mut r = Rng::new(3);
+            for _ in 0..n {
+                r.next_u64();
+            }
+            assert_eq!(advanced(3, n).s, r.s, "n {n}");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        for (a, b) in [
+            (0, 5),
+            (1, 1),
+            (255, 257),
+            (1 << 40, 12_345),
+            (u64::MAX / 3, 99),
+        ] {
+            let mut r = advanced(0x6500, a);
+            r.advance(b);
+            assert_eq!(r.s, advanced(0x6500, a + b).s, "a {a} b {b}");
+        }
+    }
+
+    #[test]
+    fn two_to_the_128_is_the_reference_jump() {
+        let mut r = [2, 0, 0, 0]; // x
+        for _ in 0..128 {
+            r = mul_mod(r, r);
+        }
+        let jump = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        assert_eq!(r, jump);
     }
 
     #[test]

@@ -414,7 +414,7 @@ mod tests {
             .faults(cfg);
         let stats = run_single(&spec, "gups", Mechanism::Tps, 11).unwrap();
         assert!(
-            stats.global.hw_faults.total() > 0,
+            stats.global.hw_faults.values().iter().sum::<u64>() > 0,
             "hardware sites absorbed faults: {:?}",
             stats.global.hw_faults
         );

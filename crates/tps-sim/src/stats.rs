@@ -53,13 +53,6 @@ tps_core::counter_table! {
     }
 }
 
-impl HwFaultStats {
-    /// Sum of every degradation counter.
-    pub fn total(&self) -> u64 {
-        self.values().iter().sum()
-    }
-}
-
 /// Everything one simulated run produced.
 ///
 /// TLB/walk counters come in two flavors: the *measured region* (after the

@@ -8,15 +8,24 @@
 //! well to TPS but only partially to CoLT (paper Figs. 10/16).
 //!
 //! Construction is the host cost of the workload (seconds at `small`
-//! scale), so it avoids floating point and branches on random values: each
-//! R-MAT level compares one raw `u64` draw against integer thresholds that
-//! are exact images of the float quadrant bounds, which yields bit for bit
-//! the graph a `next_f64() < p` cascade yields from the same stream. The
+//! scale), so it runs on every core the host offers, in parts, and the CSR
+//! it yields does not depend on the part count: it is bit for bit the graph
+//! one sequential pass over one xoshiro256++ stream yields. The edge list is
+//! cut into contiguous chunks, and each chunk's generator jumps straight to
+//! the chunk's first draw ([`Rng::advance`]). The counting-sort scatter is
+//! cut by source-vertex range; each part scans the whole edge list in
+//! generation order, so each vertex's neighbours keep that order.
+//!
+//! Each R-MAT level compares one raw `u64` draw against integer thresholds
+//! that are exact images of the float quadrant bounds, which yields bit for
+//! bit the graph a `next_f64() < p` cascade yields from the same stream. The
 //! adjacency is stored as `u32` vertex ids (`scale <= 26`); the simulated
 //! regions keep their 8-byte entries, so the replayed accesses are the same.
 
 use crate::event::{Event, Workload, WorkloadProfile};
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::thread;
 use tps_core::rng::Rng;
 
 /// Graph500 parameters.
@@ -83,6 +92,108 @@ fn rmat_quadrant(x: u64, thresholds: &[u64; 3]) -> (u32, u32) {
     (b, a ^ b ^ c)
 }
 
+/// The `m` R-MAT edges in generation order, drawn in `parts` contiguous
+/// chunks on scoped threads. Edge `i` starts at draw `i · scale` of the
+/// seed's stream, so each chunk's generator jumps there and the list is the
+/// one a single sequential pass draws.
+fn rmat_edges(params: Graph500Params, m: usize, parts: usize) -> Vec<(u32, u32)> {
+    let thresholds = RMAT_BOUNDS.map(draw_threshold);
+    let mut edges = vec![(0u32, 0u32); m];
+    // `chunks_mut(0)` panics, and `m` is 0 when `edge_factor` is.
+    let chunk = m.div_ceil(parts).max(1);
+    thread::scope(|s| {
+        for (i, part) in edges.chunks_mut(chunk).enumerate() {
+            s.spawn(move || {
+                let mut rng = Rng::new(params.seed);
+                rng.advance((i * chunk) as u64 * u64::from(params.scale));
+                for edge in part {
+                    let (mut u, mut v) = (0u32, 0u32);
+                    for _ in 0..params.scale {
+                        let (bu, bv) = rmat_quadrant(rng.next_u64(), &thresholds);
+                        u = (u << 1) | bu;
+                        v = (v << 1) | bv;
+                    }
+                    *edge = (u, v);
+                }
+            });
+        }
+    });
+    edges
+}
+
+/// The CSR offsets (`n + 1`) and adjacency of `edges` over `n` vertices: a
+/// stable counting sort by source.
+///
+/// Out-degrees are counted into `xadj` shifted by two and prefix-summed in
+/// place, both sequentially; the scatter then runs through `xadj` itself, so
+/// no degree or cursor array is allocated. The scatter is cut into `parts`
+/// source-vertex ranges of about `m / parts` edges each, cut where the
+/// prefix sums cross `k · m / parts`; R-MAT degrees are skewed, so an even
+/// vertex split would give the first range most of the edges. Each range's
+/// thread scans the whole list in generation order and writes only its own
+/// offsets and runs, so the sort stays stable for any `parts`.
+fn csr(n: usize, edges: &[(u32, u32)], parts: usize) -> (Vec<u64>, Vec<u32>) {
+    let m = edges.len();
+    // xadj[u + 2] counts u's out-degree, in a pass of its own: inside the
+    // draw loop, the cache-missing increment stalls the draws for longer
+    // than this whole pass takes.
+    let mut xadj = vec![0u64; n + 2];
+    for &(u, _) in edges {
+        xadj[u as usize + 2] += 1;
+    }
+    // Inclusive prefix sum: xadj[u + 1] is now the start of u's run, for u
+    // in 0..=n (u = n: the end, m).
+    for i in 1..xadj.len() {
+        xadj[i] += xadj[i - 1];
+    }
+    let run_start = &xadj[1..];
+    // (first vertex, start of its run) of each range, then (n, m).
+    let cuts: Vec<(usize, u64)> = (0..=parts)
+        .map(|k| {
+            let target = (k * m / parts) as u64;
+            let v = if k == parts {
+                n
+            } else {
+                run_start.partition_point(|&s| s < target)
+            };
+            (v, run_start[v])
+        })
+        .collect();
+    // Scatter through xadj[u + 1], which ends at the start of u + 1's run:
+    // xadj[0..=n] is then the CSR offsets and the last slot spare.
+    let mut adj = vec![0u32; m];
+    thread::scope(|s| {
+        let mut cursors = &mut xadj[1..=n];
+        let mut runs = adj.as_mut_slice();
+        for w in cuts.windows(2) {
+            let ((lo, base), (hi, end)) = (w[0], w[1]);
+            let (part_cursors, rest) = std::mem::take(&mut cursors).split_at_mut(hi - lo);
+            cursors = rest;
+            let (part_runs, rest) = std::mem::take(&mut runs).split_at_mut((end - base) as usize);
+            runs = rest;
+            if !part_cursors.is_empty() {
+                s.spawn(move || scatter(edges, lo, base, part_cursors, part_runs));
+            }
+        }
+    });
+    xadj.pop();
+    (xadj, adj)
+}
+
+/// Scatters the targets of the edges whose source lies in
+/// `lo..lo + cursors.len()`: `cursors[u - lo]` is the next slot of `u`'s
+/// run, counted from the start of the whole adjacency, and `runs` is the
+/// adjacency from `base` on.
+fn scatter(edges: &[(u32, u32)], lo: usize, base: u64, cursors: &mut [u64], runs: &mut [u32]) {
+    for &(u, v) in edges {
+        let i = (u as usize).wrapping_sub(lo);
+        if let Some(slot) = cursors.get_mut(i) {
+            runs[(*slot - base) as usize] = v;
+            *slot += 1;
+        }
+    }
+}
+
 /// The Graph500 generator.
 #[derive(Clone, Debug)]
 pub struct Graph500 {
@@ -110,52 +221,34 @@ impl Graph500 {
     /// `next_u64` draw per level, compared against the quadrant bounds
     /// through exact integer thresholds (see `draw_threshold`). The
     /// adjacency is a stable counting sort of the edge list by source, so
-    /// each vertex's neighbours keep their generation order. Out-degrees
-    /// are counted into `xadj` shifted by two and prefix-summed in place;
-    /// the scatter then runs through `xadj` itself, so no degree or cursor
-    /// array is allocated. The edge list is dropped before the BFS state is
-    /// built.
+    /// each vertex's neighbours keep their generation order.
+    ///
+    /// The draws and the scatter run in as many parts as
+    /// [`std::thread::available_parallelism`] reports, on scoped threads;
+    /// the CSR, and the stream position the BFS roots are drawn from, are
+    /// the same for every part count (see `rmat_edges` and `csr`). The edge
+    /// list is dropped before the BFS state is built.
     ///
     /// # Panics
     ///
     /// Panics if `scale` is 0 or larger than 26 (host-memory guard).
     pub fn new(params: Graph500Params) -> Self {
+        let parts = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::build(params, parts)
+    }
+
+    /// [`Graph500::new`] in `parts` parts.
+    fn build(params: Graph500Params, parts: usize) -> Self {
         assert!((1..=26).contains(&params.scale), "scale out of range");
         let n = 1usize << params.scale;
         let m = n * params.edge_factor as usize;
+        let (xadj, adj) = {
+            let edges = rmat_edges(params, m, parts);
+            csr(n, &edges, parts)
+        };
+        // Where one sequential stream would stand after the edge draws.
         let mut rng = Rng::new(params.seed);
-        let thresholds = RMAT_BOUNDS.map(draw_threshold);
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (mut u, mut v) = (0u32, 0u32);
-            for _ in 0..params.scale {
-                let (bu, bv) = rmat_quadrant(rng.next_u64(), &thresholds);
-                u = (u << 1) | bu;
-                v = (v << 1) | bv;
-            }
-            edges.push((u, v));
-        }
-        // xadj[u + 2] counts u's out-degree, in a pass of its own: inside
-        // the draw loop, the cache-missing increment stalls the draws for
-        // longer than this whole pass takes.
-        let mut xadj = vec![0u64; n + 2];
-        for &(u, _) in &edges {
-            xadj[u as usize + 2] += 1;
-        }
-        // Inclusive prefix sum: xadj[u + 1] is now the start of u's run.
-        for i in 1..xadj.len() {
-            xadj[i] += xadj[i - 1];
-        }
-        // Scatter through xadj[u + 1], which ends at the start of u + 1's
-        // run: xadj[0..=n] is then the CSR offsets and the last slot spare.
-        let mut adj = vec![0u32; m];
-        for &(u, v) in &edges {
-            let slot = &mut xadj[u as usize + 1];
-            adj[*slot as usize] = v;
-            *slot += 1;
-        }
-        drop(edges);
-        xadj.pop();
+        rng.advance(m as u64 * u64::from(params.scale));
         Graph500 {
             params,
             xadj,
@@ -468,6 +561,33 @@ mod tests {
             let widened: Vec<u64> = g.adj.iter().map(|&v| u64::from(v)).collect();
             assert_eq!(widened, adj, "scale {scale} edge_factor {edge_factor}");
             assert_eq!(g.rng.next_u64(), rng.next_u64(), "stream position");
+        }
+    }
+
+    #[test]
+    fn part_count_does_not_matter() {
+        // (2, 0, 9) has no edges; (1, 3, 5) has fewer edges than most part
+        // counts, so some chunks and vertex ranges are empty.
+        for (scale, edge_factor, seed) in [(2, 0, 9), (1, 3, 5), (5, 16, 3), (10, 8, 42)] {
+            let params = Graph500Params {
+                scale,
+                edge_factor,
+                seed,
+                ..small()
+            };
+            let (xadj, adj, rng) = reference_csr(params);
+            for parts in [1, 2, 3, 4, 7, 64] {
+                let mut g = Graph500::build(params, parts);
+                let case = format!("scale {scale} edge_factor {edge_factor} parts {parts}");
+                assert_eq!(g.xadj, xadj, "{case}");
+                let widened: Vec<u64> = g.adj.iter().map(|&v| u64::from(v)).collect();
+                assert_eq!(widened, adj, "{case}");
+                assert_eq!(
+                    g.rng.next_u64(),
+                    rng.clone().next_u64(),
+                    "{case}: stream position"
+                );
+            }
         }
     }
 

@@ -45,6 +45,19 @@ done
 cmp -s "$tmpdir/tenants-1-serial.json" "$tmpdir/tenants-8-serial.json" \
     && { echo "verify: tenants=8 report is identical to tenants=1 (axis inert?)" >&2; exit 1; }
 
+echo "==> graph500 part-count gate (one core vs every core: same report bytes)"
+# Graph500::new builds its CSR in std::thread::available_parallelism()
+# parts, and that is 1 under `taskset -c 0`, so this compares a one-part
+# build with a many-part build end to end (on a multi-core host).
+command -v taskset >/dev/null 2>&1 \
+    || { echo "verify: taskset not found; the graph500 part-count gate needs it" >&2; exit 1; }
+taskset -c 0 ./target/release/tps_run --bench graph500 --all --scale test --seed 7 \
+    --threads 1 --json "$tmpdir/graph500-one-core.json" >/dev/null
+./target/release/tps_run --bench graph500 --all --scale test --seed 7 \
+    --threads 1 --json "$tmpdir/graph500-all-cores.json" >/dev/null
+cmp "$tmpdir/graph500-one-core.json" "$tmpdir/graph500-all-cores.json" \
+    || { echo "verify: graph500 report bytes changed with the core count" >&2; exit 1; }
+
 echo "==> translation oracle gate (64-tenant xsbench TPS: --verify == plain)"
 # --verify checks every TLB hit against the page table and fails the cell
 # on a disagreement, so a wrong hit in the indexed any-size STLB (which
