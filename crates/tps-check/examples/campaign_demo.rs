@@ -36,12 +36,12 @@ fn main() {
     println!("schedules run        : {}", report.schedules_run);
     println!("ops executed         : {}", report.ops_run);
     println!("faults injected      : {}", report.faults_injected);
-    println!("page faults handled  : {}", report.total_faults);
-    println!("promotions           : {}", report.total_promotions);
-    println!("4K fallbacks         : {}", report.total_fallback_4k);
-    println!("  of which OOM-caused: {}", report.total_oom_fallbacks);
-    println!("compaction aborts    : {}", report.total_compaction_aborts);
-    println!("shootdowns retried   : {}", report.total_shootdowns_retried);
+    println!("page faults handled  : {}", report.os.faults);
+    println!("promotions           : {}", report.os.promotions);
+    println!("4K fallbacks         : {}", report.os.fallback_4k);
+    println!("  of which OOM-caused: {}", report.os.oom_fallbacks);
+    println!("compaction aborts    : {}", report.os.compaction_aborts);
+    println!("shootdowns retried   : {}", report.os.shootdowns_retried);
     println!("legit OOM errors     : {}", report.oom_events);
     if report.violations.is_empty() {
         println!("invariant violations : none");

@@ -11,9 +11,6 @@
 //! seeds, each schedule seed fixes both the op stream and the fault
 //! stream, so any reported violation replays exactly.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
 use crate::audit::Auditor;
 use crate::{FaultPlan, FaultPlanConfig};
 use tps_core::rng::Rng;
@@ -92,94 +89,20 @@ pub struct CampaignReport {
     pub faults_injected: u64,
     /// Total legitimate out-of-memory degradations observed.
     pub oom_events: u64,
-    /// Summed OS counters that prove the degradation paths really ran.
-    pub total_faults: u64,
-    /// Summed 4 KB fallbacks.
-    pub total_fallback_4k: u64,
-    /// Summed allocation-failure fallbacks.
-    pub total_oom_fallbacks: u64,
-    /// Summed interrupted compaction passes.
-    pub total_compaction_aborts: u64,
-    /// Summed redelivered shootdowns.
-    pub total_shootdowns_retried: u64,
-    /// Summed page promotions (the TPS machinery kept working).
-    pub total_promotions: u64,
+    /// OS counters summed over every schedule: faults, fallbacks,
+    /// compaction aborts, redelivered shootdowns and promotions prove the
+    /// degradation paths and the TPS machinery really ran.
+    pub os: OsStats,
     /// All violations, each prefixed with its schedule seed (truncated to
     /// [`CampaignReport::MAX_VIOLATIONS`]).
     pub violations: Vec<String>,
     /// Violations dropped beyond the cap.
     pub violations_truncated: u64,
-    /// Wall-clock time per schedule as `(schedule seed, elapsed)`, in run
-    /// order. Diagnostic only — wall-clock never participates in the
-    /// campaign's deterministic outcome.
-    pub schedule_elapsed: Vec<(u64, Duration)>,
-    /// Triage: schedules whose violations vanished when replayed with a
-    /// re-derived fault-plan seed, as `(schedule seed, first-attempt
-    /// violation count)`. A flaky schedule's breakage depends on fault
-    /// *timing*, not on the op stream — a different bug class than a
-    /// deterministic violation, so it is called out separately. (The
-    /// first-attempt violations still count in [`CampaignReport::violations`].)
-    pub flaky_schedules: Vec<(u64, u64)>,
 }
 
 impl CampaignReport {
     /// Cap on retained violation messages.
     pub const MAX_VIOLATIONS: usize = 32;
-
-    /// Slowest schedules, as `(seed, elapsed)` sorted descending, at most
-    /// `n` of them.
-    pub fn slowest(&self, n: usize) -> Vec<(u64, Duration)> {
-        let mut by_time = self.schedule_elapsed.clone();
-        by_time.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        by_time.truncate(n);
-        by_time
-    }
-
-    /// Human-readable summary: totals, the slowest schedules, and the
-    /// flaky-schedule triage section.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "campaign: {} schedules, {} ops, {} faults injected, {} OOM degradations",
-            self.schedules_run, self.ops_run, self.faults_injected, self.oom_events
-        );
-        let total: Duration = self.schedule_elapsed.iter().map(|(_, d)| *d).sum();
-        let _ = writeln!(
-            s,
-            "elapsed: {:.3}s total across {} schedules",
-            total.as_secs_f64(),
-            self.schedule_elapsed.len()
-        );
-        for (seed, elapsed) in self.slowest(3) {
-            let _ = writeln!(s, "  slowest: schedule {seed:#x} took {elapsed:?}");
-        }
-        let _ = writeln!(
-            s,
-            "violations: {} ({} truncated)",
-            self.violations.len(),
-            self.violations_truncated
-        );
-        for v in &self.violations {
-            let _ = writeln!(s, "  {v}");
-        }
-        let _ = writeln!(s, "flaky-schedule triage:");
-        if self.flaky_schedules.is_empty() {
-            let _ = writeln!(
-                s,
-                "  none — every violating schedule (if any) failed on retry too"
-            );
-        } else {
-            for (seed, first_attempt) in &self.flaky_schedules {
-                let _ = writeln!(
-                    s,
-                    "  schedule {seed:#x}: {first_attempt} violation(s) on the pinned \
-                     fault seed, clean on retry — fault-timing sensitive"
-                );
-            }
-        }
-        s
-    }
 }
 
 /// The policies a schedule may draw (RMM is exercised elsewhere; its
@@ -325,48 +248,18 @@ pub fn run_schedule(cfg: &CampaignConfig, schedule_seed: u64) -> ScheduleOutcome
     out
 }
 
-/// Replays a violating schedule once with a re-derived fault-plan seed to
-/// separate fault-timing-sensitive ("flaky") schedules from deterministic
-/// breakage. Returns `true` when the retry ran clean.
-fn retry_runs_clean(cfg: &CampaignConfig, schedule_seed: u64) -> bool {
-    let retry_plan = FaultPlanConfig {
-        // Same op stream, different fault stream: flip the derived seed
-        // with a salt no first-attempt plan uses.
-        seed: schedule_seed ^ 0x9e37_79b9_7f4a_7c15 ^ 0x5eed_5a17,
-        ..cfg.plan
-    };
-    let (handle, _plan) = FaultPlan::handles(retry_plan);
-    run_schedule_with_injector(cfg, schedule_seed, Some(handle))
-        .violations
-        .is_empty()
-}
-
 /// Runs `cfg.schedules` schedules with seeds derived from `cfg.seed`.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut seeder = Rng::new(cfg.seed);
     let mut report = CampaignReport::default();
     for _ in 0..cfg.schedules {
         let schedule_seed = seeder.next_u64();
-        let started = Instant::now();
         let out = run_schedule(cfg, schedule_seed);
-        report
-            .schedule_elapsed
-            .push((schedule_seed, started.elapsed()));
-        if !out.violations.is_empty() && retry_runs_clean(cfg, schedule_seed) {
-            report
-                .flaky_schedules
-                .push((schedule_seed, out.violations.len() as u64));
-        }
         report.schedules_run += 1;
         report.ops_run += u64::from(cfg.ops_per_schedule);
         report.faults_injected += out.injected;
         report.oom_events += out.oom_events;
-        report.total_faults += out.stats.faults;
-        report.total_fallback_4k += out.stats.fallback_4k;
-        report.total_oom_fallbacks += out.stats.oom_fallbacks;
-        report.total_compaction_aborts += out.stats.compaction_aborts;
-        report.total_shootdowns_retried += out.stats.shootdowns_retried;
-        report.total_promotions += out.stats.promotions;
+        report.os.accumulate(&out.stats);
         for msg in out.violations {
             if report.violations.len() < CampaignReport::MAX_VIOLATIONS {
                 report
@@ -414,40 +307,6 @@ mod tests {
         let report = run_campaign(&cfg);
         assert_eq!(report.schedules_run, 8);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.total_faults > 0);
-    }
-
-    #[test]
-    fn campaign_times_every_schedule() {
-        let cfg = CampaignConfig {
-            schedules: 4,
-            ..CampaignConfig::default()
-        };
-        let report = run_campaign(&cfg);
-        assert_eq!(report.schedule_elapsed.len(), 4);
-        // Each entry carries the schedule seed it timed, in run order.
-        let mut seeder = Rng::new(cfg.seed);
-        for (seed, _) in &report.schedule_elapsed {
-            assert_eq!(*seed, seeder.next_u64());
-        }
-        assert_eq!(report.slowest(2).len(), 2);
-    }
-
-    #[test]
-    fn render_covers_the_triage_section() {
-        let cfg = CampaignConfig {
-            schedules: 2,
-            ..CampaignConfig::default()
-        };
-        let mut report = run_campaign(&cfg);
-        let clean = report.render();
-        assert!(clean.contains("flaky-schedule triage:"));
-        assert!(clean.contains("none — every violating schedule"));
-        assert!(clean.contains("slowest: schedule"));
-
-        report.flaky_schedules.push((0xabcd, 3));
-        let flaky = report.render();
-        assert!(flaky.contains("schedule 0xabcd: 3 violation(s)"));
-        assert!(flaky.contains("fault-timing sensitive"));
+        assert!(report.os.faults > 0);
     }
 }

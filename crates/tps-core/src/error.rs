@@ -192,11 +192,6 @@ impl TenantFault {
     pub fn cause(&self) -> TenantFaultCause {
         self.cause
     }
-
-    /// The human-readable description of the fault.
-    pub fn detail(&self) -> &str {
-        &self.detail
-    }
 }
 
 impl fmt::Display for TenantFault {
@@ -344,7 +339,6 @@ mod tests {
     fn tenant_fault_carries_cause_and_detail() {
         let fault = TenantFault::new(TenantFaultCause::CapExceeded, "64 over a 32-byte cap");
         assert_eq!(fault.cause(), TenantFaultCause::CapExceeded);
-        assert_eq!(fault.detail(), "64 over a 32-byte cap");
         assert_eq!(
             fault.to_string(),
             "tenant fault (cap-exceeded): 64 over a 32-byte cap"

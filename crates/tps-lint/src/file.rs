@@ -61,6 +61,9 @@ pub struct FileCtx<'a> {
     pub allows: Vec<Allow>,
     /// Diagnostics for malformed suppression directives.
     pub malformed: Vec<Diagnostic>,
+    /// `partner[i]` is the bracket paired with `sig[i]`; see
+    /// [`FileCtx::partner`].
+    partner: Vec<Option<usize>>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -86,23 +89,103 @@ impl<'a> FileCtx<'a> {
                 full_idx: i,
             })
             .collect();
-        let all_test = path_is_test_only(&file.rel_path);
-        let test_mask = if all_test {
-            vec![true; sig.len()]
-        } else {
-            test_mask(&sig)
-        };
         let (allows, malformed) = parse_allows(&file.rel_path, src, &tokens);
-        FileCtx {
+        let mut ctx = FileCtx {
             rel_path: &file.rel_path,
             crate_name: &file.crate_name,
             src,
             tokens,
+            partner: pair_brackets(&sig),
             sig,
-            test_mask,
+            test_mask: Vec::new(),
             allows,
             malformed,
+        };
+        ctx.test_mask = if path_is_test_only(&file.rel_path) {
+            vec![true; ctx.sig.len()]
+        } else {
+            ctx.mask_test_items()
+        };
+        ctx
+    }
+
+    /// The index of the bracket paired with `sig[i]`: the closer of an
+    /// opening `(`/`[`/`{`, or the opener of a closing one. `None` for
+    /// every other token and for a bracket left unbalanced.
+    pub fn partner(&self, i: usize) -> Option<usize> {
+        self.partner.get(i).copied().flatten()
+    }
+
+    /// The first index at or after `from`, on the nesting level of `from`,
+    /// whose token text satisfies `stop`. `stop` sees an opening bracket
+    /// before its group is jumped over whole. `None` when the enclosing
+    /// group closes first, a group on the way is unbalanced, or the file
+    /// ends.
+    pub fn find_top(&self, from: usize, stop: impl Fn(&str) -> bool) -> Option<usize> {
+        let mut j = from;
+        while let Some(s) = self.sig.get(j) {
+            if stop(s.text) {
+                return Some(j);
+            }
+            j = match s.text {
+                "(" | "[" | "{" => self.partner(j)? + 1,
+                ")" | "]" | "}" => return None,
+                _ => j + 1,
+            };
         }
+        None
+    }
+
+    /// The end of the item at `start`, past any attributes there: the `}`
+    /// closing its body, or the `;` ending a bodiless item.
+    pub fn item_end(&self, start: usize) -> Option<usize> {
+        let mut j = start;
+        while self.text(j) == "#" && self.text(j + 1) == "[" {
+            j = self.partner(j + 1)? + 1;
+        }
+        let end = self.find_top(j, |t| t == "{" || t == ";")?;
+        match self.text(end) {
+            "{" => self.partner(end),
+            _ => Some(end),
+        }
+    }
+
+    /// The index of the `>` (or fused `>>`) closing the generic list that
+    /// the `<` at `open` starts.
+    pub fn generics_end(&self, open: usize) -> Option<usize> {
+        let mut depth = 0;
+        for (j, s) in self.sig.iter().enumerate().skip(open) {
+            depth += angle_step(s.text);
+            if depth <= 0 && matches!(s.text, ">" | ">>") {
+                return Some(j);
+            }
+        }
+        None
+    }
+
+    /// Marks significant tokens covered by `#[cfg(test)]` / `#[test]` items.
+    fn mask_test_items(&self) -> Vec<bool> {
+        let sig = &self.sig;
+        let mut mask = vec![false; sig.len()];
+        let mut i = 0usize;
+        while i < sig.len() {
+            if sig[i].text == "#" && self.text(i + 1) == "[" {
+                let Some(close) = self.partner(i + 1) else {
+                    break;
+                };
+                if attr_is_test(&sig[i + 2..close]) {
+                    if let Some(end) = self.item_end(close + 1) {
+                        mask[i..=end].fill(true);
+                        i = end + 1;
+                        continue;
+                    }
+                }
+                i = close + 1;
+                continue;
+            }
+            i += 1;
+        }
+        mask
     }
 
     /// True when `sig[i]` is inside test-only code.
@@ -137,34 +220,6 @@ fn path_is_test_only(rel: &str) -> bool {
         || rel.ends_with("build.rs")
 }
 
-/// Marks significant tokens covered by `#[cfg(test)]` / `#[test]` items.
-fn test_mask(sig: &[Sig<'_>]) -> Vec<bool> {
-    let mut mask = vec![false; sig.len()];
-    let mut i = 0usize;
-    while i < sig.len() {
-        if sig[i].text == "#" && i + 1 < sig.len() && sig[i + 1].text == "[" {
-            let attr_start = i;
-            let close = match matching(sig, i + 1, "[", "]") {
-                Some(c) => c,
-                None => break,
-            };
-            if attr_is_test(&sig[i + 2..close]) {
-                if let Some(end) = item_end(sig, close + 1) {
-                    for m in mask.iter_mut().take(end + 1).skip(attr_start) {
-                        *m = true;
-                    }
-                    i = end + 1;
-                    continue;
-                }
-            }
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-    mask
-}
-
 /// `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, ...))]` — but not
 /// `#[cfg(not(test))]`.
 fn attr_is_test(body: &[Sig<'_>]) -> bool {
@@ -182,45 +237,46 @@ fn attr_is_test(body: &[Sig<'_>]) -> bool {
     mentions_test && !negated
 }
 
-/// Index of the token closing the group opened at `open_idx`.
-fn matching(sig: &[Sig<'_>], open_idx: usize, open: &str, close: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, s) in sig.iter().enumerate().skip(open_idx) {
-        if s.text == open {
-            depth += 1;
-        } else if s.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
+/// How far `text` moves the depth of a generic argument list: `<` and
+/// `<<` open one and two levels, `>` and `>>` close them. Generics cannot
+/// be paired like brackets, because the same tokens are also comparison
+/// and shift operators; scans that step over them count instead.
+pub fn angle_step(text: &str) -> i32 {
+    match text {
+        "<" => 1,
+        "<<" => 2,
+        ">" => -1,
+        ">>" => -2,
+        _ => 0,
     }
-    None
 }
 
-/// Finds the end of the item starting at `start` (first token after its
-/// attributes): the matching `}` of its body, or a trailing `;`.
-fn item_end(sig: &[Sig<'_>], start: usize) -> Option<usize> {
-    let mut j = start;
-    // Skip any further attributes between the test attribute and the item.
-    while j + 1 < sig.len() && sig[j].text == "#" && sig[j + 1].text == "[" {
-        j = matching(sig, j + 1, "[", "]")? + 1;
-    }
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    while j < sig.len() {
-        match sig[j].text {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "[" => bracket += 1,
-            "]" => bracket -= 1,
-            "{" if paren == 0 && bracket == 0 => return matching(sig, j, "{", "}"),
-            ";" if paren == 0 && bracket == 0 => return Some(j),
-            _ => {}
+/// Pairs every `(`/`[`/`{` in `sig` with its closer in one stack pass. A
+/// closer pairs with the innermost open bracket of its kind; brackets
+/// still open inside that pair, a closer with no open bracket of its kind
+/// and brackets left open at the end of the file stay unpaired.
+fn pair_brackets(sig: &[Sig<'_>]) -> Vec<Option<usize>> {
+    let mut partner = vec![None; sig.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (i, s) in sig.iter().enumerate() {
+        let opener = match s.text {
+            "(" | "[" | "{" => {
+                open.push(i);
+                continue;
+            }
+            ")" => "(",
+            "]" => "[",
+            "}" => "{",
+            _ => continue,
+        };
+        if let Some(depth) = open.iter().rposition(|&o| sig[o].text == opener) {
+            let o = open[depth];
+            open.truncate(depth);
+            partner[o] = Some(i);
+            partner[i] = Some(o);
         }
-        j += 1;
     }
-    None
+    partner
 }
 
 /// Parses every `tps-lint::allow` directive in the file's line comments.

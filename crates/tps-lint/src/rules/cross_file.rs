@@ -2,8 +2,9 @@
 
 use super::{CORE_CRATE, FAULT_SITE_COVERAGE, STATS_COUNTER_COVERAGE};
 use crate::diag::Diagnostic;
-use crate::file::{FileCtx, Sig};
+use crate::file::FileCtx;
 use crate::lexer::TokenKind;
+use crate::symbol_index::struct_fields;
 use std::collections::BTreeMap;
 
 /// A declaration found by the item scanners: the defining file's path plus
@@ -120,7 +121,7 @@ fn find_enum_variants<'a>(
                 if f.text(open) != "{" {
                     continue;
                 }
-                return Some((f.rel_path, collect_variants(&f.sig, open)));
+                return Some((f.rel_path, collect_variants(f, open)));
             }
         }
     }
@@ -129,65 +130,25 @@ fn find_enum_variants<'a>(
 
 /// Walks the body of an enum collecting variant names, skipping attributes
 /// and payloads.
-fn collect_variants<'a>(sig: &[Sig<'a>], open: usize) -> Vec<(&'a str, u32, u32)> {
+fn collect_variants<'a>(f: &FileCtx<'a>, open: usize) -> Vec<(&'a str, u32, u32)> {
     let mut variants = Vec::new();
+    let close = f.partner(open).unwrap_or(f.sig.len());
     let mut j = open + 1;
-    let mut depth = 1i32;
-    while j < sig.len() && depth > 0 {
-        match sig[j].text {
-            "{" | "(" | "[" => {
-                depth += 1;
-                j += 1;
+    while j < close {
+        let s = f.sig[j];
+        j = match s.text {
+            // Attribute on a variant: skip the `#` and its `[...]`.
+            "#" => match f.partner(j + 1) {
+                Some(c) => c + 1,
+                None => break,
+            },
+            _ if s.kind == TokenKind::Ident => {
+                variants.push((s.text, s.line, s.col));
+                // Skip a possible payload and discriminant to the comma.
+                f.find_top(j + 1, |t| t == ",").unwrap_or(close)
             }
-            "}" | ")" | "]" => {
-                depth -= 1;
-                j += 1;
-            }
-            "#" if depth == 1 => {
-                // Attribute on a variant: skip the balanced `[...]`.
-                j += 1;
-                let mut adepth = 0i32;
-                while j < sig.len() {
-                    match sig[j].text {
-                        "[" => adepth += 1,
-                        "]" => {
-                            adepth -= 1;
-                            if adepth == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            "," if depth == 1 => j += 1,
-            _ => {
-                if depth == 1 && sig[j].kind == TokenKind::Ident {
-                    variants.push((sig[j].text, sig[j].line, sig[j].col));
-                    // Skip a possible payload and discriminant to the comma.
-                    j += 1;
-                    let mut pdepth = 0i32;
-                    while j < sig.len() {
-                        match sig[j].text {
-                            "{" | "(" | "[" => pdepth += 1,
-                            "}" | ")" | "]" => {
-                                if pdepth == 0 {
-                                    break; // enum body closes
-                                }
-                                pdepth -= 1;
-                            }
-                            "," if pdepth == 0 => break,
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                } else {
-                    j += 1;
-                }
-            }
-        }
+            _ => j + 1,
+        };
     }
     variants
 }
@@ -204,31 +165,10 @@ fn find_struct_fields<'a>(
         }
         for i in 0..f.sig.len() {
             if f.sig[i].text == "struct" && f.text(i + 1) == struct_name && f.text(i + 2) == "{" {
-                let mut fields = Vec::new();
-                let mut j = i + 3;
-                let mut depth = 1i32;
-                while j < f.sig.len() && depth > 0 {
-                    match f.sig[j].text {
-                        "{" | "(" | "[" | "<" => depth += 1,
-                        "}" | ")" | "]" | ">" => depth -= 1,
-                        "#" if depth == 1 => {
-                            // Skip field attribute.
-                            while j < f.sig.len() && f.sig[j].text != "]" {
-                                j += 1;
-                            }
-                        }
-                        _ => {
-                            if depth == 1
-                                && f.sig[j].kind == TokenKind::Ident
-                                && f.sig[j].text != "pub"
-                                && f.text(j + 1) == ":"
-                            {
-                                fields.push((f.sig[j].text, f.sig[j].line, f.sig[j].col));
-                            }
-                        }
-                    }
-                    j += 1;
-                }
+                let fields = struct_fields(f, i)
+                    .into_iter()
+                    .map(|(n, _)| (f.sig[n].text, f.sig[n].line, f.sig[n].col))
+                    .collect();
                 return Some((f.rel_path, fields));
             }
         }

@@ -23,13 +23,9 @@ pub const DET_CRATES: [&str; 7] = [
     "tps-core", "tps-mem", "tps-os", "tps-pt", "tps-tlb", "tps-wl", "tps-sim",
 ];
 
-/// Modules allowed to read the wall clock: the chaos campaign's own timing
-/// and the worker-pool watchdog, both of which measure the *harness*, not
-/// the simulation.
-const WALL_CLOCK_ALLOW: [&str; 2] = [
-    "crates/tps-check/src/campaign.rs",
-    "crates/tps-sim/src/experiment/pool.rs",
-];
+/// Modules allowed to read the wall clock: only the worker-pool watchdog,
+/// which times the *harness* (a cell's deadline), not the simulation.
+const WALL_CLOCK_ALLOW: [&str; 1] = ["crates/tps-sim/src/experiment/pool.rs"];
 
 /// Iterator-producing methods whose order is the container's order.
 const ITER_METHODS: [&str; 9] = [
@@ -172,7 +168,7 @@ fn receiver_name<'a>(ctx: &'a FileCtx<'_>, recv_idx: usize) -> Option<Receiver<'
         return Some(Receiver::Ident(s.text));
     }
     if s.text == ")" {
-        let open = matching_backward(ctx, recv_idx)?;
+        let open = ctx.partner(recv_idx)?;
         let f = sig.get(open.checked_sub(1)?)?;
         if f.kind == TokenKind::Ident {
             return Some(Receiver::Call(f.text));
@@ -184,9 +180,8 @@ fn receiver_name<'a>(ctx: &'a FileCtx<'_>, recv_idx: usize) -> Option<Receiver<'
 /// Classifies the method chain starting at the `(` of the iterator call at
 /// `open_idx`: walks transparent adapters and judges the terminal.
 fn chain_terminal(ctx: &FileCtx<'_>, open_idx: usize) -> Terminal {
-    let mut close = match matching_forward(ctx, open_idx) {
-        Some(c) => c,
-        None => return Terminal::Unknown,
+    let Some(mut close) = ctx.partner(open_idx) else {
+        return Terminal::Unknown;
     };
     loop {
         let dot = close + 1;
@@ -195,7 +190,7 @@ fn chain_terminal(ctx: &FileCtx<'_>, open_idx: usize) -> Terminal {
         }
         let method = ctx.text(dot + 1);
         let (turbofish, call_open) = if ctx.text(dot + 2) == "::" && ctx.text(dot + 3) == "<" {
-            let Some(tf_close) = matching_angle(ctx, dot + 3) else {
+            let Some(tf_close) = ctx.generics_end(dot + 3) else {
                 return Terminal::Unknown;
             };
             (Some((dot + 4, tf_close)), tf_close + 1)
@@ -205,7 +200,7 @@ fn chain_terminal(ctx: &FileCtx<'_>, open_idx: usize) -> Terminal {
         if ctx.text(call_open) != "(" {
             return Terminal::Unknown; // field access or partial path
         }
-        let Some(call_close) = matching_forward(ctx, call_open) else {
+        let Some(call_close) = ctx.partner(call_open) else {
             return Terminal::Unknown;
         };
         if TRANSPARENT.contains(&method) {
@@ -241,20 +236,12 @@ fn chain_terminal(ctx: &FileCtx<'_>, open_idx: usize) -> Terminal {
 /// final identifier is hash-typed, returns that identifier.
 fn for_loop_hash_expr(ctx: &FileCtx<'_>, index: &SymbolIndex, for_idx: usize) -> Option<String> {
     let sig = &ctx.sig;
-    // Find `in` at depth 0 before the loop body opens.
-    let mut depth = 0i32;
-    let mut j = for_idx + 1;
-    let in_idx = loop {
-        let s = sig.get(j)?;
-        match s.text {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => return None, // `impl Trait for Type {`
-            "in" if depth == 0 && s.kind == TokenKind::Ident => break j,
-            _ => {}
-        }
-        j += 1;
-    };
+    // Find `in` at depth 0 before the loop body opens; a `{` first means
+    // `impl Trait for Type {`.
+    let in_idx = ctx.find_top(for_idx + 1, |t| t == "in" || t == "{")?;
+    if ctx.text(in_idx) != "in" {
+        return None;
+    }
     // Expression: `[&][&][mut] ident(.ident)*` up to the body `{`.
     let mut k = in_idx + 1;
     while matches!(ctx.text(k), "&" | "&&" | "mut") {
@@ -280,7 +267,7 @@ fn for_loop_hash_expr(ctx: &FileCtx<'_>, index: &SymbolIndex, for_idx: usize) ->
 
 /// `wall-clock-in-sim`: `Instant::now` / `SystemTime::now` / `UNIX_EPOCH`
 /// anywhere in the deterministic crates or the checker, outside the
-/// allowlisted harness-timing modules.
+/// allowlisted watchdog module.
 fn wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if WALL_CLOCK_ALLOW.contains(&ctx.rel_path) {
         return;
@@ -376,66 +363,4 @@ fn in_use_statement(ctx: &FileCtx<'_>, i: usize) -> bool {
         }
     }
     false
-}
-
-/// Index of the token closing the group opened at `open_idx` (`(`…`)`).
-fn matching_forward(ctx: &FileCtx<'_>, open_idx: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, s) in ctx.sig.iter().enumerate().skip(open_idx) {
-        match s.text {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Index of the `(` matching the `)` at `close_idx`.
-fn matching_backward(ctx: &FileCtx<'_>, close_idx: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for j in (0..=close_idx).rev() {
-        match ctx.text(j) {
-            ")" => depth += 1,
-            "(" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Index of the token closing the `<` at `open_idx`, counting the fused
-/// `<<`/`>>` tokens as two.
-fn matching_angle(ctx: &FileCtx<'_>, open_idx: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, s) in ctx.sig.iter().enumerate().skip(open_idx) {
-        match s.text {
-            "<" => depth += 1,
-            "<<" => depth += 2,
-            ">" => {
-                depth -= 1;
-                if depth <= 0 {
-                    return Some(j);
-                }
-            }
-            ">>" => {
-                depth -= 2;
-                if depth <= 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }

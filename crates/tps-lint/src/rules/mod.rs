@@ -40,7 +40,7 @@ pub const RAW_ARTIFACT_IO: &str = "raw-artifact-io";
 /// deterministic crates unless the sink is an order-insensitive fold.
 pub const UNORDERED_ITERATION: &str = "unordered-iteration";
 /// `Instant::now`/`SystemTime::now` are banned in the deterministic crates
-/// outside the allowlisted watchdog/campaign-timing modules.
+/// outside the allowlisted worker-pool watchdog.
 pub const WALL_CLOCK: &str = "wall-clock-in-sim";
 /// Hasher state, OS RNGs, environment variables and thread identity may
 /// not reach sim state or report fields.
@@ -190,8 +190,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         WALL_CLOCK => {
             "wall-clock-in-sim: Instant::now/SystemTime::now/UNIX_EPOCH are banned in the \
-             deterministic crates and tps-check, outside the allowlisted harness-timing \
-             modules (the worker-pool watchdog and the chaos campaign's own timer). \
+             deterministic crates and tps-check, outside the one allowlisted harness-timing \
+             module (the worker-pool watchdog). \
              Simulated time must come from the simulator; wall-clock readings differ per \
              run and poison replayability."
         }

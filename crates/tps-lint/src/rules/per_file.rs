@@ -168,7 +168,7 @@ pub fn addr_opacity(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             if prev.kind == TokenKind::Ident && bound.contains(prev.text) {
                 flag = true;
             } else if prev.text == ")" {
-                if let Some(open) = matching_backward(&ctx.sig, i - 1) {
+                if let Some(open) = ctx.partner(i - 1) {
                     if open >= 3
                         && ctx.text(open - 1) == "new"
                         && ctx.text(open - 2) == "::"
@@ -193,24 +193,6 @@ pub fn addr_opacity(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Index of the `(` matching the `)` at `close_idx`, scanning backward.
-fn matching_backward(sig: &[Sig<'_>], close_idx: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for j in (0..=close_idx).rev() {
-        match sig[j].text {
-            ")" => depth += 1,
-            "(" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// [`NO_WILDCARD_ENUM_MATCH`]: a `match` whose arm patterns name one of the
 /// guarded enums must stay exhaustive — no bare `_` arm, so that adding a
 /// variant is a compile-time event at every consumer.
@@ -219,13 +201,16 @@ pub fn wildcard_enum_match(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
         if ctx.sig[i].text != "match" || ctx.sig[i].kind != TokenKind::Ident || ctx.is_test(i) {
             continue;
         }
-        let Some(block_open) = match_block_open(&ctx.sig, i) else {
+        // The body opens at the first top-level `{` after the scrutinee:
+        // Rust requires parentheses around struct literals and closures
+        // there, so no bare block can come first.
+        let Some(block_open) = ctx.find_top(i + 1, |t| t == "{" || t == ";") else {
             continue;
         };
-        let Some(block_close) = matching_forward(&ctx.sig, block_open, "{", "}") else {
-            continue;
+        let Some(block_close) = ctx.partner(block_open) else {
+            continue; // `;` first: not a match expression
         };
-        let arms = parse_arms(&ctx.sig, block_open + 1, block_close);
+        let arms = parse_arms(ctx, block_open + 1, block_close);
         let guarded = arms.iter().any(|a| {
             pattern_slice(ctx, a)
                 .windows(2)
@@ -262,50 +247,14 @@ fn pattern_slice<'c, 'a>(ctx: &'c FileCtx<'a>, a: &Arm) -> &'c [Sig<'a>] {
     &ctx.sig[a.pat_start..a.pat_end]
 }
 
-/// The `{` opening the match body: first `{` after the scrutinee at zero
-/// paren/bracket depth (Rust forbids bare struct literals in scrutinees).
-fn match_block_open(sig: &[Sig<'_>], match_idx: usize) -> Option<usize> {
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    for (j, s) in sig.iter().enumerate().skip(match_idx + 1) {
-        match s.text {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "[" => bracket += 1,
-            "]" => bracket -= 1,
-            // A bare block in the scrutinee would fool this scan, but Rust
-            // requires parentheses around struct literals and closures there.
-            "{" if paren == 0 && bracket == 0 => return Some(j),
-            ";" if paren == 0 && bracket == 0 => return None,
-            _ => {}
-        }
-    }
-    None
-}
-
-fn matching_forward(sig: &[Sig<'_>], open_idx: usize, open: &str, close: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, s) in sig.iter().enumerate().skip(open_idx) {
-        if s.text == open {
-            depth += 1;
-        } else if s.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
 /// Splits the token range of a match body into arms.
-fn parse_arms(sig: &[Sig<'_>], start: usize, end: usize) -> Vec<Arm> {
+fn parse_arms(ctx: &FileCtx<'_>, start: usize, end: usize) -> Vec<Arm> {
     let mut arms = Vec::new();
     let mut j = start;
     while j < end {
         // Skip attributes on the arm.
-        while j + 1 < end && sig[j].text == "#" && sig[j + 1].text == "[" {
-            match matching_forward(sig, j + 1, "[", "]") {
+        while j + 1 < end && ctx.text(j) == "#" && ctx.text(j + 1) == "[" {
+            match ctx.partner(j + 1) {
                 Some(c) => j = c + 1,
                 None => return arms,
             }
@@ -315,53 +264,26 @@ fn parse_arms(sig: &[Sig<'_>], start: usize, end: usize) -> Vec<Arm> {
         }
         // Pattern runs until `=>` at this nesting level; an `if` guard ends
         // the pattern proper.
-        let pat_start = j;
-        let mut pat_end = None;
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < end {
-            match sig[k].text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "if" if depth == 0 && pat_end.is_none() => pat_end = Some(k),
-                "=>" if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        if k >= end {
+        let Some(guard) = ctx.find_top(j, |t| t == "if" || t == "=>") else {
             break; // no arrow: not an arm (e.g. empty match)
-        }
+        };
+        let Some(arrow) = ctx.find_top(guard, |t| t == "=>") else {
+            break;
+        };
         arms.push(Arm {
-            pat_start,
-            pat_end: pat_end.unwrap_or(k),
+            pat_start: j,
+            pat_end: guard,
         });
-        // Skip the body: a braced block, or tokens until a comma at depth 0.
-        let mut b = k + 1;
-        if b < end && sig[b].text == "{" {
-            match matching_forward(sig, b, "{", "}") {
-                Some(c) => b = c + 1,
+        // Skip the body: a braced block, or tokens up to a top-level comma.
+        j = if ctx.text(arrow + 1) == "{" {
+            match ctx.partner(arrow + 1) {
+                Some(c) if ctx.text(c + 1) == "," => c + 2,
+                Some(c) => c + 1,
                 None => return arms,
             }
-            if b < end && sig[b].text == "," {
-                b += 1;
-            }
         } else {
-            let mut depth = 0i32;
-            while b < end {
-                match sig[b].text {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 => {
-                        b += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                b += 1;
-            }
-        }
-        j = b;
+            ctx.find_top(arrow + 1, |t| t == ",").map_or(end, |c| c + 1)
+        };
     }
     arms
 }
@@ -505,23 +427,15 @@ fn has_doc(ctx: &FileCtx<'_>, pub_idx: usize) -> bool {
                 if prev.text(ctx.src) != "]" {
                     return false;
                 }
-                let mut depth = 0i32;
-                let mut k = j - 1;
-                loop {
-                    let text = ctx.tokens[k].text(ctx.src);
-                    if text == "]" {
-                        depth += 1;
-                    } else if text == "[" {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if k == 0 {
-                        return false;
-                    }
-                    k -= 1;
-                }
+                let Some(k) = ctx
+                    .sig
+                    .binary_search_by_key(&(j - 1), |s| s.full_idx)
+                    .ok()
+                    .and_then(|close| ctx.partner(close))
+                    .map(|open| ctx.sig[open].full_idx)
+                else {
+                    return false;
+                };
                 // `#[doc = "..."]` counts as documentation.
                 if ctx.tokens[k + 1..j - 1]
                     .iter()

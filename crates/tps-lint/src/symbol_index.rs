@@ -29,7 +29,7 @@
 //! guarding a byte-identical-output contract. Audited false positives are
 //! silenced with the standard allow-with-reason suppression.
 
-use crate::file::FileCtx;
+use crate::file::{angle_step, FileCtx};
 use crate::lexer::TokenKind;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -411,7 +411,7 @@ impl SymbolIndex {
             }
             match kind {
                 DefKind::Fn => {
-                    let end = item_body_end(ctx, i).unwrap_or(i + 1);
+                    let end = ctx.item_end(i).unwrap_or(i + 1);
                     fs.fn_spans.push(FnSpan {
                         name: name.clone(),
                         start: i,
@@ -450,60 +450,20 @@ impl SymbolIndex {
     /// Collects `field: Type` pairs from a struct body into the crate's
     /// field map.
     fn index_struct_fields(&mut self, ctx: &FileCtx<'_>, struct_idx: usize) {
-        let sig = &ctx.sig;
-        // Find the body `{` at depth 0 (skipping generics and where-clauses).
-        let mut j = struct_idx + 2;
-        let mut angle = 0i32;
-        let open = loop {
-            if j >= sig.len() {
-                return;
+        for (name_idx, ty_end) in struct_fields(ctx, struct_idx) {
+            let name = ctx.sig[name_idx].text;
+            if let Some((head, _)) = type_head(ctx, name_idx + 2) {
+                self.fields
+                    .entry(ctx.crate_name.to_string())
+                    .or_default()
+                    .insert(name.to_string(), head);
             }
-            match sig[j].text {
-                "<" => angle += 1,
-                "<<" => angle += 2,
-                ">" => angle -= 1,
-                ">>" => angle -= 2,
-                "{" if angle <= 0 => break j,
-                ";" | "(" if angle <= 0 => return, // unit or tuple struct
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(close) = matching_forward(ctx, open, "{", "}") else {
-            return;
-        };
-        let mut depth = 0i32;
-        for k in open + 1..close {
-            match sig[k].text {
-                "{" | "(" | "[" | "<" => depth += 1,
-                "<<" => depth += 2,
-                "}" | ")" | "]" | ">" => depth -= 1,
-                ">>" => depth -= 2,
-                ":" if depth == 0 && sig[k - 1].kind == TokenKind::Ident => {
-                    if let Some((head, _)) = type_head(ctx, k + 1) {
-                        self.fields
-                            .entry(ctx.crate_name.to_string())
-                            .or_default()
-                            .insert(sig[k - 1].text.to_string(), head);
-                    }
-                    // A `dyn` anywhere in the declared type (up to the
-                    // field's top-level comma) marks the field dynamic.
-                    let mut d = 0i32;
-                    for t in k + 1..close {
-                        match sig[t].text {
-                            "{" | "(" | "[" | "<" => d += 1,
-                            "<<" => d += 2,
-                            "}" | ")" | "]" | ">" => d -= 1,
-                            ">>" => d -= 2,
-                            "," if d == 0 => break,
-                            "dyn" => {
-                                self.dyn_fields.insert(sig[k - 1].text.to_string());
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                _ => {}
+            // A `dyn` anywhere in the declared type marks the field dynamic.
+            if ctx.sig[name_idx + 2..ty_end]
+                .iter()
+                .any(|s| s.text == "dyn")
+            {
+                self.dyn_fields.insert(name.to_string());
             }
         }
     }
@@ -545,26 +505,21 @@ impl SymbolIndex {
                     }
                 }
             }
-            // Scan the initializer for a `collect::<Head<...>>` turbofish.
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j < sig.len() {
-                match sig[j].text {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    "collect"
-                        if ctx.text(j + 1) == "::"
-                            && ctx.text(j + 2) == "<"
-                            && sig.get(j + 3).map(|s| s.kind) == Some(TokenKind::Ident) =>
-                    {
-                        fs.bindings
-                            .entry(name.to_string())
-                            .or_insert_with(|| ctx.text(j + 3).to_string());
-                    }
-                    _ => {}
+            // Scan the initializer, up to its `;` or the close of the
+            // enclosing group, for a `collect::<Head<...>>` turbofish.
+            let end = ctx
+                .find_top(i + 1, |t| matches!(t, ";" | ")" | "]" | "}"))
+                .unwrap_or(sig.len());
+            for j in i + 1..end {
+                if sig[j].text == "collect"
+                    && ctx.text(j + 1) == "::"
+                    && ctx.text(j + 2) == "<"
+                    && sig.get(j + 3).map(|s| s.kind) == Some(TokenKind::Ident)
+                {
+                    fs.bindings
+                        .entry(name.to_string())
+                        .or_insert_with(|| ctx.text(j + 3).to_string());
                 }
-                j += 1;
             }
         }
     }
@@ -639,23 +594,15 @@ fn parse_use_tree(
         match sig[j].text {
             "::" | "," => j += 1,
             "{" => {
-                let Some(close) = matching_forward(ctx, j, "{", "}") else {
+                let Some(close) = ctx.partner(j) else {
                     return;
                 };
                 // Split the group body on top-level commas and recurse.
                 let joined = path.join("::");
                 let mut seg_start = j + 1;
-                let mut depth = 0i32;
-                for (k, s) in sig.iter().enumerate().take(close).skip(j + 1) {
-                    match s.text {
-                        "{" => depth += 1,
-                        "}" => depth -= 1,
-                        "," if depth == 0 => {
-                            parse_use_tree(ctx, seg_start, k, &joined, out);
-                            seg_start = k + 1;
-                        }
-                        _ => {}
-                    }
+                while let Some(comma) = ctx.find_top(seg_start, |t| t == ",") {
+                    parse_use_tree(ctx, seg_start, comma, &joined, out);
+                    seg_start = comma + 1;
                 }
                 parse_use_tree(ctx, seg_start, close, &joined, out);
                 return;
@@ -718,32 +665,13 @@ fn impl_target_name(ctx: &FileCtx<'_>, impl_idx: usize) -> String {
     let mut j = impl_idx + 1;
     // Skip generic parameters.
     if ctx.text(j) == "<" {
-        let mut depth = 0i32;
-        while j < sig.len() {
-            match sig[j].text {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" | ">>" => {
-                    depth -= if sig[j].text == ">" { 1 } else { 2 };
-                    if depth <= 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        j = ctx.generics_end(j).map_or(sig.len(), |e| e + 1);
     }
     // `impl Trait for Type`: take the segment after `for` if present.
     let mut last_ident = String::new();
     let mut depth = 0i32;
     while j < sig.len() {
         match sig[j].text {
-            "<" => depth += 1,
-            "<<" => depth += 2,
-            ">" => depth -= 1,
-            ">>" => depth -= 2,
             "{" | "where" if depth <= 0 => break,
             "for" if depth == 0 => {
                 last_ident.clear();
@@ -751,52 +679,23 @@ fn impl_target_name(ctx: &FileCtx<'_>, impl_idx: usize) -> String {
             t if sig[j].kind == TokenKind::Ident && depth == 0 => {
                 last_ident = t.to_string();
             }
-            _ => {}
+            t => depth += angle_step(t),
         }
         j += 1;
     }
     last_ident
 }
 
-/// End of the item starting at `start` (its `fn` keyword): the matching
-/// `}` of the body, or the trailing `;` of a bodiless signature.
-fn item_body_end(ctx: &FileCtx<'_>, start: usize) -> Option<usize> {
-    let sig = &ctx.sig;
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    let mut j = start;
-    while j < sig.len() {
-        match sig[j].text {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "[" => bracket += 1,
-            "]" => bracket -= 1,
-            "{" if paren == 0 && bracket == 0 => return matching_forward(ctx, j, "{", "}"),
-            ";" if paren == 0 && bracket == 0 => return Some(j),
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
 /// Index of the `=` of a `type Name<...> = ...;` alias, scanning from just
 /// past the alias name (skips generic parameters).
 fn alias_eq_idx(ctx: &FileCtx<'_>, start: usize) -> Option<usize> {
-    let sig = &ctx.sig;
     let mut angle = 0i32;
-    let mut j = start;
-    while j < sig.len() {
-        match sig[j].text {
-            "<" => angle += 1,
-            "<<" => angle += 2,
-            ">" => angle -= 1,
-            ">>" => angle -= 2,
+    for (j, s) in ctx.sig.iter().enumerate().skip(start) {
+        match s.text {
             "=" if angle <= 0 => return Some(j),
             ";" | "{" => return None,
-            _ => {}
+            t => angle += angle_step(t),
         }
-        j += 1;
     }
     None
 }
@@ -829,7 +728,7 @@ fn has_copy_derive(ctx: &FileCtx<'_>, kw_idx: usize) -> bool {
         if prev == "pub" {
             j -= 1;
         } else if prev == ")" {
-            match matching_backward(ctx, j - 1, "(", ")") {
+            match ctx.partner(j - 1) {
                 Some(open) if open >= 1 && ctx.text(open - 1) == "pub" => j = open - 1,
                 _ => return false,
             }
@@ -839,7 +738,7 @@ fn has_copy_derive(ctx: &FileCtx<'_>, kw_idx: usize) -> bool {
     }
     // Walk the stack of preceding `#[...]` groups.
     while j >= 2 && ctx.text(j - 1) == "]" {
-        let Some(open) = matching_backward(ctx, j - 1, "[", "]") else {
+        let Some(open) = ctx.partner(j - 1) else {
             return false;
         };
         if open == 0 || ctx.text(open - 1) != "#" {
@@ -862,60 +761,57 @@ fn has_copy_derive(ctx: &FileCtx<'_>, kw_idx: usize) -> bool {
     false
 }
 
-/// Index of the token opening the group closed at `close_idx`.
-fn matching_backward(
-    ctx: &FileCtx<'_>,
-    close_idx: usize,
-    open: &str,
-    close: &str,
-) -> Option<usize> {
-    let mut depth = 0i32;
-    for j in (0..=close_idx).rev() {
-        let t = ctx.text(j);
-        if t == close {
-            depth += 1;
-        } else if t == open {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
-/// Index of the token closing the group opened at `open_idx`.
-fn matching_forward(ctx: &FileCtx<'_>, open_idx: usize, open: &str, close: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, s) in ctx.sig.iter().enumerate().skip(open_idx) {
-        if s.text == open {
-            depth += 1;
-        } else if s.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
 /// The return-type head of the `fn` at `fn_idx`, when declared.
 fn fn_return_head(ctx: &FileCtx<'_>, fn_idx: usize) -> Option<String> {
+    let arrow = ctx.find_top(fn_idx + 1, |t| matches!(t, "->" | "{" | ";"))?;
+    if ctx.text(arrow) != "->" {
+        return None;
+    }
+    type_head(ctx, arrow + 1).map(|(h, _)| h)
+}
+
+/// The named fields of the struct whose keyword is at `struct_idx`, as
+/// the index of each field's name and the end (exclusive) of its declared
+/// type. Empty for unit and tuple structs.
+pub(crate) fn struct_fields(ctx: &FileCtx<'_>, struct_idx: usize) -> Vec<(usize, usize)> {
     let sig = &ctx.sig;
-    let mut paren = 0i32;
-    let mut j = fn_idx + 1;
-    while j < sig.len() {
-        match sig[j].text {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "->" if paren == 0 => return type_head(ctx, j + 1).map(|(h, _)| h),
-            "{" | ";" if paren == 0 => return None,
-            _ => {}
+    // Find the body `{` past generics and where-clauses.
+    let mut angle = 0i32;
+    let mut j = struct_idx + 2;
+    let open = loop {
+        let Some(s) = sig.get(j) else {
+            return Vec::new();
+        };
+        match s.text {
+            "{" if angle <= 0 => break j,
+            ";" | "(" if angle <= 0 => return Vec::new(), // unit or tuple struct
+            t => angle += angle_step(t),
         }
         j += 1;
+    };
+    let Some(close) = ctx.partner(open) else {
+        return Vec::new();
+    };
+    // A field is `name: Type` up to a top-level comma; brackets are jumped
+    // over and generics counted, so neither hides a comma or a colon.
+    let mut fields = Vec::new();
+    let mut name = None;
+    let mut angle = 0i32;
+    let mut k = open + 1;
+    while k < close {
+        match sig[k].text {
+            "(" | "[" | "{" => match ctx.partner(k) {
+                Some(c) => k = c,
+                None => break,
+            },
+            ":" if angle == 0 && sig[k - 1].kind == TokenKind::Ident => name = Some(k - 1),
+            "," if angle == 0 => fields.extend(name.take().map(|n| (n, k))),
+            t => angle += angle_step(t),
+        }
+        k += 1;
     }
-    None
+    fields.extend(name.map(|n| (n, close)));
+    fields
 }
 
 #[cfg(test)]

@@ -167,13 +167,6 @@ impl Reservation {
         Some(PhysAddr::new(s.base.value() + (offset - s.offset)))
     }
 
-    /// True if the reservation's backing is one single contiguous block
-    /// whose order equals the covering order of the range (i.e. the whole
-    /// range could be mapped with one PTE if fully utilized).
-    pub fn is_fully_contiguous(&self) -> bool {
-        self.segments.len() == 1
-    }
-
     /// The largest page order that can be mapped at `offset` without leaving
     /// the physically contiguous, VA-aligned segment containing it.
     pub fn max_order_at(&self, offset: u64) -> Option<PageOrder> {
@@ -309,7 +302,6 @@ pub struct UtilizationTree {
     order: u8,
     /// levels[k][i] = touched base pages in region i of order k.
     levels: Vec<Vec<u32>>,
-    touched_total: u64,
 }
 
 impl UtilizationTree {
@@ -324,21 +316,12 @@ impl UtilizationTree {
         let levels = (0..=order)
             .map(|k| vec![0u32; 1usize << (order - k)])
             .collect();
-        UtilizationTree {
-            order,
-            levels,
-            touched_total: 0,
-        }
+        UtilizationTree { order, levels }
     }
 
     /// The region order (log2 of the number of base pages tracked).
     pub fn order(&self) -> u8 {
         self.order
-    }
-
-    /// Total number of distinct base pages touched so far.
-    pub fn touched_total(&self) -> u64 {
-        self.touched_total
     }
 
     /// True if the base page at `page_idx` has been touched.
@@ -362,7 +345,6 @@ impl UtilizationTree {
         for k in 0..=self.order {
             self.levels[k as usize][(page_idx >> k) as usize] += 1;
         }
-        self.touched_total += 1;
         true
     }
 
@@ -627,7 +609,6 @@ mod tests {
         assert_eq!(t.count(0, 0), 1);
         assert_eq!(t.count(1, 0), 2);
         assert_eq!(t.count(3, 7), 2);
-        assert_eq!(t.touched_total(), 2);
         assert!(t.touched(1));
         assert!(!t.touched(2));
     }
@@ -732,7 +713,6 @@ mod proptests {
                 t.touch(idx);
                 touched.insert(idx);
             }
-            prop_assert_eq!(t.touched_total(), touched.len() as u64);
             for k in 0..=order {
                 for region in 0..(n >> k) {
                     let lo = region << k;

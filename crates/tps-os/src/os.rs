@@ -3,7 +3,7 @@
 
 use crate::address_space::{round_up_pages, AddressSpace, Vma};
 use crate::cow::{CowPolicy, FrameShares};
-use crate::policy::{CostModel, PolicyConfig, PolicyKind, ReservationRounding};
+use crate::policy::{CostModel, PolicyConfig, PolicyKind, ReservationRounding, MAX_POLICY_ORDER};
 use std::collections::BTreeMap;
 use tps_core::inject::{self, FaultSite, InjectorHandle};
 use tps_core::{
@@ -444,8 +444,8 @@ impl Os {
     /// [`TpsError::InvariantViolation`].
     pub fn mmap(&mut self, asid: Asid, len: u64) -> Result<Vma, TpsError> {
         let len_r = round_up_pages(len);
-        let covering = PageOrder::covering(len_r).unwrap_or(self.policy.max_order);
-        let align = covering.min(self.policy.max_order);
+        let covering = PageOrder::covering(len_r).unwrap_or(MAX_POLICY_ORDER);
+        let align = covering.min(MAX_POLICY_ORDER);
         let vma = self.proc_mut(asid).address_space.map_region(len_r, align)?;
         self.proc_mut(asid).stats.mmaps += 1;
         self.charge(asid, self.cost.reservation_op);
@@ -455,14 +455,14 @@ impl Os {
             PolicyKind::Tps | PolicyKind::TpsEager => {
                 let reserve_len = match self.policy.rounding {
                     ReservationRounding::ExactSpan => len_r,
-                    ReservationRounding::PowerOfTwo if covering <= self.policy.max_order => {
+                    ReservationRounding::PowerOfTwo if covering <= MAX_POLICY_ORDER => {
                         covering.bytes()
                     }
                     // Request larger than the max page: power-of-two
                     // rounding cannot help; use the exact span.
                     ReservationRounding::PowerOfTwo => len_r,
                 };
-                match reserve_span(&mut self.buddy, reserve_len, self.policy.max_order) {
+                match reserve_span(&mut self.buddy, reserve_len, MAX_POLICY_ORDER) {
                     Ok(segments) => {
                         self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                         let backup = segments.clone();
@@ -493,7 +493,7 @@ impl Os {
                 }
             }
             PolicyKind::Rmm => {
-                let segments = reserve_span(&mut self.buddy, len_r, self.policy.max_order)?;
+                let segments = reserve_span(&mut self.buddy, len_r, MAX_POLICY_ORDER)?;
                 self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                 self.map_rmm_eagerly(asid, &vma, segments)?;
             }
@@ -792,7 +792,7 @@ impl Os {
             .find(va)
             .is_some()
         {
-            let cap = self.policy.max_order;
+            let cap = MAX_POLICY_ORDER;
             self.fault_from_reservation(asid, va, PromotionMode::AnyPowerOfTwo(cap))
         } else {
             // Reservation failed at mmap time (fragmentation fallback).
@@ -1291,7 +1291,7 @@ impl Os {
                     let order = leaf.order;
                     let next = order.get() + 1;
                     let buddy_va = VirtAddr::new(va.value() + order.bytes());
-                    let mergeable = next <= self.policy.max_order.get()
+                    let mergeable = next <= MAX_POLICY_ORDER.get()
                         && va.is_aligned(12 + next as u32)
                         && leaf.base.is_aligned(12 + next as u32)
                         && buddy_va.value() < vma.end().value()
@@ -2117,6 +2117,6 @@ mod tests {
         let vma = os.mmap(pid, 2052 << 10).unwrap();
         let res = os.process(pid).reservations().find(vma.base()).unwrap();
         assert_eq!(res.len(), 4 << 20);
-        assert!(res.is_fully_contiguous());
+        assert_eq!(res.max_order_at(0), PageOrder::covering(res.len()).ok());
     }
 }

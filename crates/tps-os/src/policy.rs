@@ -73,6 +73,9 @@ pub enum ReservationRounding {
     PowerOfTwo,
 }
 
+/// Largest page order any policy creates (1 GB).
+pub(crate) const MAX_POLICY_ORDER: PageOrder = PageOrder::P1G;
+
 /// Full paging-policy configuration.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PolicyConfig {
@@ -81,8 +84,6 @@ pub struct PolicyConfig {
     /// Utilization fraction an aligned region must reach before promotion
     /// (1.0 = the paper's conservative no-bloat setting).
     pub promotion_threshold: f64,
-    /// Largest page order any policy will create.
-    pub max_order: PageOrder,
     /// Reservation sizing mode for TPS.
     pub rounding: ReservationRounding,
 }
@@ -92,7 +93,6 @@ impl Default for PolicyConfig {
         PolicyConfig {
             kind: PolicyKind::Thp,
             promotion_threshold: 1.0,
-            max_order: PageOrder::P1G,
             rounding: ReservationRounding::ExactSpan,
         }
     }

@@ -6,6 +6,11 @@ use tps_os::{AliasPolicy, PolicyConfig, PolicyKind};
 use tps_pt::MmuCacheConfig;
 use tps_tlb::{HierarchyKind, TlbConfig};
 
+/// Faults between foreign background allocations on every machine (see
+/// `tps_os::Os::set_background_noise`): 1536 makes buddy adjacency match
+/// a realistically busy system.
+pub(crate) const OS_NOISE_PERIOD: u64 = 1536;
+
 /// The translation mechanisms compared in the paper's figures.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Mechanism {
@@ -147,10 +152,6 @@ pub struct MachineConfig {
     /// Pre-fragmented physical memory to start from (Fig. 15/16), replacing
     /// the fresh allocator of `memory_bytes`.
     pub initial_memory: Option<BuddyAllocator>,
-    /// Faults between foreign background allocations (0 = pristine memory;
-    /// see `tps_os::Os::set_background_noise`). Defaults to 1536 so buddy
-    /// adjacency matches a realistically busy system.
-    pub os_noise_period: u64,
     /// Five-level paging (Intel LA57): one extra radix level per walk.
     pub five_level_paging: bool,
     /// Fine-grained A/D bit vectors in alias-PTE spare bits (paper
@@ -172,7 +173,6 @@ impl Default for MachineConfig {
             virtualized: false,
             verify_translations: false,
             initial_memory: None,
-            os_noise_period: 1536,
             five_level_paging: false,
             fine_grained_ad: false,
         }
@@ -363,7 +363,6 @@ mod extra_tests {
         assert_eq!(c.tlb.tps_l1_entries, 32);
         assert!(!c.five_level_paging);
         assert!(!c.fine_grained_ad);
-        assert!(c.os_noise_period > 0, "busy-system default");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! promotions and shootdowns evict and invalidate another's TLB entries —
 //! the cross-talk the paper's fragmentation story is about.
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, OS_NOISE_PERIOD};
 use crate::mmu::{AccessLevel, Mmu};
 use crate::stats::{HwFaultStats, MachineRunStats, RunStats, TenantOutcome};
 use std::collections::BTreeMap;
@@ -341,7 +341,7 @@ impl MachineBuilder {
             .clone()
             .unwrap_or_else(|| BuddyAllocator::new(self.config.memory_bytes));
         let mut os = Os::with_buddy(buddy, self.config.policy);
-        os.set_background_noise(self.config.os_noise_period);
+        os.set_background_noise(OS_NOISE_PERIOD);
         if self.config.five_level_paging {
             os.set_page_table_levels(5);
         }

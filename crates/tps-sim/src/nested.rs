@@ -16,7 +16,6 @@ pub struct NestedWalkModel {
     host_pt: PageTable,
     host_caches: MmuCaches,
     walker: Walker,
-    host_refs: u64,
 }
 
 /// Guest page-table pool window the host maps (1 GB of node frames —
@@ -65,7 +64,6 @@ impl NestedWalkModel {
             host_pt,
             host_caches: MmuCaches::default(),
             walker: Walker::default(),
-            host_refs: 0,
         }
     }
 
@@ -86,13 +84,7 @@ impl NestedWalkModel {
                 Some(&mut self.host_caches),
             )
             .expect("host maps all guest-physical memory");
-        self.host_refs += ok.refs.len() as u64;
         ok.refs.len() as u64
-    }
-
-    /// Total host references performed so far.
-    pub fn host_refs(&self) -> u64 {
-        self.host_refs
     }
 }
 
@@ -114,7 +106,6 @@ mod tests {
         n.nested_refs(PhysAddr::new(BASE_PAGE_SIZE));
         let warm = n.nested_refs(PhysAddr::new(0x2000));
         assert_eq!(warm, 1, "PDPTE cache hit leaves only the leaf access");
-        assert!(n.host_refs() >= 3);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The execution-time model: `T = T_IDEAL + T_L1DTLBM + T_PW` (+ system
-//! time), exactly the decomposition the paper uses in §IV-B.
+//! The execution-time model: `T = T_IDEAL + T_L1DTLBM + T_PW`, exactly
+//! the decomposition the paper uses in §IV-B. System time (Fig. 17) is
+//! not part of it: the Fig. 17 harness reads `RunStats::os` directly.
 //!
 //! The paper measures `T_L1DTLBM` with ZSim and calibrates the
 //! savable-walk-cycle fraction from hardware performance counters; here
@@ -43,8 +44,6 @@ pub struct TimingBreakdown {
     pub t_l1dtlbm: f64,
     /// Time lost to page walks (savable fraction of walker cycles).
     pub t_pw: f64,
-    /// OS (system) time.
-    pub t_os: f64,
     /// Raw page-walker-active cycles (the hardware counter `PWC`; only the
     /// savable fraction appears in `t_pw`).
     pub pwc: f64,
@@ -53,7 +52,7 @@ pub struct TimingBreakdown {
 impl TimingBreakdown {
     /// Total execution time.
     pub fn total(&self) -> f64 {
-        self.t_ideal + self.t_l1dtlbm + self.t_pw + self.t_os
+        self.t_ideal + self.t_l1dtlbm + self.t_pw
     }
 
     /// Fraction of execution time the walker was active (paper Fig. 2's
@@ -73,54 +72,19 @@ impl TimingModel {
     ///
     /// `smt` applies the workload's core-sharing slowdown to the ideal
     /// term (non-TLB contention), as in the paper's Fig. 14 discussion.
-    /// OS time is excluded here (it belongs to initialization; see
-    /// [`TimingModel::evaluate_full_run`]).
     pub fn evaluate(&self, stats: &RunStats, smt: bool) -> TimingBreakdown {
-        self.breakdown(
-            stats,
-            smt,
-            stats.instructions,
-            &stats.mem,
-            stats.walk_refs,
-            0,
-        )
-    }
-
-    /// Evaluates the decomposition over the whole run, initialization and
-    /// OS (system) time included — the basis of the paper's Fig. 17.
-    pub fn evaluate_full_run(&self, stats: &RunStats, smt: bool) -> TimingBreakdown {
-        self.breakdown(
-            stats,
-            smt,
-            stats.full_instructions,
-            &stats.full_mem,
-            stats.full_walk_refs,
-            stats.os.op_cycles,
-        )
-    }
-
-    fn breakdown(
-        &self,
-        stats: &RunStats,
-        smt: bool,
-        instructions: u64,
-        mem: &tps_tlb::TlbStats,
-        walk_refs: u64,
-        os_cycles: u64,
-    ) -> TimingBreakdown {
         let p = &stats.profile;
         let smt_factor = if smt { p.smt_slowdown } else { 1.0 };
-        let t_ideal = instructions as f64 * p.base_cpi * smt_factor;
-        let t_l1dtlbm = (mem.stlb_hits as f64 * self.stlb_hit_cycles
-            + mem.range_hits as f64 * self.range_hit_cycles)
+        let t_ideal = stats.instructions as f64 * p.base_cpi * smt_factor;
+        let t_l1dtlbm = (stats.mem.stlb_hits as f64 * self.stlb_hit_cycles
+            + stats.mem.range_hits as f64 * self.range_hit_cycles)
             * p.l1_miss_criticality;
-        let pwc = walk_refs as f64 * self.walk_ref_cycles;
+        let pwc = stats.walk_refs as f64 * self.walk_ref_cycles;
         let t_pw = pwc * p.walk_savable;
         TimingBreakdown {
             t_ideal,
             t_l1dtlbm,
             t_pw,
-            t_os: os_cycles as f64,
             pwc,
         }
     }
@@ -181,7 +145,7 @@ mod tests {
     fn decomposition_adds_up() {
         let model = TimingModel::default();
         let b = model.evaluate(&stats(10_000, 40_000), false);
-        assert!((b.total() - (b.t_ideal + b.t_l1dtlbm + b.t_pw + b.t_os)).abs() < 1e-6);
+        assert!((b.total() - (b.t_ideal + b.t_l1dtlbm + b.t_pw)).abs() < 1e-6);
         assert!(b.t_ideal > 0.0 && b.t_l1dtlbm > 0.0 && b.t_pw > 0.0);
         // t_ideal = 4M * 0.5 = 2M; t_l1dtlbm = 10k * 9 * 0.5 = 45k.
         assert!((b.t_ideal - 2_000_000.0).abs() < 1.0);
@@ -213,9 +177,5 @@ mod tests {
         let model = TimingModel::default();
         let b = model.evaluate(&stats(10_000, 40_000), false);
         assert!(b.walk_active_fraction() > 0.0 && b.walk_active_fraction() < 1.0);
-        assert_eq!(b.t_os, 0.0, "OS time is a full-run quantity");
-        let full = model.evaluate_full_run(&stats(10_000, 40_000), false);
-        assert!(full.t_os < 0.05 * full.total());
-        assert!((full.t_os - 10_000.0).abs() < 1e-9);
     }
 }

@@ -37,8 +37,7 @@ pub use gups::{Gups, GupsParams};
 pub use init::Initialized;
 pub use spec17::{Spec17Kernel, SpecBench};
 pub use suite::{
-    build, build_seeded, build_tenants_seeded, default_suite_seed, profiling_names, suite_names,
-    tenant_seeds, SuiteScale,
+    build, build_seeded, default_suite_seed, profiling_names, suite_names, tenant_seeds, SuiteScale,
 };
 pub use trace::{format_event, parse_event, replay, Recorder, TraceReplay};
 pub use xsbench::{XsBench, XsBenchParams};

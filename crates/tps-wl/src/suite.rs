@@ -112,25 +112,6 @@ pub fn tenant_seeds(base: u64, count: u32) -> Vec<u64> {
     (0..count).map(|_| rng.next_u64()).collect()
 }
 
-/// Builds `count` independently seeded copies of one suite benchmark —
-/// the per-tenant seeded form of [`build_seeded`], with seeds drawn from
-/// [`tenant_seeds`].
-///
-/// # Panics
-///
-/// Panics on an unknown benchmark name.
-pub fn build_tenants_seeded(
-    name: &str,
-    scale: SuiteScale,
-    base: u64,
-    count: u32,
-) -> Vec<Box<dyn Workload>> {
-    tenant_seeds(base, count)
-        .into_iter()
-        .map(|seed| build_seeded(name, scale, seed))
-        .collect()
-}
-
 /// [`build`] with an explicit workload seed, for experiment matrices that
 /// pin per-cell seeds. `build(name, scale)` is
 /// `build_seeded(name, scale, default_suite_seed(name))`.
@@ -301,8 +282,6 @@ mod tests {
         // The first seeds of a shorter draw are a prefix of a longer one,
         // so growing a tenant set never reshuffles existing tenants.
         assert_eq!(tenant_seeds(0xfeed, 8), a[..8].to_vec());
-        let builds = build_tenants_seeded("gups", SuiteScale::Test, 0xfeed, 3);
-        assert_eq!(builds.len(), 3);
     }
 
     #[test]
