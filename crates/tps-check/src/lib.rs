@@ -20,10 +20,11 @@
 //!   seeded schedules complete with zero panics and every invariant held —
 //!   is `tests/campaign.rs` running [`campaign::run_campaign`].
 //! * [`shadow`] — a differential shadow-walk oracle for the *hardware*
-//!   fault sites: every translation performed under injected walker /
-//!   MMU-cache / TLB faults is replayed against a naive cache-free
-//!   reference walker, proving injected hardware faults only ever cost
-//!   time, never correctness.
+//!   fault sites: it drives the simulator's own `tps_sim::Mmu` under THP,
+//!   CoLT, RMM and TPS with injected walker / MMU-cache / TLB faults and
+//!   checks every frame it reports against a naive cache-free reference
+//!   walker, proving injected hardware faults only ever cost time, never
+//!   correctness.
 //! * [`chaos`] — a deterministic chaos campaign for the experiment
 //!   engine's *artifact* I/O: whole matrix runs driven through
 //!   [`tps_sim::FaultyIo`], killed at randomized byte offsets and fed

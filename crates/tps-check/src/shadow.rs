@@ -1,9 +1,10 @@
 //! Differential shadow-walk oracle for the hardware-layer fault sites.
 //!
 //! The OS-level campaign checks cross-layer invariants; this oracle
-//! checks the *hardware model* under injected faults. It drives random
-//! translations through the full product path — any-size L1 TLB, dual
-//! STLB, MMU paging-structure caches, page walker — with every hardware
+//! checks the *hardware model* under injected faults. Under THP, CoLT, RMM
+//! and TPS in turn it drives random accesses through the simulator's own
+//! [`Mmu::access`] — the TLB hierarchy that mechanism builds, its MMU
+//! paging-structure caches and its page walker — with every hardware
 //! [`tps_core::FaultSite`] armed, and replays **every** translation (in
 //! particular every one that absorbed a fault) against a naive reference
 //! walker that descends the page table entry by entry with no caches, no
@@ -13,14 +14,15 @@
 use crate::{FaultPlan, FaultPlanConfig};
 use tps_core::rng::Rng;
 use tps_core::{PhysAddr, VirtAddr, BASE_PAGE_SIZE};
-use tps_os::{Os, PolicyConfig, PolicyKind, Vma};
-use tps_pt::{AliasPolicy, MmuCaches, PageTable, Walker};
-use tps_tlb::{AnySizeTlb, Asid, DualStlb, FillOutcome, StlbProbe, TlbEntry};
+use tps_os::{Os, PolicyConfig, Vma};
+use tps_pt::PageTable;
+use tps_sim::{AccessLevel, HwFaultStats, MachineConfig, Mechanism, Mmu};
+use tps_tlb::TlbConfig;
 
 /// Knobs for one shadow-walk run.
 #[derive(Copy, Clone, Debug)]
 pub struct ShadowConfig {
-    /// Random translations driven through the product path.
+    /// Random translations driven through each mechanism's MMU.
     pub translations: u32,
     /// Master seed: fixes the address stream and the fault stream.
     pub seed: u64,
@@ -44,25 +46,28 @@ impl Default for ShadowConfig {
 /// What one shadow-walk run observed.
 #[derive(Clone, Debug, Default)]
 pub struct ShadowReport {
-    /// Translations performed.
+    /// Translations performed, over every mechanism.
     pub translations: u64,
     /// Translations during which the injector fired at least once.
     pub faulted_translations: u64,
-    /// L1 (any-size TLB) hits.
+    /// L1 TLB hits, over every mechanism.
     pub tlb_hits: u64,
-    /// Dual-STLB hits.
+    /// STLB hits, over every mechanism.
     pub stlb_hits: u64,
-    /// Full page walks.
+    /// Full page walks, over every mechanism.
     pub walks: u64,
+    /// Each mechanism's translations by the [`AccessLevel`] that served
+    /// them (indexed `level as usize`), one entry per TLB organization:
+    /// THP, CoLT, RMM, TPS.
+    pub served: Vec<(Mechanism, [u64; 4])>,
     /// Product-vs-reference divergences (correctness violations; must be
-    /// empty). Each entry names the VA and both physical addresses.
+    /// empty). Each entry names the mechanism, the VA and both frames.
     pub mismatches: Vec<String>,
     /// Injections per fault-site label, in label order.
     pub injected: Vec<(&'static str, u64)>,
-    /// Degradation counters: (walk restarts, alias-install retries,
-    /// MMU-cache fill drops, TLB fill drops, TLB evict abandons, STLB
-    /// probe misses) — the panic-free cost of the absorbed faults.
-    pub degradations: [u64; 6],
+    /// The panic-free cost of the absorbed faults: every MMU's ledger plus
+    /// every page table's alias-install retries.
+    pub degradations: HwFaultStats,
 }
 
 impl ShadowReport {
@@ -73,18 +78,6 @@ impl ShadowReport {
             .find(|(l, _)| *l == label)
             .map_or(0, |(_, n)| *n)
     }
-}
-
-/// Physical address a TLB entry yields for `va` (base-page translation
-/// plus the offset within the base page — matching [`WalkOk::translate`]
-/// for any entry that covers the address).
-///
-/// [`WalkOk::translate`]: tps_pt::WalkOk::translate
-fn entry_pa(entry: &TlbEntry, va: VirtAddr) -> PhysAddr {
-    PhysAddr::new(
-        entry.translate(va.base_page_number()) * BASE_PAGE_SIZE
-            + va.page_offset(tps_core::BASE_PAGE_SHIFT),
-    )
 }
 
 /// The naive reference walker: a plain radix descent over raw entries.
@@ -109,115 +102,105 @@ fn reference_walk(pt: &PageTable, va: VirtAddr) -> Option<PhysAddr> {
     }
 }
 
-/// Runs the oracle: populates a TPS-policy address space, then drives
-/// `cfg.translations` random translations through the faulted hardware
-/// path, checking each against [the reference](reference_walk).
-pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
-    let mut rng = Rng::new(cfg.seed);
-    let mut os = Os::new(cfg.mem_bytes, PolicyConfig::new(PolicyKind::Tps));
-    let pid: Asid = os.spawn();
+/// `mechanism`'s Table I machine with deliberately tiny TLBs: TPS
+/// promotion covers each arena with a handful of tailored pages, so
+/// realistic capacities would almost never miss — and the fill, evict and
+/// probe sites only fire on misses.
+fn tiny_tlb_machine(mechanism: Mechanism) -> MachineConfig {
+    let mut config = MachineConfig::for_mechanism(mechanism);
+    config.tlb = TlbConfig {
+        l1_4k_sets: 1,
+        l1_4k_ways: 4,
+        l1_2m_entries: 8,
+        l1_1g_entries: 1,
+        tps_l1_entries: 4,
+        stlb_sets: 4,
+        stlb_ways: 2,
+        stlb_1g_entries: 1,
+        tps_stlb_entries: 8,
+        range_tlb_entries: 2,
+        ..config.tlb
+    };
+    config
+}
 
+/// Runs the oracle: for each of THP, CoLT, RMM and TPS, populates an
+/// address space under that mechanism's policy, then drives `cfg.translations`
+/// random translations through its faulted MMU, checking each against
+/// [the reference](reference_walk).
+pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
     // Arm every hardware site; OS sites stay at zero so the only faults
-    // in play are the ones this oracle is auditing.
+    // in play are the ones this oracle is auditing. One fault stream runs
+    // through every mechanism.
     let (handle, plan) = FaultPlan::handles(FaultPlanConfig::uniform_hw(
         cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
         cfg.rate,
     ));
-    // The OS hook reaches the page table's alias-install site; the rest
-    // are the hardware structures the loop below drives directly.
-    os.set_fault_injector(Some(handle.clone()));
-    let mut walker = Walker::new(AliasPolicy::Pointer);
-    walker.set_fault_injector(Some(handle.clone()));
-    let mut caches = MmuCaches::default();
-    caches.set_fault_injector(Some(handle.clone()));
-    // Deliberately tiny TLBs: TPS promotion covers each arena with a
-    // handful of tailored pages, so realistic capacities would almost
-    // never miss — and the fill/evict/probe sites only fire on misses.
-    let mut tlb = AnySizeTlb::new(4);
-    tlb.set_fault_injector(Some(handle.clone()));
-    let mut stlb = DualStlb::new(4, 2);
-    stlb.set_fault_injector(Some(handle));
+    let mut report = ShadowReport::default();
+    for mechanism in [
+        Mechanism::Thp,
+        Mechanism::Colt,
+        Mechanism::Rmm,
+        Mechanism::Tps,
+    ] {
+        let mut rng = Rng::new(cfg.seed);
+        let mut os = Os::new(cfg.mem_bytes, PolicyConfig::new(mechanism.policy_kind()));
+        let pid = os.spawn();
+        let mut mmu = Mmu::new(&tiny_tlb_machine(mechanism));
+        mmu.open_ledger(pid);
+        // The OS hook reaches the page table's alias-install site; the
+        // MMU's reaches its walker, MMU caches and TLBs.
+        os.set_fault_injector(Some(handle.clone()));
+        mmu.set_fault_injector(Some(handle.clone()));
 
-    // Populate: a few VMAs, every base page demand-touched, so the TPS
-    // policy promotes to tailored pages and installs alias PTEs (the
-    // alias-install site fires during this phase).
-    let mut vmas: Vec<Vma> = Vec::new();
-    for _ in 0..8 {
-        let bytes = BASE_PAGE_SIZE * (32 + rng.below(96));
-        let vma = os.mmap(pid, bytes).expect("shadow arena fits");
-        for page in 0..vma.len() / BASE_PAGE_SIZE {
-            let va = VirtAddr::new(vma.base().value() + page * BASE_PAGE_SIZE);
-            if os.page_table(pid).lookup(va).is_none() {
-                os.handle_fault(pid, va, rng.chance(0.5))
+        // Populate: a few VMAs, every base page touched, so the policy
+        // promotes (TPS to tailored pages, installing alias PTEs).
+        let mut vmas: Vec<Vma> = Vec::new();
+        for _ in 0..8 {
+            let bytes = BASE_PAGE_SIZE * (32 + rng.below(96));
+            let vma = os.mmap(pid, bytes).expect("shadow arena fits");
+            for page in 0..vma.len() / BASE_PAGE_SIZE {
+                let va = vma.base() + page * BASE_PAGE_SIZE;
+                mmu.access(&mut os, pid, va, rng.chance(0.5))
                     .expect("demand fault succeeds");
             }
+            vmas.push(vma);
         }
-        vmas.push(vma);
-    }
 
-    let mut report = ShadowReport::default();
-    // Degradations as the structures report them, indexed like
-    // `ShadowReport::degradations`.
-    let mut degraded = [0u64; 6];
-    let fill =
-        |tlb: &mut AnySizeTlb, entry: TlbEntry, degraded: &mut [u64; 6]| match tlb.fill(entry) {
-            FillOutcome::Installed => {}
-            FillOutcome::Dropped => degraded[3] += 1,
-            FillOutcome::Abandoned => degraded[4] += 1,
-        };
-    for _ in 0..cfg.translations {
-        let vma = &vmas[rng.below(vmas.len() as u64) as usize];
-        let va = VirtAddr::new(vma.base().value() + rng.below(vma.len()));
-        let injected_before = plan.borrow().injected_total();
-
-        // Product path: L1 → STLB → walk (with structure caches), then
-        // fill the TLBs the way the MMU would.
-        let vpn = va.base_page_number();
-        let product = if let Some(entry) = tlb.lookup(pid, vpn) {
-            report.tlb_hits += 1;
-            entry_pa(&entry, va)
-        } else {
-            let probe = stlb.lookup(pid, vpn);
-            degraded[5] += u64::from(probe == StlbProbe::ForcedMiss);
-            if let StlbProbe::Hit(entry) = probe {
-                report.stlb_hits += 1;
-                fill(&mut tlb, entry, &mut degraded);
-                entry_pa(&entry, va)
-            } else {
-                report.walks += 1;
-                let ok = walker
-                    .walk_for(pid, os.page_table(pid), va, Some(&mut caches))
-                    .expect("every VA in the arena is mapped");
-                degraded[0] += u64::from(ok.events.restarted);
-                degraded[2] += u64::from(ok.events.cache_fill_drops);
-                let entry = TlbEntry::from_leaf(pid, va, &ok.leaf);
-                fill(&mut tlb, entry, &mut degraded);
-                if entry.order == tps_core::PageOrder::P4K
-                    || entry.order == tps_core::PageOrder::P2M
-                {
-                    stlb.fill(entry);
-                }
-                ok.translate(va)
+        let mut served = [0u64; 4];
+        for _ in 0..cfg.translations {
+            let vma = &vmas[rng.below(vmas.len() as u64) as usize];
+            let va = VirtAddr::new(vma.base().value() + rng.below(vma.len()));
+            let injected_before = plan.borrow().injected_total();
+            let out = mmu
+                .access(&mut os, pid, va, false)
+                .expect("every VA in the arena is mapped");
+            served[out.level as usize] += 1;
+            if plan.borrow().injected_total() > injected_before {
+                report.faulted_translations += 1;
             }
-        };
+            report.translations += 1;
 
-        if plan.borrow().injected_total() > injected_before {
-            report.faulted_translations += 1;
+            // The differential check: the MMU must agree with the naive
+            // reference on every translation, faulted or not.
+            let reference = reference_walk(os.page_table(pid), va);
+            if reference.map(PhysAddr::base_page_number) != Some(out.pfn)
+                && report.mismatches.len() < 32
+            {
+                report.mismatches.push(format!(
+                    "{mechanism} va {va}: frame {:#x}, reference {reference:?}",
+                    out.pfn
+                ));
+            }
         }
-        report.translations += 1;
 
-        // The differential check: the product path must agree with the
-        // naive reference on every translation, faulted or not.
-        let reference = reference_walk(os.page_table(pid), va);
-        if reference != Some(product) && report.mismatches.len() < 32 {
-            report.mismatches.push(format!(
-                "va {va}: product {product}, reference {reference:?}"
-            ));
-        }
+        report.tlb_hits += served[AccessLevel::L1 as usize];
+        report.stlb_hits += served[AccessLevel::Stlb as usize];
+        report.walks += served[AccessLevel::Walk as usize];
+        report.served.push((mechanism, served));
+        report.degradations.accumulate(&mmu.ledger(pid).faults);
+        report.degradations.alias_install_retries += os.page_table(pid).alias_install_retries();
     }
-
-    degraded[1] = os.page_table(pid).alias_install_retries();
-    report.degradations = degraded;
     report.injected = plan
         .borrow()
         .injected()
@@ -237,6 +220,33 @@ mod tests {
         assert!(report.mismatches.is_empty(), "{:#?}", report.mismatches);
         assert!(report.faulted_translations > 0, "faults actually landed");
         assert!(report.walks > 0 && report.tlb_hits > 0);
+    }
+
+    #[test]
+    fn every_mechanism_walks_and_rmm_hits_its_range_tlb() {
+        let report = run_shadow_walk(&ShadowConfig::default());
+        let mechanisms: Vec<_> = report.served.iter().map(|(m, _)| *m).collect();
+        assert_eq!(
+            mechanisms,
+            [
+                Mechanism::Thp,
+                Mechanism::Colt,
+                Mechanism::Rmm,
+                Mechanism::Tps
+            ]
+        );
+        for (mechanism, served) in &report.served {
+            assert!(
+                served[AccessLevel::Walk as usize] > 0,
+                "{mechanism}: {served:?}"
+            );
+            let range = served[AccessLevel::Range as usize];
+            if *mechanism == Mechanism::Rmm {
+                assert!(range > 0, "RMM never hit its range TLB: {served:?}");
+            } else {
+                assert_eq!(range, 0, "{mechanism} has no range TLB");
+            }
+        }
     }
 
     #[test]
@@ -263,7 +273,7 @@ mod tests {
         }
         assert!(report.mismatches.is_empty(), "{:#?}", report.mismatches);
         // Each injection shows up as a degradation, never a wrong answer.
-        let degradations: u64 = report.degradations.iter().sum();
+        let degradations: u64 = report.degradations.values().iter().sum();
         assert!(degradations > 0);
     }
 

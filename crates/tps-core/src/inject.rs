@@ -193,6 +193,18 @@ impl FaultPlanConfig {
             ..FaultPlanConfig::disabled(seed)
         }
     }
+
+    /// The same probability at every site, OS and hardware alike (the
+    /// plan `tps_run --fault-rate` arms).
+    pub fn uniform_all(seed: u64, p: f64) -> Self {
+        FaultPlanConfig {
+            buddy_alloc: p,
+            reserve_span: p,
+            compaction_step: p,
+            shootdown_deliver: p,
+            ..FaultPlanConfig::uniform_hw(seed, p)
+        }
+    }
 }
 
 /// A seeded, replayable fault injector with per-site hit counters.
@@ -370,6 +382,34 @@ mod tests {
         assert!(handle.borrow_mut().should_fault(FaultSite::ReserveSpan));
         assert_eq!(concrete.borrow().consultations(), 1);
         assert_eq!(concrete.borrow().injected_total(), 1);
+    }
+
+    #[test]
+    fn uniform_all_arms_every_site() {
+        assert_eq!(
+            FaultPlanConfig::uniform_all(5, 0.25),
+            FaultPlanConfig {
+                seed: 5,
+                buddy_alloc: 0.25,
+                reserve_span: 0.25,
+                compaction_step: 0.25,
+                shootdown_deliver: 0.25,
+                walk_step: 0.25,
+                alias_install: 0.25,
+                mmu_cache_fill: 0.25,
+                any_size_fill: 0.25,
+                any_size_evict: 0.25,
+                stlb_probe: 0.25,
+            }
+        );
+        let mut plan = FaultPlan::new(FaultPlanConfig::uniform_all(5, 1.0));
+        assert!(plan.should_fault(FaultSite::BuddyAlloc { order: 0 }));
+        assert!(plan.should_fault(FaultSite::ReserveSpan));
+        assert!(plan.should_fault(FaultSite::CompactionStep));
+        assert!(plan.should_fault(FaultSite::ShootdownDeliver));
+        assert!(plan.should_fault(FaultSite::WalkStep { level: 1 }));
+        assert!(plan.should_fault(FaultSite::StlbProbe));
+        assert_eq!(plan.injected_total(), 6);
     }
 
     #[test]

@@ -289,7 +289,7 @@ fn wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 format!(
                     "`{}` reads the wall clock inside the deterministic pipeline; simulated \
                      time must come from the simulator, and harness timing belongs in the \
-                     allowlisted watchdog/campaign modules",
+                     allowlisted worker-pool watchdog",
                     s.text
                 ),
             ));

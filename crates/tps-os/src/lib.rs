@@ -28,7 +28,7 @@ mod policy;
 pub use address_space::{round_up_pages, AddressSpace, Vma};
 pub use cow::{CowPolicy, FrameShares};
 pub use os::{FaultOutcome, Os, OsStats, Process, Shootdown};
-pub use policy::{CostModel, PolicyConfig, PolicyKind, ReservationRounding};
+pub use policy::{CostModel, PolicyConfig, PolicyKind};
 
 // Re-exported so downstream users configure the walker without adding a
 // direct tps-pt dependency.

@@ -3,7 +3,7 @@
 
 use crate::address_space::{round_up_pages, AddressSpace, Vma};
 use crate::cow::{CowPolicy, FrameShares};
-use crate::policy::{CostModel, PolicyConfig, PolicyKind, ReservationRounding, MAX_POLICY_ORDER};
+use crate::policy::{CostModel, PolicyConfig, PolicyKind, MAX_POLICY_ORDER};
 use std::collections::BTreeMap;
 use tps_core::inject::{self, FaultSite, InjectorHandle};
 use tps_core::{
@@ -453,21 +453,14 @@ impl Os {
         match self.policy.kind {
             PolicyKind::Only4K | PolicyKind::Only2M | PolicyKind::Thp => {}
             PolicyKind::Tps | PolicyKind::TpsEager => {
-                let reserve_len = match self.policy.rounding {
-                    ReservationRounding::ExactSpan => len_r,
-                    ReservationRounding::PowerOfTwo if covering <= MAX_POLICY_ORDER => {
-                        covering.bytes()
-                    }
-                    // Request larger than the max page: power-of-two
-                    // rounding cannot help; use the exact span.
-                    ReservationRounding::PowerOfTwo => len_r,
-                };
-                match reserve_span(&mut self.buddy, reserve_len, MAX_POLICY_ORDER) {
+                // The fewest pages exactly spanning the request (aligned
+                // 28 KB → 16 K + 8 K + 4 K): no internal fragmentation.
+                match reserve_span(&mut self.buddy, len_r, MAX_POLICY_ORDER) {
                     Ok(segments) => {
                         self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                         let backup = segments.clone();
                         if self
-                            .install_reservation(asid, vma.base(), reserve_len, segments)
+                            .install_reservation(asid, vma.base(), len_r, segments)
                             .is_err()
                         {
                             // Installing can only fail on a VA overlap, which
@@ -2104,19 +2097,5 @@ mod tests {
         touch_all(&mut os, pid, &vma);
         os.fork(pid).unwrap();
         assert!(matches!(os.compact(), Err(TpsError::SharedMapping { .. })));
-    }
-
-    #[test]
-    fn power_of_two_rounding_reserves_covering_block() {
-        let mut os = Os::new(
-            512 << 20,
-            PolicyConfig::new(PolicyKind::Tps).with_rounding(ReservationRounding::PowerOfTwo),
-        );
-        let pid = os.spawn();
-        // Paper example: 2052 KB request -> 4 MB reservation.
-        let vma = os.mmap(pid, 2052 << 10).unwrap();
-        let res = os.process(pid).reservations().find(vma.base()).unwrap();
-        assert_eq!(res.len(), 4 << 20);
-        assert_eq!(res.max_order_at(0), PageOrder::covering(res.len()).ok());
     }
 }

@@ -59,20 +59,6 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// How a TPS reservation sizes itself relative to the request (§III-B2,
-/// internal fragmentation).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum ReservationRounding {
-    /// Conservative: the fewest pages exactly spanning the request
-    /// (aligned 28 KB → 16 K + 8 K + 4 K). Zero internal fragmentation.
-    #[default]
-    ExactSpan,
-    /// Aggressive: one block of the smallest power of two covering the
-    /// request (2052 KB → 4 MB) — up to ~50 % internal fragmentation,
-    /// fewest TLB entries.
-    PowerOfTwo,
-}
-
 /// Largest page order any policy creates (1 GB).
 pub(crate) const MAX_POLICY_ORDER: PageOrder = PageOrder::P1G;
 
@@ -84,8 +70,6 @@ pub struct PolicyConfig {
     /// Utilization fraction an aligned region must reach before promotion
     /// (1.0 = the paper's conservative no-bloat setting).
     pub promotion_threshold: f64,
-    /// Reservation sizing mode for TPS.
-    pub rounding: ReservationRounding,
 }
 
 impl Default for PolicyConfig {
@@ -93,7 +77,6 @@ impl Default for PolicyConfig {
         PolicyConfig {
             kind: PolicyKind::Thp,
             promotion_threshold: 1.0,
-            rounding: ReservationRounding::ExactSpan,
         }
     }
 }
@@ -119,13 +102,6 @@ impl PolicyConfig {
             "threshold must be in (0, 1]"
         );
         self.promotion_threshold = threshold;
-        self
-    }
-
-    /// Chooses the reservation rounding mode.
-    #[must_use]
-    pub fn with_rounding(mut self, rounding: ReservationRounding) -> Self {
-        self.rounding = rounding;
         self
     }
 }
@@ -182,12 +158,9 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = PolicyConfig::new(PolicyKind::Tps)
-            .with_threshold(0.5)
-            .with_rounding(ReservationRounding::PowerOfTwo);
+        let c = PolicyConfig::new(PolicyKind::Tps).with_threshold(0.5);
         assert_eq!(c.kind, PolicyKind::Tps);
         assert_eq!(c.promotion_threshold, 0.5);
-        assert_eq!(c.rounding, ReservationRounding::PowerOfTwo);
     }
 
     #[test]

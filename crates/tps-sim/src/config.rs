@@ -189,18 +189,6 @@ impl MachineConfig {
         }
     }
 
-    /// Sets the paging policy, keeping the matching TLB organization.
-    #[must_use]
-    pub fn with_policy(mut self, kind: PolicyKind) -> Self {
-        self.policy = PolicyConfig::new(kind);
-        self.tlb = TlbConfig::with_kind(match kind {
-            PolicyKind::Tps | PolicyKind::TpsEager => HierarchyKind::Tps,
-            PolicyKind::Rmm => HierarchyKind::Rmm,
-            _ => HierarchyKind::Baseline,
-        });
-        self
-    }
-
     /// Sets the physical memory size.
     #[must_use]
     pub fn with_memory(mut self, bytes: u64) -> Self {
@@ -287,14 +275,6 @@ mod tests {
         assert_eq!(Mechanism::Colt.hierarchy_kind(), HierarchyKind::Colt);
         assert_eq!(Mechanism::Rmm.policy_kind(), PolicyKind::Rmm);
         assert_eq!(Mechanism::Thp.hierarchy_kind(), HierarchyKind::Baseline);
-    }
-
-    #[test]
-    fn with_policy_selects_matching_tlb() {
-        let c = MachineConfig::default().with_policy(PolicyKind::Tps);
-        assert_eq!(c.tlb.kind, HierarchyKind::Tps);
-        let c = MachineConfig::default().with_policy(PolicyKind::Only4K);
-        assert_eq!(c.tlb.kind, HierarchyKind::Baseline);
     }
 
     #[test]

@@ -125,11 +125,9 @@ pub struct ExperimentSpec {
     virtualized: bool,
     five_level: bool,
     perfect_l1: bool,
-    perfect_l2: bool,
     threshold: Option<f64>,
     verify: bool,
     memory_bytes: Option<u64>,
-    baseline: Option<Mechanism>,
     seed: u64,
     threads: Option<usize>,
     cell_timeout_ms: Option<u64>,
@@ -150,11 +148,9 @@ impl Default for ExperimentSpec {
             virtualized: false,
             five_level: false,
             perfect_l1: false,
-            perfect_l2: false,
             threshold: None,
             verify: false,
             memory_bytes: None,
-            baseline: None,
             seed: DEFAULT_EXPERIMENT_SEED,
             threads: None,
             cell_timeout_ms: None,
@@ -284,13 +280,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Models a perfect L2 (STLB) level (Fig. 3).
-    #[must_use]
-    pub fn perfect_l2(mut self, perfect: bool) -> Self {
-        self.perfect_l2 = perfect;
-        self
-    }
-
     /// Overrides the paging policy's utilization threshold, in `(0, 1]`.
     #[must_use]
     pub fn threshold(mut self, threshold: f64) -> Self {
@@ -310,14 +299,6 @@ impl ExperimentSpec {
     #[must_use]
     pub fn memory(mut self, bytes: u64) -> Self {
         self.memory_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the mechanism derived metrics compare against. Without this,
-    /// [`Mechanism::Thp`] is used when it is part of the sweep.
-    #[must_use]
-    pub fn baseline(mut self, mech: Mechanism) -> Self {
-        self.baseline = Some(mech);
         self
     }
 
@@ -427,13 +408,12 @@ impl ExperimentSpec {
         self.faults
     }
 
-    /// The baseline mechanism derived metrics will use, if any.
+    /// The baseline mechanism derived metrics will use: THP when it is
+    /// part of the sweep.
     pub fn baseline_mechanism(&self) -> Option<Mechanism> {
-        self.baseline.or_else(|| {
-            self.mechanisms
-                .contains(&Mechanism::Thp)
-                .then_some(Mechanism::Thp)
-        })
+        self.mechanisms
+            .contains(&Mechanism::Thp)
+            .then_some(Mechanism::Thp)
     }
 
     /// Worker threads the pool will use: the explicit cap, else available
@@ -456,7 +436,6 @@ impl ExperimentSpec {
         config.virtualized = self.virtualized;
         config.five_level_paging = self.five_level;
         config.perfect_l1 = self.perfect_l1;
-        config.perfect_l2 = self.perfect_l2;
         config.verify_translations = self.verify;
         if let Some(t) = self.threshold {
             config.policy = config.policy.with_threshold(t);
@@ -473,9 +452,11 @@ impl ExperimentSpec {
             Some(cfg) => format!("{cfg:?}"),
             None => "none".to_string(),
         };
+        // `pl2` and `base` name settings the spec no longer has; they keep
+        // their old values so recorded journals still resume.
         let desc = format!(
-            "benches={:?} mechs={:?} scale={} smt={} virt={} five={} pl1={} pl2={} \
-             thr={:?} verify={} mem={:?} base={:?} seed={} retries={} timeout={:?} faults={}",
+            "benches={:?} mechs={:?} scale={} smt={} virt={} five={} pl1={} pl2=false \
+             thr={:?} verify={} mem={:?} base=None seed={} retries={} timeout={:?} faults={}",
             self.benchmarks,
             self.mechanisms
                 .iter()
@@ -486,11 +467,9 @@ impl ExperimentSpec {
             self.virtualized,
             self.five_level,
             self.perfect_l1,
-            self.perfect_l2,
             self.threshold.map(f64::to_bits),
             self.verify,
             self.memory_bytes,
-            self.baseline.map(Mechanism::label),
             self.seed,
             self.retries,
             self.cell_timeout_ms,
@@ -533,9 +512,8 @@ impl ExperimentSpec {
     ///
     /// Returns [`TpsError::InvalidSpec`] when no benchmark or mechanism is
     /// selected, a benchmark name is unknown, a (benchmark, mechanism)
-    /// pair repeats, the threshold is outside `(0, 1]`, the explicit
-    /// baseline is not part of the sweep, `threads` is zero, or fault
-    /// injection is combined with SMT.
+    /// pair repeats, the threshold is outside `(0, 1]`, `threads` is zero,
+    /// or fault injection is combined with SMT.
     pub fn build(self) -> Result<ExperimentMatrix, TpsError> {
         if self.benchmarks.is_empty() {
             return Err(TpsError::invalid_spec("no benchmarks selected"));
@@ -556,13 +534,6 @@ impl ExperimentSpec {
             if !(t > 0.0 && t <= 1.0) {
                 return Err(TpsError::invalid_spec(format!(
                     "threshold {t} outside (0, 1]"
-                )));
-            }
-        }
-        if let Some(base) = self.baseline {
-            if !self.mechanisms.contains(&base) {
-                return Err(TpsError::invalid_spec(format!(
-                    "baseline {base} is not part of the mechanism sweep"
                 )));
             }
         }
@@ -760,12 +731,6 @@ mod tests {
             .threads(0)
             .build();
         assert!(matches!(zero, Err(TpsError::InvalidSpec { .. })));
-        let stray_baseline = ExperimentSpec::new()
-            .bench("gups")
-            .mechanism(Mechanism::Tps)
-            .baseline(Mechanism::Rmm)
-            .build();
-        assert!(matches!(stray_baseline, Err(TpsError::InvalidSpec { .. })));
     }
 
     #[test]

@@ -54,9 +54,9 @@ pub struct RunCounters {
 
 impl RunCounters {
     /// Records one translated access into both counter sets.
-    pub fn record(&mut self, level: AccessLevel, outcome: &crate::mmu::AccessOutcome) {
-        self.measured.record(level, outcome);
-        self.full.record(level, outcome);
+    pub fn record(&mut self, outcome: &crate::mmu::AccessOutcome) {
+        self.measured.record(outcome);
+        self.full.record(outcome);
     }
 
     /// Adds compute instructions to both counter sets.
@@ -73,10 +73,10 @@ impl RunCounters {
 
 impl ThreadCounters {
     /// Records one translated access.
-    pub fn record(&mut self, level: AccessLevel, outcome: &crate::mmu::AccessOutcome) {
+    pub fn record(&mut self, outcome: &crate::mmu::AccessOutcome) {
         self.accesses += 1;
         self.mem.accesses += 1;
-        match level {
+        match outcome.level {
             AccessLevel::L1 => self.mem.l1_hits += 1,
             AccessLevel::Stlb => self.mem.stlb_hits += 1,
             AccessLevel::Range => self.mem.range_hits += 1,
@@ -651,9 +651,7 @@ impl Machine {
                                 format!("access at {va} rejected: {other}"),
                             ),
                         })?;
-                self.tenants[tenant]
-                    .counters
-                    .record(outcome.level, &outcome);
+                self.tenants[tenant].counters.record(&outcome);
                 Ok(())
             }
             Event::Compute { insts } => {

@@ -4,7 +4,7 @@
 use crate::config::MachineConfig;
 use crate::nested::NestedWalkModel;
 use crate::stats::HwFaultStats;
-use tps_core::{LeafInfo, PageOrder, PteFlags, TpsError, VirtAddr};
+use tps_core::{LeafInfo, PageOrder, PteFlags, TpsError, VirtAddr, BASE_PAGE_SHIFT};
 use tps_os::{Os, Shootdown};
 use tps_pt::{MmuCaches, WalkEvents, Walker};
 use tps_tlb::{Asid, FillOutcome, L2Hit, TlbHierarchy};
@@ -27,6 +27,8 @@ pub enum AccessLevel {
 pub struct AccessOutcome {
     /// Where the translation came from.
     pub level: AccessLevel,
+    /// Base-page frame the access resolved to (after any CoW retry).
+    pub pfn: u64,
     /// Page-table memory references performed (including aborted faulting
     /// walks, alias-PTE extra accesses, and nested amplification).
     pub walk_refs: u64,
@@ -208,8 +210,8 @@ impl Mmu {
     ///
     /// # Panics
     ///
-    /// With `verify_translations`, panics if a cached translation
-    /// disagrees with the page table (a simulator invariant, not a
+    /// With `verify_translations`, panics if the frame any attempt
+    /// resolved disagrees with the page table (a simulator invariant, not a
     /// tenant-reachable fault).
     pub fn access(
         &mut self,
@@ -220,6 +222,7 @@ impl Mmu {
     ) -> Result<AccessOutcome, TpsError> {
         let mut outcome = AccessOutcome {
             level: AccessLevel::L1,
+            pfn: 0,
             walk_refs: 0,
             alias_extra: false,
             faults: 0,
@@ -228,7 +231,13 @@ impl Mmu {
         };
         let (level, mut writable) = self.access_attempt(os, asid, va, write, &mut outcome)?;
         outcome.level = level;
-        while write && !writable {
+        loop {
+            if self.verify {
+                self.verify_translation(os, asid, va, outcome.pfn);
+            }
+            if !write || writable {
+                return Ok(outcome);
+            }
             // Protection fault: resolve copy-on-write and retry. The access
             // keeps the level its first attempt found.
             let shootdowns = os.handle_cow_fault(asid, va)?;
@@ -236,12 +245,11 @@ impl Mmu {
             outcome.faults += 1;
             (_, writable) = self.access_attempt(os, asid, va, write, &mut outcome)?;
         }
-        Ok(outcome)
     }
 
-    /// One translation attempt, adding its counts into `out`; returns
-    /// where the translation came from and whether the mapping used
-    /// permits writes.
+    /// One translation attempt, adding its counts into `out` and setting
+    /// `out.pfn`; returns where the translation came from and whether the
+    /// mapping used permits writes.
     fn access_attempt(
         &mut self,
         os: &mut Os,
@@ -252,13 +260,12 @@ impl Mmu {
     ) -> Result<(AccessLevel, bool), TpsError> {
         if self.perfect_l1 {
             let leaf = self.ensure_mapped(os, asid, va, write, out)?;
+            out.pfn = leaf_frame(&leaf, va);
             return Ok((AccessLevel::L1, leaf.flags.contains(PteFlags::WRITABLE)));
         }
 
         if let Some(t) = self.tlb.lookup_l1(asid, va) {
-            if self.verify {
-                self.verify_translation(os, asid, va, t.pfn);
-            }
+            out.pfn = t.pfn;
             return Ok((AccessLevel::L1, t.writable));
         }
 
@@ -266,6 +273,7 @@ impl Mmu {
             let leaf = self.ensure_mapped(os, asid, va, write, out)?;
             let fill = self.tlb.fill_l1(asid, va, &leaf);
             self.ledger_mut(asid).charge_fill(fill);
+            out.pfn = leaf_frame(&leaf, va);
             out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
             return Ok((AccessLevel::Stlb, leaf.flags.contains(PteFlags::WRITABLE)));
         }
@@ -278,9 +286,7 @@ impl Mmu {
                 // hardware already has everything it needs in the entry.
                 let leaf = self.ensure_mapped(os, asid, va, write, out)?;
                 self.fill_l1(os, asid, va, &leaf);
-                if self.verify {
-                    self.verify_translation(os, asid, va, t.pfn);
-                }
+                out.pfn = t.pfn;
                 out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
                 Ok((AccessLevel::Stlb, t.writable))
             }
@@ -297,9 +303,7 @@ impl Mmu {
                 };
                 let fill = self.tlb.fill_l1(asid, va.align_down(12), &leaf);
                 self.ledger_mut(asid).charge_fill(fill);
-                if self.verify {
-                    self.verify_translation(os, asid, va, t.pfn);
-                }
+                out.pfn = t.pfn;
                 out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
                 Ok((AccessLevel::Range, t.writable))
             }
@@ -351,11 +355,7 @@ impl Mmu {
                 self.tlb.fill_range(range);
             }
         }
-        if self.verify {
-            let pfn = leaf.base.base_page_number()
-                + (va.base_page_number() - va.align_down(leaf.order.shift()).base_page_number());
-            self.verify_translation(os, asid, va, pfn);
-        }
+        out.pfn = leaf_frame(&leaf, va);
         out.ad_updates += u64::from(os.hw_mark_accessed(asid, va, write));
         Ok((AccessLevel::Walk, leaf.flags.contains(PteFlags::WRITABLE)))
     }
@@ -383,6 +383,7 @@ impl Mmu {
         self.ledger_mut(asid).charge_fill(fill);
     }
 
+    /// Panics unless `pfn` is the frame `asid`'s page table maps `va` to.
     fn verify_translation(&self, os: &Os, asid: Asid, va: VirtAddr, pfn: u64) {
         let expect = os
             .page_table(asid)
@@ -394,6 +395,11 @@ impl Mmu {
             "translation mismatch at {va} (asid {asid}): tlb {pfn:#x} vs pt {expect:#x}"
         );
     }
+}
+
+/// The base-page frame `leaf` maps `va` to.
+fn leaf_frame(leaf: &LeafInfo, va: VirtAddr) -> u64 {
+    leaf.base.base_page_number() + (va.page_offset(leaf.order.shift()) >> BASE_PAGE_SHIFT)
 }
 
 #[cfg(test)]
@@ -457,6 +463,93 @@ mod tests {
                 .faults,
             0
         );
+    }
+
+    /// Asserts `out.pfn` is the frame `asid`'s page table maps `va` to and
+    /// records the level that served it.
+    fn check_frame(
+        os: &Os,
+        asid: Asid,
+        va: VirtAddr,
+        out: AccessOutcome,
+        seen: &mut Vec<AccessLevel>,
+    ) {
+        let expect = os
+            .page_table(asid)
+            .translate(va)
+            .unwrap()
+            .base_page_number();
+        assert_eq!(out.pfn, expect, "{va} served from {:?}", out.level);
+        if !seen.contains(&out.level) {
+            seen.push(out.level);
+        }
+    }
+
+    #[test]
+    fn every_access_reports_the_page_tables_frame() {
+        use AccessLevel::{Range, Stlb, Walk, L1};
+        let tiny = |mechanism| {
+            let mut config = MachineConfig::for_mechanism(mechanism);
+            config.tlb.l1_4k_sets = 1;
+            config.tlb.tps_l1_entries = 2;
+            config.tlb.l1_2m_entries = 8;
+            config.tlb.stlb_sets = 4;
+            config.tlb.stlb_ways = 2;
+            config.tlb.tps_stlb_entries = 8;
+            config.tlb.range_tlb_entries = 1;
+            config
+        };
+        let mut configs: Vec<(String, MachineConfig)> = Mechanism::all()
+            .into_iter()
+            .map(|m| (m.label().to_string(), tiny(m)))
+            .collect();
+        let mut perfect_l1 = tiny(Mechanism::Tps);
+        perfect_l1.perfect_l1 = true;
+        configs.push(("perfect L1".into(), perfect_l1));
+        let mut perfect_l2 = tiny(Mechanism::Tps);
+        perfect_l2.perfect_l2 = true;
+        configs.push(("perfect L2".into(), perfect_l2));
+
+        for (name, config) in configs {
+            let mut os = Os::new(64 << 20, config.policy);
+            let parent = os.spawn();
+            let mut mmu = Mmu::new(&config);
+            let mut seen = Vec::new();
+            let mut rng = tps_core::rng::Rng::new(3);
+            let vmas: Vec<_> = [3 << 20, 200 << 10, 5 << 20, 72 << 10]
+                .into_iter()
+                .map(|bytes| os.mmap(parent, bytes).unwrap())
+                .collect();
+            for i in 0..6_000u64 {
+                let vma = &vmas[rng.below(vmas.len() as u64) as usize];
+                let va = VirtAddr::new(vma.base().value() + rng.below(vma.len()));
+                let out = mmu.access(&mut os, parent, va, i % 4 == 0).unwrap();
+                check_frame(&os, parent, va, out, &mut seen);
+            }
+            let expected: &[AccessLevel] = match name.as_str() {
+                "perfect L1" => &[L1],
+                "perfect L2" => &[L1, Stlb],
+                "RMM" => &[L1, Stlb, Range, Walk],
+                _ => &[L1, Stlb, Walk],
+            };
+            seen.sort_by_key(|&level| level as u8);
+            assert_eq!(seen, expected, "{name} reaches these levels");
+
+            // A write to a copy-on-write page faults, then reports the
+            // frame of its private copy.
+            let (child, shootdowns) = os.fork(parent).unwrap();
+            mmu.apply_shootdowns(&shootdowns);
+            for va in [vmas[1].base() + 0x3000, vmas[3].base()] {
+                let out = mmu.access(&mut os, child, va, true).unwrap();
+                assert!(
+                    out.faults >= 1,
+                    "{name}: the write to {va} must take the CoW fault"
+                );
+                check_frame(&os, child, va, out, &mut seen);
+                let out = mmu.access(&mut os, parent, va, true).unwrap();
+                check_frame(&os, parent, va, out, &mut seen);
+            }
+        }
     }
 
     #[test]

@@ -124,10 +124,8 @@ impl Workload for HashJoin {
 }
 
 fn main() {
-    for policy in [PolicyKind::Thp, PolicyKind::Tps] {
-        let config = MachineConfig::default()
-            .with_policy(policy)
-            .with_memory(GIB);
+    for mechanism in [Mechanism::Thp, Mechanism::Tps] {
+        let config = MachineConfig::for_mechanism(mechanism).with_memory(GIB);
         let stats = MachineBuilder::new(config)
             .tenant(TenantSpec::workload(HashJoin::new(64, 128, 7)))
             .build()
@@ -136,7 +134,7 @@ fn main() {
             .into_solo();
         println!(
             "{:<4}  L1 hit rate {:>7.3}%   misses {:>8}   walk refs {:>8}   pages {:?}",
-            policy.label(),
+            mechanism.label(),
             100.0 * stats.mem.l1_hit_rate(),
             stats.mem.l1_misses(),
             stats.walk_refs,

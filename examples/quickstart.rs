@@ -12,9 +12,7 @@ fn main() {
     // A machine per the paper's Table I, running the TPS mechanism:
     // reservation-based paging with power-of-two promotion, the 32-entry
     // any-size L1 TLB, and the tailored page table.
-    let config = MachineConfig::default()
-        .with_policy(PolicyKind::Tps)
-        .with_memory(GIB);
+    let config = MachineConfig::for_mechanism(Mechanism::Tps).with_memory(GIB);
 
     // GUPS: random read-modify-writes over a 256 MB table — the
     // adversarial TLB workload. `Initialized` adds the startup page-touch

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate for the TPS reproduction.
 #
-# Runs the four checks CI and reviewers rely on, in order of increasing
-# strictness. Fully offline: the workspace vendors a shim crate for its
+# Runs the checks CI and reviewers rely on: builds and tests, the
+# determinism, oracle, resume and chaos gates, the benchmark package, the
+# figure gate, then clippy, tps-lint and rustfmt. Fully offline: the workspace vendors a shim crate for its
 # only external dev-dependency (see crates/proptest-shim), so no registry
 # access is needed or attempted.
 #
@@ -58,18 +59,19 @@ taskset -c 0 ./target/release/tps_run --bench graph500 --all --scale test --seed
 cmp "$tmpdir/graph500-one-core.json" "$tmpdir/graph500-all-cores.json" \
     || { echo "verify: graph500 report bytes changed with the core count" >&2; exit 1; }
 
-echo "==> translation oracle gate (64-tenant xsbench TPS: --verify == plain)"
-# --verify checks every TLB hit against the page table and fails the cell
-# on a disagreement, so a wrong hit in the indexed any-size STLB (which
-# serves nearly every access of this cell) cannot hide behind totals: the
-# verified report must equal the plain one byte for byte.
+echo "==> translation oracle gate (64-tenant xsbench TPS and THP: --verify == plain)"
+# --verify checks every translation against the page table (TLB hits and
+# walks alike) and fails the cell on a disagreement, so a wrong frame from
+# the any-size STLB (TPS) or the dual STLB (THP), which serve nearly every
+# access of these cells, cannot hide behind totals: the verified report
+# must equal the plain one byte for byte.
 for mode in plain verify; do
     flag=(); [ "$mode" = verify ] && flag=(--verify)
-    ./target/release/tps_run --bench xsbench --mech tps --scale test --seed 7 \
+    ./target/release/tps_run --bench xsbench --mech tps --mech thp --scale test --seed 7 \
         --tenants 64 --threads 1 "${flag[@]}" --json "$tmpdir/oracle-$mode.json" >/dev/null
 done
 cmp "$tmpdir/oracle-plain.json" "$tmpdir/oracle-verify.json" \
-    || { echo "verify: --verify changed the 64-tenant TPS report (wrong TLB hit?)" >&2; exit 1; }
+    || { echo "verify: --verify changed the 64-tenant report (wrong translation?)" >&2; exit 1; }
 
 echo "==> retry determinism gate (faults + retries, threads 1 vs 4)"
 # Cells may exhaust their retry budget under injected faults; exit 3

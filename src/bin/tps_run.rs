@@ -105,23 +105,6 @@ fn parse_tenant_cap(text: &str) -> Option<(u32, u64)> {
     Some((slot.parse().ok()?, bytes.parse().ok()?))
 }
 
-/// A fault plan arming every OS and hardware site at probability `rate`.
-fn uniform_all_sites(seed: u64, rate: f64) -> FaultPlanConfig {
-    FaultPlanConfig {
-        buddy_alloc: rate,
-        reserve_span: rate,
-        compaction_step: rate,
-        shootdown_deliver: rate,
-        walk_step: rate,
-        alias_install: rate,
-        mmu_cache_fill: rate,
-        any_size_fill: rate,
-        any_size_evict: rate,
-        stlb_probe: rate,
-        ..FaultPlanConfig::disabled(seed)
-    }
-}
-
 fn parse_args() -> Options {
     let mut benches: Vec<String> = Vec::new();
     let mut mechs: Vec<Mechanism> = Vec::new();
@@ -299,7 +282,7 @@ fn parse_args() -> Options {
         spec = spec.benches(benches).mechanisms(mechs);
     }
     if let Some(rate) = fault_rate {
-        spec = spec.faults(uniform_all_sites(fault_seed, rate));
+        spec = spec.faults(FaultPlanConfig::uniform_all(fault_seed, rate));
     }
     Options { spec, json, run }
 }

@@ -20,7 +20,7 @@
 //! use tps::prelude::*;
 //!
 //! // Simulate a small GUPS run under the TPS paging policy.
-//! let config = MachineConfig::default().with_policy(PolicyKind::Tps);
+//! let config = MachineConfig::for_mechanism(Mechanism::Tps);
 //! let wl = Gups::new(GupsParams { table_bytes: 8 << 20, updates: 20_000, seed: 1 });
 //! let stats = MachineBuilder::new(config)
 //!     .tenant(TenantSpec::workload(wl))

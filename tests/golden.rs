@@ -19,24 +19,6 @@ use tps::prelude::*;
 
 const SEED: u64 = 7;
 
-/// The fault plan `tps_run --fault-rate 0.02 --fault-seed 7` arms: every
-/// OS and hardware site at 2%.
-fn all_sites(rate: f64) -> FaultPlanConfig {
-    FaultPlanConfig {
-        buddy_alloc: rate,
-        reserve_span: rate,
-        compaction_step: rate,
-        shootdown_deliver: rate,
-        walk_step: rate,
-        alias_install: rate,
-        mmu_cache_fill: rate,
-        any_size_fill: rate,
-        any_size_evict: rate,
-        stlb_probe: rate,
-        ..FaultPlanConfig::disabled(SEED)
-    }
-}
-
 fn base() -> ExperimentSpec {
     ExperimentSpec::new()
         .scale(SuiteScale::Test)
@@ -81,7 +63,7 @@ fn cases() -> Vec<(&'static str, ExperimentSpec)> {
             base()
                 .bench("gups")
                 .all_mechanisms()
-                .faults(all_sites(0.02))
+                .faults(FaultPlanConfig::uniform_all(SEED, 0.02))
                 .retries(2),
         ),
         (
@@ -89,7 +71,7 @@ fn cases() -> Vec<(&'static str, ExperimentSpec)> {
             base()
                 .bench("gups")
                 .all_mechanisms()
-                .faults(all_sites(0.02))
+                .faults(FaultPlanConfig::uniform_all(SEED, 0.02))
                 .retries(2)
                 .tenants(tenants(8)),
         ),
