@@ -9,7 +9,7 @@
 //! figure-faithful quick scale; `paper` runs the full-size workloads).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 use tps_sim::{
     ExperimentReport, ExperimentSpec, MachineBuilder, MachineConfig, Mechanism, RunStats,
@@ -20,6 +20,10 @@ use tps_wl::{default_suite_seed, SuiteScale};
 /// Reads the suite scale from the `TPS_SCALE` environment variable
 /// (default `small`). An unknown value exits with status 2, naming the
 /// valid ones.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the harness's scale knob picks the workload size, never a simulated value"
+)]
 pub fn scale_from_env() -> SuiteScale {
     match std::env::var("TPS_SCALE") {
         Err(_) => SuiteScale::Small,

@@ -44,7 +44,7 @@
 //! untaken branch) unless a harness installs a plan.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod audit;
 pub mod campaign;

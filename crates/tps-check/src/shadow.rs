@@ -126,8 +126,8 @@ fn tiny_tlb_machine(mechanism: Mechanism) -> MachineConfig {
 
 /// Runs the oracle: for each of THP, CoLT, RMM and TPS, populates an
 /// address space under that mechanism's policy, then drives `cfg.translations`
-/// random translations through its faulted MMU, checking each against
-/// [the reference](reference_walk).
+/// random translations through its faulted MMU, checking each against a
+/// naive walk of the page table.
 pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
     // Arm every hardware site; OS sites stay at zero so the only faults
     // in play are the ones this oracle is auditing. One fault stream runs

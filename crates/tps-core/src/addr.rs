@@ -35,12 +35,32 @@ pub const PA_BITS: u32 = 40;
 /// assert_eq!(va.align_down(12).value(), 0x7f00_1000);
 /// assert_eq!(va.page_offset(12), 0x234);
 /// ```
+///
+/// The field is private: code outside this crate can neither read the raw
+/// bits nor build an address past [`VirtAddr::new`]'s width masking.
+///
+/// ```compile_fail,E0616
+/// let raw = tps_core::VirtAddr::new(0x1000).0;
+/// ```
+///
+/// ```compile_fail,E0423
+/// let va = tps_core::VirtAddr(0x1000);
+/// ```
 #[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Default)]
 pub struct VirtAddr(u64);
 
 /// A physical address (a location in simulated DRAM).
 ///
-/// Only the low [`PA_BITS`] bits are meaningful.
+/// Only the low [`PA_BITS`] bits are meaningful. As with [`VirtAddr`], the
+/// field is private:
+///
+/// ```compile_fail,E0616
+/// let raw = tps_core::PhysAddr::new(0x1000).0;
+/// ```
+///
+/// ```compile_fail,E0423
+/// let pa = tps_core::PhysAddr(0x1000);
+/// ```
 #[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Default)]
 pub struct PhysAddr(u64);
 

@@ -27,8 +27,9 @@ use std::rc::Rc;
 /// A place where a fault can be injected.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A buddy-allocator block allocation (forced [`OutOfMemory`]
-    /// (crate::TpsError::OutOfMemory)). Carries the requested order.
+    /// A buddy-allocator block allocation (forced
+    /// [`TpsError::OutOfMemory`](crate::TpsError::OutOfMemory)). Carries
+    /// the requested order.
     BuddyAlloc {
         /// The order being allocated.
         order: u8,

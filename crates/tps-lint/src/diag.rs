@@ -95,7 +95,7 @@ mod tests {
             path: "a\"b".into(),
             line: 1,
             col: 1,
-            rule: "pub-item-docs",
+            rule: "raw-artifact-io",
             message: "tab\there\nnewline".into(),
         };
         let j = to_json(&[d]);

@@ -404,14 +404,14 @@ mod tests {
         let f = file(
             "crates/tps-os/src/a.rs",
             concat!(
-                "let a = x.unwrap(); // tps-lint::allow(panic-free-fault-path, reason = \"trailing\")\n",
+                "let a = 4096; // tps-lint::allow(no-magic-page-size, reason = \"trailing\")\n",
                 "// tps-lint::allow(no-magic-page-size, reason = \"next line\")\n",
                 "let b = 1;\n",
             ),
         );
         let c = ctx_of(&f);
         assert_eq!(c.allows.len(), 2);
-        assert_eq!(c.allows[0].rule, "panic-free-fault-path");
+        assert_eq!(c.allows[0].rule, "no-magic-page-size");
         assert_eq!(c.allows[0].target_line, 1);
         assert_eq!(c.allows[1].rule, "no-magic-page-size");
         assert_eq!(c.allows[1].target_line, 3);
@@ -422,7 +422,7 @@ mod tests {
     fn allow_without_reason_is_malformed() {
         let f = file(
             "crates/tps-os/src/a.rs",
-            "// tps-lint::allow(panic-free-fault-path)\nlet a = 1;\n",
+            "// tps-lint::allow(no-magic-page-size)\nlet a = 1;\n",
         );
         let c = ctx_of(&f);
         assert!(c.allows.is_empty());
@@ -446,7 +446,7 @@ mod tests {
     fn allow_with_empty_reason_is_malformed() {
         let f = file(
             "crates/tps-os/src/a.rs",
-            "// tps-lint::allow(pub-item-docs, reason = \"\")\n",
+            "// tps-lint::allow(unordered-iteration, reason = \"\")\n",
         );
         let c = ctx_of(&f);
         assert!(c.allows.is_empty());

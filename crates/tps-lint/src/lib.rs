@@ -1,8 +1,12 @@
 //! `tps-lint`: workspace-specific static analysis for the TPS reproduction.
 //!
-//! PR 1 proved the OS fault paths panic-free *dynamically* (fault-injection
-//! campaigns plus a cross-layer auditor). This crate turns those invariants
-//! into *static* law: a hand-rolled Rust lexer ([`lexer`]), a per-file
+//! The workspace's invariants are split between the compiler and this
+//! crate. rustc and clippy carry what they can see with full type
+//! information: `missing_docs` on every crate, private fields on the
+//! address newtypes, clippy's `unwrap_used`/`panic` family on the fault
+//! path, and the root `clippy.toml`'s wall-clock and entropy bans. This
+//! crate keeps the rules that need the whole workspace or the workspace's
+//! own vocabulary: a hand-rolled Rust lexer ([`lexer`]), a per-file
 //! token-stream rule engine and a whole-workspace cross-file pass
 //! ([`rules`]), and inline suppression with mandatory reasons. Any
 //! unsuppressed diagnostic fails the gate.
@@ -10,9 +14,8 @@
 //! The workspace pass is two-phase: pass 1 builds a conservative symbol
 //! index ([`symbol_index`] — definitions, `use` resolution, type bindings,
 //! struct fields, fn returns, and a call graph), pass 2 runs the
-//! determinism rule family ([`rules::determinism`]) over it to statically
-//! enforce the byte-identical-report contract the experiment engine
-//! guarantees dynamically.
+//! determinism rule family ([`rules::determinism`]) and the hot-path
+//! reachability rules ([`rules::hot_path`]) over it.
 //!
 //! Std-only by construction — the workspace has no registry access (the
 //! same constraint that produced the proptest shim).
@@ -25,7 +28,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod diag;
 pub mod file;
@@ -161,20 +164,20 @@ mod tests {
 
     #[test]
     fn single_file_lint_flags_and_suppresses() {
-        let bad = "fn f() { let x = y.unwrap(); }\n";
+        let bad = "fn f() -> u64 { 4096 }\n";
         let diags = lint_one("tps-os", bad);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, rules::PANIC_FREE);
+        assert_eq!(diags[0].rule, rules::NO_MAGIC_PAGE_SIZE);
         assert_eq!(diags[0].line, 1);
 
-        let ok = "fn f() { let x = y.unwrap(); } \
-                  // tps-lint::allow(panic-free-fault-path, reason = \"test of suppression\")\n";
+        let ok = "fn f() -> u64 { 4096 } \
+                  // tps-lint::allow(no-magic-page-size, reason = \"test of suppression\")\n";
         assert!(lint_one("tps-os", ok).is_empty());
     }
 
     #[test]
-    fn non_fault_path_crate_may_unwrap() {
-        let src = "fn f() { let x = y.unwrap(); }\n";
-        assert!(lint_one("tps-wl", src).is_empty());
+    fn core_crate_may_spell_page_sizes() {
+        let src = "fn f() -> u64 { 4096 }\n";
+        assert!(lint_one("tps-core", src).is_empty());
     }
 }

@@ -4,17 +4,18 @@
 //! `--resume` byte-identical, chaos schedules replayable) is enforced
 //! dynamically by verify.sh — but a dynamic gate only proves the paths a
 //! given seed exercises. These rules prove the complement statically: no
-//! hash-ordered iteration, wall-clock read, or per-process entropy source
-//! can reach the deterministic crates' state or report fields.
+//! hash-ordered iteration can reach the deterministic crates' state or
+//! report fields. Wall-clock reads and per-process entropy (environment,
+//! thread identity, hasher seeds) are clippy's `disallowed-methods` and
+//! `disallowed-types` lists in the workspace's `clippy.toml`.
 //!
-//! Every rule here runs only over [`DET_CRATES`] (plus `tps-check` for the
-//! wall-clock rule), skips test code, and honours the same inline
-//! suppressions as the per-file rules.
+//! Every rule here runs only over [`DET_CRATES`], skips test code, and
+//! honours the same inline suppressions as the per-file rules.
 
 use crate::diag::Diagnostic;
 use crate::file::FileCtx;
 use crate::lexer::TokenKind;
-use crate::rules::{FLOAT_ACCUM_ORDER, UNORDERED_ITERATION, UNSEEDED_ENTROPY, WALL_CLOCK};
+use crate::rules::{FLOAT_ACCUM_ORDER, UNORDERED_ITERATION};
 use crate::symbol_index::SymbolIndex;
 
 /// The crates whose outputs must be bit-stable across thread counts,
@@ -22,10 +23,6 @@ use crate::symbol_index::SymbolIndex;
 pub const DET_CRATES: [&str; 7] = [
     "tps-core", "tps-mem", "tps-os", "tps-pt", "tps-tlb", "tps-wl", "tps-sim",
 ];
-
-/// Modules allowed to read the wall clock: only the worker-pool watchdog,
-/// which times the *harness* (a cell's deadline), not the simulation.
-const WALL_CLOCK_ALLOW: [&str; 1] = ["crates/tps-sim/src/experiment/pool.rs"];
 
 /// Iterator-producing methods whose order is the container's order.
 const ITER_METHODS: [&str; 9] = [
@@ -70,16 +67,12 @@ enum Terminal {
     Unknown,
 }
 
-/// Runs every determinism rule. Called from the workspace pass with the
+/// Runs the determinism rules. Called from the workspace pass with the
 /// pass-1 symbol index.
 pub fn check(files: &[FileCtx<'_>], index: &SymbolIndex, out: &mut Vec<Diagnostic>) {
     for ctx in files {
         if DET_CRATES.contains(&ctx.crate_name) {
             unordered_iteration(ctx, index, out);
-            unseeded_entropy(ctx, index, out);
-            wall_clock(ctx, out);
-        } else if ctx.crate_name == "tps-check" {
-            wall_clock(ctx, out);
         }
     }
 }
@@ -263,104 +256,4 @@ fn for_loop_hash_expr(ctx: &FileCtx<'_>, index: &SymbolIndex, for_idx: usize) ->
             _ => return None, // calls, ranges, indexing, ... — not a plain path
         }
     }
-}
-
-/// `wall-clock-in-sim`: `Instant::now` / `SystemTime::now` / `UNIX_EPOCH`
-/// anywhere in the deterministic crates or the checker, outside the
-/// allowlisted watchdog module.
-fn wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if WALL_CLOCK_ALLOW.contains(&ctx.rel_path) {
-        return;
-    }
-    let sig = &ctx.sig;
-    for (i, s) in sig.iter().enumerate() {
-        if ctx.is_test(i) || s.kind != TokenKind::Ident {
-            continue;
-        }
-        let hit = match s.text {
-            "Instant" | "SystemTime" => ctx.text(i + 1) == "::" && ctx.text(i + 2) == "now",
-            "UNIX_EPOCH" => !in_use_statement(ctx, i),
-            _ => false,
-        };
-        if hit {
-            out.push(ctx.diag(
-                i,
-                WALL_CLOCK,
-                format!(
-                    "`{}` reads the wall clock inside the deterministic pipeline; simulated \
-                     time must come from the simulator, and harness timing belongs in the \
-                     allowlisted worker-pool watchdog",
-                    s.text
-                ),
-            ));
-        }
-    }
-}
-
-/// `unseeded-entropy`: hasher state, OS RNGs, environment variables and
-/// thread identity reaching the deterministic crates.
-fn unseeded_entropy(ctx: &FileCtx<'_>, index: &SymbolIndex, out: &mut Vec<Diagnostic>) {
-    let sig = &ctx.sig;
-    for (i, s) in sig.iter().enumerate() {
-        if ctx.is_test(i) || s.kind != TokenKind::Ident {
-            continue;
-        }
-        let pattern: Option<&str> = match s.text {
-            "RandomState" if ctx.text(i + 1) == "::" => Some("RandomState"),
-            "thread_rng" if ctx.text(i + 1) == "(" => Some("thread_rng"),
-            "rand"
-                if ctx.text(i + 1) == "::"
-                    && ctx.text(i + 2) == "random"
-                    && matches!(ctx.text(i + 3), "(" | "::") =>
-            {
-                Some("rand::random")
-            }
-            "env"
-                if ctx.text(i + 1) == "::"
-                    && matches!(ctx.text(i + 2), "var" | "var_os")
-                    && ctx.text(i + 3) == "(" =>
-            {
-                Some("std::env::var")
-            }
-            "thread"
-                if ctx.text(i + 1) == "::"
-                    && ctx.text(i + 2) == "current"
-                    && ctx.text(i + 3) == "(" =>
-            {
-                Some("thread::current")
-            }
-            _ => None,
-        };
-        let Some(pat) = pattern else {
-            continue;
-        };
-        // Call-graph exemption: a helper every caller of which is test code
-        // cannot taint sim state or report fields at run time.
-        if let Some(encl) = index.enclosing_fn(ctx.rel_path, i) {
-            if index.reachable_only_from_tests(encl) {
-                continue;
-            }
-        }
-        out.push(ctx.diag(
-            i,
-            UNSEEDED_ENTROPY,
-            format!(
-                "`{pat}` injects per-process entropy into deterministic code; derive \
-                 every run-affecting value from the experiment seed"
-            ),
-        ));
-    }
-}
-
-/// True when `sig[i]` lies inside a `use` declaration (imports name the
-/// item without evaluating it).
-fn in_use_statement(ctx: &FileCtx<'_>, i: usize) -> bool {
-    for j in (0..i).rev() {
-        match ctx.text(j) {
-            ";" | "}" => return false,
-            "use" => return true,
-            _ => {}
-        }
-    }
-    false
 }

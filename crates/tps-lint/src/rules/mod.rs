@@ -14,23 +14,18 @@ use crate::file::FileCtx;
 use crate::hot_paths::HotPaths;
 use crate::symbol_index::SymbolIndex;
 
-/// `unwrap`/`expect`/`panic!` and friends are banned on the
-/// mmap/fault/munmap/compact path.
+/// `assert!` and friends are banned on the tenant event path; clippy
+/// carries the `unwrap`/`expect`/`panic!` half of the contract.
 pub const PANIC_FREE: &str = "panic-free-fault-path";
 /// Bare page-size literals (`4096`, `0x1000`, `1 << 12`, ...) are banned
 /// outside `tps-core`.
 pub const NO_MAGIC_PAGE_SIZE: &str = "no-magic-page-size";
-/// `.0` projection or tuple-construction of `VirtAddr`/`PhysAddr` is banned
-/// outside `tps-core`.
-pub const ADDR_OPACITY: &str = "addr-newtype-opacity";
 /// Every `FaultSite` variant must be consulted by an injection hook.
 pub const FAULT_SITE_COVERAGE: &str = "fault-site-coverage";
 /// Every `OsStats` counter must be incremented somewhere.
 pub const STATS_COUNTER_COVERAGE: &str = "stats-counter-coverage";
 /// Wildcard arms are banned in matches over the workspace's core enums.
 pub const NO_WILDCARD_ENUM_MATCH: &str = "no-wildcard-enum-match";
-/// Exported items of `tps-core`/`tps-os` must carry doc comments.
-pub const PUB_ITEM_DOCS: &str = "pub-item-docs";
 /// Meta-rule: a `tps-lint::allow` directive that cannot be honored.
 pub const MALFORMED_SUPPRESSION: &str = "malformed-suppression";
 /// Direct `std::fs` writes are banned inside the experiment engine; all
@@ -39,12 +34,6 @@ pub const RAW_ARTIFACT_IO: &str = "raw-artifact-io";
 /// Observable iteration over `HashMap`/`HashSet` is banned in the
 /// deterministic crates unless the sink is an order-insensitive fold.
 pub const UNORDERED_ITERATION: &str = "unordered-iteration";
-/// `Instant::now`/`SystemTime::now` are banned in the deterministic crates
-/// outside the allowlisted worker-pool watchdog.
-pub const WALL_CLOCK: &str = "wall-clock-in-sim";
-/// Hasher state, OS RNGs, environment variables and thread identity may
-/// not reach sim state or report fields.
-pub const UNSEEDED_ENTROPY: &str = "unseeded-entropy";
 /// Floating-point accumulation over an unordered container is banned (the
 /// result depends on iteration order).
 pub const FLOAT_ACCUM_ORDER: &str = "float-accum-order";
@@ -60,19 +49,15 @@ pub const HOT_PATH_LOCK_IO: &str = "hot-path-lock-io";
 pub const HOT_PATH_CLONE: &str = "hot-path-clone";
 
 /// Every rule name, in reporting order.
-pub const RULES: [&str; 17] = [
+pub const RULES: [&str; 13] = [
     PANIC_FREE,
     NO_MAGIC_PAGE_SIZE,
-    ADDR_OPACITY,
     FAULT_SITE_COVERAGE,
     STATS_COUNTER_COVERAGE,
     NO_WILDCARD_ENUM_MATCH,
-    PUB_ITEM_DOCS,
     MALFORMED_SUPPRESSION,
     RAW_ARTIFACT_IO,
     UNORDERED_ITERATION,
-    WALL_CLOCK,
-    UNSEEDED_ENTROPY,
     FLOAT_ACCUM_ORDER,
     HOT_PATH_ALLOC,
     HOT_PATH_DYN_DISPATCH,
@@ -80,19 +65,14 @@ pub const RULES: [&str; 17] = [
     HOT_PATH_CLONE,
 ];
 
-/// Crates forming the mmap/fault/munmap/compact path ([`PANIC_FREE`]).
-pub const FAULT_PATH_CRATES: [&str; 3] = ["tps-os", "tps-mem", "tps-pt"];
-/// Individual files on the tenant event path that must also stay
-/// panic-free ([`PANIC_FREE`]). These live in crates that are otherwise
-/// allowed to panic, so they are named file-by-file; in these files the
-/// rule additionally bans `assert!` and friends — a failed containment
-/// assertion would abort the very machine that is supposed to outlive a
-/// misbehaving tenant.
+/// Files on the tenant event path where [`PANIC_FREE`] bans `assert!` and
+/// friends: a failed containment assertion would abort the very machine
+/// that is supposed to outlive a misbehaving tenant. No clippy lint sees
+/// assertions; each file also denies clippy's `unwrap_used`/`panic` family
+/// in an inner attribute.
 pub const FAULT_PATH_FILES: [&str; 1] = ["crates/tps-sim/src/machine.rs"];
 /// The only crate allowed to spell out page-size constants.
 pub const CORE_CRATE: &str = "tps-core";
-/// Crates whose exported items must be documented ([`PUB_ITEM_DOCS`]).
-pub const DOC_CRATES: [&str; 2] = ["tps-core", "tps-os"];
 /// Enums whose matches may not use a wildcard arm.
 pub const GUARDED_ENUMS: [&str; 6] = [
     "TpsError",
@@ -107,9 +87,7 @@ pub const GUARDED_ENUMS: [&str; 6] = [
 pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     per_file::panic_free(ctx, out);
     per_file::magic_page_size(ctx, out);
-    per_file::addr_opacity(ctx, out);
     per_file::wildcard_enum_match(ctx, out);
-    per_file::pub_item_docs(ctx, out);
     per_file::raw_artifact_io(ctx, out);
     out.extend(ctx.malformed.iter().cloned());
 }
@@ -133,23 +111,18 @@ pub fn check_workspace(
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
         PANIC_FREE => {
-            "panic-free-fault-path: `unwrap`, `expect`, `panic!`, indexing and friends are \
-             banned in tps-os/tps-mem/tps-pt non-test code, and in the tenant event path \
-             (tps-sim's machine.rs) where `assert!`/`assert_eq!`/`assert_ne!` are banned \
-             too. The mmap/fault/munmap/compact path must degrade into TpsError values — a \
-             panic mid-compaction corrupts the machine state the fault-injection campaigns \
-             replay, and an abort on the tenant step path would take down the machine that \
-             fault containment promises will outlive a misbehaving tenant."
+            "panic-free-fault-path: `assert!`, `assert_eq!`, `assert_ne!` and their `debug_` \
+             forms are banned in the tenant event path (tps-sim's machine.rs) outside test \
+             code. An abort on the tenant step path would take down the machine that fault \
+             containment promises will outlive a misbehaving tenant; surface a TpsError \
+             instead. The rest of the panic-free contract is clippy's: tps-os, tps-mem, \
+             tps-pt and machine.rs deny `unwrap_used`, `expect_used`, `panic`, \
+             `unreachable`, `todo` and `unimplemented`."
         }
         NO_MAGIC_PAGE_SIZE => {
             "no-magic-page-size: bare page-size literals (4096, 0x1000, 1 << 12, ...) are \
              banned outside tps-core. Every size must come from the PageOrder/PAGE_SIZE \
              constants so a page-geometry change cannot silently miss a site."
-        }
-        ADDR_OPACITY => {
-            "addr-newtype-opacity: `.0` projection or tuple-construction of VirtAddr/PhysAddr \
-             is banned outside tps-core. Address arithmetic must go through the newtype \
-             methods, which carry the alignment and overflow contracts."
         }
         FAULT_SITE_COVERAGE => {
             "fault-site-coverage: every FaultSite variant must be consulted by an injection \
@@ -164,10 +137,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "no-wildcard-enum-match: `_` arms are banned in matches over the workspace's core \
              enums (TpsError, FaultSite, Mechanism, ...), so adding a variant forces every \
              consumer to decide its behavior explicitly."
-        }
-        PUB_ITEM_DOCS => {
-            "pub-item-docs: exported items of tps-core and tps-os must carry doc comments; \
-             these two crates are the API surface the paper-reproduction experiments script."
         }
         MALFORMED_SUPPRESSION => {
             "malformed-suppression: a `tps-lint::allow(<rule>, reason = \"...\")` directive \
@@ -187,19 +156,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              BTree container). Hash iteration order varies per process, so any escape into \
              sim state or reports breaks byte-identical output across --threads and --resume. \
              Audited order-insensitive sites may use tps-lint::allow with a reason."
-        }
-        WALL_CLOCK => {
-            "wall-clock-in-sim: Instant::now/SystemTime::now/UNIX_EPOCH are banned in the \
-             deterministic crates and tps-check, outside the one allowlisted harness-timing \
-             module (the worker-pool watchdog). \
-             Simulated time must come from the simulator; wall-clock readings differ per \
-             run and poison replayability."
-        }
-        UNSEEDED_ENTROPY => {
-            "unseeded-entropy: RandomState::new, thread_rng, rand::random, std::env::var and \
-             thread::current() are banned in the deterministic crates. Every run-affecting \
-             value must derive from the experiment seed. Helpers provably reachable only \
-             from test code are exempt (the call graph decides)."
         }
         FLOAT_ACCUM_ORDER => {
             "float-accum-order: f32/f64 sum/product/fold over a hash-ordered container is \

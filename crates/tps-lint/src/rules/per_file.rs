@@ -1,13 +1,12 @@
 //! Rules that inspect one file at a time.
 
 use super::{
-    ADDR_OPACITY, CORE_CRATE, DOC_CRATES, FAULT_PATH_CRATES, FAULT_PATH_FILES, GUARDED_ENUMS,
-    NO_MAGIC_PAGE_SIZE, NO_WILDCARD_ENUM_MATCH, PANIC_FREE, PUB_ITEM_DOCS, RAW_ARTIFACT_IO,
+    CORE_CRATE, FAULT_PATH_FILES, GUARDED_ENUMS, NO_MAGIC_PAGE_SIZE, NO_WILDCARD_ENUM_MATCH,
+    PANIC_FREE, RAW_ARTIFACT_IO,
 };
 use crate::diag::Diagnostic;
 use crate::file::{FileCtx, Sig};
 use crate::lexer::{int_value, TokenKind};
-use std::collections::BTreeSet;
 
 /// Page-size byte values that must come from `tps-core` constants.
 // tps-lint::allow(no-magic-page-size, reason = "the lint's own definition of the banned values")
@@ -15,12 +14,9 @@ const PAGE_SIZE_VALUES: [u128; 3] = [4096, 2 << 20, 1 << 30];
 /// Shift amounts in `1 << n` that spell a page size (4 KB / 2 MB / 1 GB).
 const PAGE_SIZE_SHIFTS: [u128; 3] = [12, 21, 30];
 
-/// Macros that abort instead of returning an error.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Assertion macros additionally banned in [`FAULT_PATH_FILES`]: a failed
-/// assertion on the tenant step path aborts the machine that containment
-/// promises will outlive the faulting tenant.
+/// Assertion macros banned in [`FAULT_PATH_FILES`]: a failed assertion on
+/// the tenant step path aborts the machine that containment promises will
+/// outlive the faulting tenant.
 const ASSERT_MACROS: [&str; 6] = [
     "assert",
     "assert_eq",
@@ -30,12 +26,10 @@ const ASSERT_MACROS: [&str; 6] = [
     "debug_assert_ne",
 ];
 
-/// [`PANIC_FREE`]: no `unwrap`/`expect` calls or aborting macros in
-/// non-test code of the fault-path crates, nor in the named tenant
-/// event-path files (where assertions are banned too).
+/// [`PANIC_FREE`]: no assertion macros in non-test code of the tenant
+/// event-path files.
 pub fn panic_free(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    let fault_path_file = FAULT_PATH_FILES.contains(&ctx.rel_path);
-    if !fault_path_file && !FAULT_PATH_CRATES.contains(&ctx.crate_name) {
+    if !FAULT_PATH_FILES.contains(&ctx.rel_path) {
         return;
     }
     for i in 0..ctx.sig.len() {
@@ -43,38 +37,7 @@ pub fn panic_free(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let t = ctx.sig[i].text;
-        let method_call = matches!(t, "unwrap" | "expect")
-            && i > 0
-            && ctx.text(i - 1) == "."
-            && ctx.text(i + 1) == "(";
-        let abort_macro = PANIC_MACROS.contains(&t) && ctx.text(i + 1) == "!";
-        let assert_macro = fault_path_file && ASSERT_MACROS.contains(&t) && ctx.text(i + 1) == "!";
-        if method_call {
-            let site = if fault_path_file {
-                format!("{} is on the tenant event path", ctx.rel_path)
-            } else {
-                format!(
-                    "{} is on the mmap/fault/munmap/compact path",
-                    ctx.crate_name
-                )
-            };
-            out.push(ctx.diag(
-                i,
-                PANIC_FREE,
-                format!(
-                    "`.{t}()` on the fault path ({site}); \
-                     return a TpsError (e.g. TpsError::invariant) instead"
-                ),
-            ));
-        } else if abort_macro {
-            out.push(ctx.diag(
-                i,
-                PANIC_FREE,
-                format!(
-                    "`{t}!` aborts the simulation; fault-path crates must surface a TpsError instead"
-                ),
-            ));
-        } else if assert_macro {
+        if ASSERT_MACROS.contains(&t) && ctx.text(i + 1) == "!" {
             out.push(ctx.diag(
                 i,
                 PANIC_FREE,
@@ -125,69 +88,6 @@ pub fn magic_page_size(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-/// [`ADDR_OPACITY`]: outside `tps-core`, address newtypes may only be used
-/// through their methods — no `.0` projection, no tuple construction.
-pub fn addr_opacity(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.crate_name == CORE_CRATE {
-        return;
-    }
-    let newtypes = ["VirtAddr", "PhysAddr"];
-    // Pass 1: identifiers annotated `name: VirtAddr` (params, lets, fields).
-    let mut bound: BTreeSet<&str> = BTreeSet::new();
-    for i in 2..ctx.sig.len() {
-        if newtypes.contains(&ctx.sig[i].text)
-            && ctx.text(i - 1) == ":"
-            && ctx.sig[i - 2].kind == TokenKind::Ident
-        {
-            bound.insert(ctx.sig[i - 2].text);
-        }
-    }
-    for i in 0..ctx.sig.len() {
-        let t = ctx.sig[i].text;
-        // Tuple construction `VirtAddr(...)` — bypasses `::new` masking.
-        if newtypes.contains(&t) && ctx.sig[i].kind == TokenKind::Ident && ctx.text(i + 1) == "(" {
-            out.push(ctx.diag(
-                i,
-                ADDR_OPACITY,
-                format!(
-                    "tuple construction of `{t}` bypasses `{t}::new` width masking; use `::new`"
-                ),
-            ));
-            continue;
-        }
-        // Projection `x.0` on a known address binding, or directly on a
-        // `VirtAddr::new(...)` call.
-        if t == "." && ctx.text(i + 1) == "0" && i > 0 {
-            let prev = &ctx.sig[i - 1];
-            let mut flag = false;
-            if prev.kind == TokenKind::Ident && bound.contains(prev.text) {
-                flag = true;
-            } else if prev.text == ")" {
-                if let Some(open) = ctx.partner(i - 1) {
-                    if open >= 3
-                        && ctx.text(open - 1) == "new"
-                        && ctx.text(open - 2) == "::"
-                        && newtypes.contains(&ctx.text(open - 3))
-                    {
-                        flag = true;
-                    }
-                }
-            }
-            if flag {
-                out.push(
-                    ctx.diag(
-                        i + 1,
-                        ADDR_OPACITY,
-                        "`.0` projects through an address newtype; use `.value()` so the \
-                     width-masking invariant stays inside tps-core"
-                            .to_string(),
-                    ),
-                );
             }
         }
     }
@@ -342,123 +242,6 @@ pub fn raw_artifact_io(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 ));
             }
             _ => {}
-        }
-    }
-}
-
-/// Item keywords that may follow `pub` in an item that needs docs.
-const ITEM_KWS: [&str; 12] = [
-    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "unsafe", "async",
-    "extern",
-];
-
-/// [`PUB_ITEM_DOCS`]: exported items of the API crates must carry a doc
-/// comment (or a `#[doc = ...]` attribute).
-pub fn pub_item_docs(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !DOC_CRATES.contains(&ctx.crate_name) {
-        return;
-    }
-    for i in 0..ctx.sig.len() {
-        if ctx.sig[i].text != "pub" || ctx.sig[i].kind != TokenKind::Ident || ctx.is_test(i) {
-            continue;
-        }
-        let next = ctx.text(i + 1);
-        if next == "(" {
-            continue; // pub(crate) / pub(super): not exported
-        }
-        if !ITEM_KWS.contains(&next) {
-            continue; // struct fields, `pub use` re-exports, tuple fields
-        }
-        if next == "mod" && ctx.text(i + 3) == ";" {
-            // Out-of-line module: its docs live as `//!` inner docs in the
-            // module's own file, which rustc's missing_docs accepts.
-            continue;
-        }
-        if !has_doc(ctx, i) {
-            let item_kind = item_kind_after(ctx, i);
-            out.push(ctx.diag(
-                i,
-                PUB_ITEM_DOCS,
-                format!(
-                    "exported {item_kind} has no doc comment; document every public item of {}",
-                    ctx.crate_name
-                ),
-            ));
-        }
-    }
-}
-
-/// The first real item keyword after `pub` (skipping qualifiers).
-fn item_kind_after(ctx: &FileCtx<'_>, pub_idx: usize) -> &'static str {
-    for j in pub_idx + 1..(pub_idx + 5).min(ctx.sig.len()) {
-        match ctx.sig[j].text {
-            "fn" => return "fn",
-            "struct" => return "struct",
-            "enum" => return "enum",
-            "trait" => return "trait",
-            "type" => return "type alias",
-            "const" if ctx.text(j + 1) != "fn" => return "const",
-            "static" => return "static",
-            "mod" => return "module",
-            "union" => return "union",
-            _ => {}
-        }
-    }
-    "item"
-}
-
-/// True if the item introduced by `sig[pub_idx]` is documented: walking
-/// backward over its attributes, a doc comment (or `#[doc...]` attribute)
-/// is found immediately before the item.
-fn has_doc(ctx: &FileCtx<'_>, pub_idx: usize) -> bool {
-    let mut j = ctx.sig[pub_idx].full_idx;
-    loop {
-        if j == 0 {
-            return false;
-        }
-        let prev = &ctx.tokens[j - 1];
-        match prev.kind {
-            TokenKind::DocComment => return true,
-            TokenKind::LineComment | TokenKind::BlockComment => {
-                j -= 1; // plain comments are transparent
-            }
-            _ => {
-                // An attribute ends in `]`; skip it (checking for #[doc ...]).
-                if prev.text(ctx.src) != "]" {
-                    return false;
-                }
-                let Some(k) = ctx
-                    .sig
-                    .binary_search_by_key(&(j - 1), |s| s.full_idx)
-                    .ok()
-                    .and_then(|close| ctx.partner(close))
-                    .map(|open| ctx.sig[open].full_idx)
-                else {
-                    return false;
-                };
-                // `#[doc = "..."]` counts as documentation.
-                if ctx.tokens[k + 1..j - 1]
-                    .iter()
-                    .next()
-                    .map(|t| t.text(ctx.src) == "doc")
-                    .unwrap_or(false)
-                {
-                    return true;
-                }
-                // Step over `#` (outer) or `!#`-style inner attribute intro.
-                if k == 0 {
-                    return false;
-                }
-                j = k;
-                if ctx.tokens[j - 1].text(ctx.src) == "#" {
-                    j -= 1;
-                } else if ctx.tokens[j - 1].text(ctx.src) == "!"
-                    && j >= 2
-                    && ctx.tokens[j - 2].text(ctx.src) == "#"
-                {
-                    j -= 2;
-                }
-            }
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Pass 1 of the workspace analysis: a conservative symbol index.
 //!
-//! The per-file rules of PR 2 are purely lexical — they can ban `unwrap`
-//! anywhere, but they cannot answer "is `regions` a `HashMap`?" or "is this
-//! helper only ever called from tests?". This module builds the structures
-//! those questions need, straight from the lexer output of every file:
+//! The per-file rules are purely lexical: they cannot answer "is `regions`
+//! a `HashMap`?" or "which functions can the translation entry point
+//! reach?". This module builds the structures those questions need,
+//! straight from the lexer output of every file:
 //!
 //! * **Item definitions** — `fn` / `struct` / `enum` / `trait` / `type` /
 //!   `const` / `static` / `mod` / `impl` targets, with module paths derived
@@ -19,9 +19,8 @@
 //!   crate, so `proc.direct_blocks.values()` resolves through the field
 //!   declaration even when the receiver is not `self`.
 //! * **A conservative call/field-use graph** — per `fn`, the set of names
-//!   it calls and fields it touches, with caller links. The determinism
-//!   rules use it to exempt entropy sources in helpers that are provably
-//!   only reachable from test code.
+//!   it calls and fields it touches. The hot-path rules walk it from the
+//!   declared translation entry points.
 //!
 //! Everything is name-based and deliberately over-approximate: when two
 //! items share a name the index merges them, which can only make the rules
@@ -71,8 +70,6 @@ pub struct SymbolDef {
     pub line: u32,
     /// 1-based definition column.
     pub col: u32,
-    /// True when the definition lies in test-only code.
-    pub is_test: bool,
 }
 
 /// The span of one `fn` body in a file's significant-token stream.
@@ -95,7 +92,7 @@ pub struct FileSymbols {
     pub imports: BTreeMap<String, String>,
     /// Identifier → declared/inferred type head, flow-insensitive.
     pub bindings: BTreeMap<String, String>,
-    /// Spans of every `fn` body, for enclosing-function lookups.
+    /// Spans of every `fn` body, the call graph's unit.
     pub fn_spans: Vec<FnSpan>,
 }
 
@@ -106,8 +103,6 @@ pub struct FnInfo {
     pub calls: BTreeSet<String>,
     /// Field names this function reads or writes.
     pub fields_used: BTreeSet<String>,
-    /// True when *every* definition of this name is in test code.
-    pub test_only: bool,
 }
 
 /// The whole-workspace symbol index.
@@ -124,8 +119,6 @@ pub struct SymbolIndex {
     aliases: BTreeMap<String, BTreeMap<String, String>>,
     /// fn name → merged call/field info.
     fns: BTreeMap<String, FnInfo>,
-    /// callee name → set of (caller name, caller-is-test).
-    callers: BTreeMap<String, BTreeSet<(String, bool)>>,
     /// struct/enum names that `#[derive(Copy)]` (merged across crates).
     copy_types: BTreeSet<String>,
     /// `type` alias names whose right-hand side mentions `dyn`.
@@ -144,16 +137,6 @@ impl SymbolIndex {
         let mut index = SymbolIndex::default();
         for ctx in files {
             index.index_file(ctx);
-        }
-        // A name is test-only when no non-test definition of it exists.
-        let mut any_non_test: BTreeSet<String> = BTreeSet::new();
-        for def in &index.defs {
-            if def.kind == DefKind::Fn && !def.is_test {
-                any_non_test.insert(def.name.clone());
-            }
-        }
-        for (name, info) in index.fns.iter_mut() {
-            info.test_only = !any_non_test.contains(name);
         }
         index
     }
@@ -264,69 +247,6 @@ impl SymbolIndex {
         }
     }
 
-    /// True when every transitive caller of `name` lies in test code — the
-    /// call-graph exemption: a helper only tests can reach cannot taint sim
-    /// state or report fields at run time. A function with *no* indexed
-    /// callers is NOT exempt (it may be an entry point or exported API).
-    pub fn reachable_only_from_tests(&self, name: &str) -> bool {
-        let Some(first) = self.callers.get(name) else {
-            return false;
-        };
-        if first.is_empty() {
-            return false;
-        }
-        let mut queue: Vec<&str> = vec![name];
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        seen.insert(name);
-        let mut any_test_root = false;
-        while let Some(callee) = queue.pop() {
-            let Some(callers) = self.callers.get(callee) else {
-                continue;
-            };
-            for (caller, caller_is_test) in callers {
-                let is_test = *caller_is_test
-                    || self
-                        .fns
-                        .get(caller.as_str())
-                        .map(|i| i.test_only)
-                        .unwrap_or(false);
-                if is_test {
-                    any_test_root = true;
-                    continue;
-                }
-                // A non-test caller is acceptable only when it is itself
-                // reachable solely from tests — so it must have callers of
-                // its own (otherwise it is an entry point) and we keep
-                // walking upward through it.
-                let has_callers = self
-                    .callers
-                    .get(caller.as_str())
-                    .map(|c| !c.is_empty())
-                    .unwrap_or(false);
-                if !has_callers {
-                    return false;
-                }
-                if seen.insert(caller.as_str()) {
-                    queue.push(caller.as_str());
-                }
-            }
-        }
-        // A caller graph that never touches a test (e.g. a dead non-test
-        // cycle) is not a proof of test-only reachability.
-        any_test_root
-    }
-
-    /// The name of the `fn` whose body contains `sig_idx` in `rel_path`
-    /// (innermost span wins).
-    pub fn enclosing_fn(&self, rel_path: &str, sig_idx: usize) -> Option<&str> {
-        let f = self.files.get(rel_path)?;
-        f.fn_spans
-            .iter()
-            .filter(|s| s.start <= sig_idx && sig_idx <= s.end)
-            .min_by_key(|s| s.end - s.start)
-            .map(|s| s.name.as_str())
-    }
-
     fn index_file(&mut self, ctx: &FileCtx<'_>) {
         let mut fs = FileSymbols {
             module_path: module_path_of(ctx.rel_path, ctx.crate_name),
@@ -404,7 +324,6 @@ impl SymbolIndex {
                 module_path: fs.module_path.clone(),
                 line: sig[i].line,
                 col: sig[i].col,
-                is_test: ctx.is_test(i),
             });
             if matches!(kind, DefKind::Struct | DefKind::Enum) && has_copy_derive(ctx, i) {
                 self.copy_types.insert(name.clone());
@@ -527,7 +446,6 @@ impl SymbolIndex {
     /// Builds the conservative call/field-use graph from the fn spans.
     fn index_call_graph(&mut self, ctx: &FileCtx<'_>, fs: &FileSymbols) {
         for span in &fs.fn_spans {
-            let caller_is_test = ctx.is_test(span.start);
             let mut calls = BTreeSet::new();
             let mut fields_used = BTreeSet::new();
             for j in span.start + 2..span.end.min(ctx.sig.len()) {
@@ -544,12 +462,6 @@ impl SymbolIndex {
                 } else if ctx.text(j.wrapping_sub(1)) == "." && next != "(" {
                     fields_used.insert(t.to_string());
                 }
-            }
-            for callee in &calls {
-                self.callers
-                    .entry(callee.clone())
-                    .or_default()
-                    .insert((span.name.clone(), caller_is_test));
             }
             let info = self.fns.entry(span.name.clone()).or_default();
             info.calls.extend(calls);
@@ -924,45 +836,11 @@ mod tests {
     }
 
     #[test]
-    fn call_graph_and_test_only_reachability() {
-        let (file, index) = build_one(
-            "tps-sim",
-            "crates/tps-sim/src/e.rs",
-            "fn prod() { helper(); }\n\
-             fn helper() { shared(); }\n\
-             fn shared() {}\n\
-             fn test_helper() { only_from_tests(); }\n\
-             fn only_from_tests() {}\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-                 #[test]\n\
-                 fn t() { super::test_helper(); }\n\
-             }\n",
-        );
-        drop(file);
-        // helper/shared reachable from prod (non-test): not exempt.
-        assert!(!index.reachable_only_from_tests("helper"));
-        assert!(!index.reachable_only_from_tests("shared"));
-        // test_helper is only called from the test module, and
-        // only_from_tests only from test_helper: both exempt.
-        assert!(index.reachable_only_from_tests("test_helper"));
-        assert!(index.reachable_only_from_tests("only_from_tests"));
-        // prod has no callers at all: not exempt (entry point).
-        assert!(!index.reachable_only_from_tests("prod"));
-    }
-
-    #[test]
-    fn enclosing_fn_and_module_paths() {
-        let (file, index) = build_one(
+    fn module_paths_follow_the_file_location() {
+        let (_file, index) = build_one(
             "tps-os",
             "crates/tps-os/src/os.rs",
             "fn outer() { let x = 1; }\nfn later() {}\n",
-        );
-        let ctx = FileCtx::build(&file);
-        let x_idx = ctx.sig.iter().position(|s| s.text == "x").unwrap();
-        assert_eq!(
-            index.enclosing_fn("crates/tps-os/src/os.rs", x_idx),
-            Some("outer")
         );
         assert_eq!(
             index.file("crates/tps-os/src/os.rs").unwrap().module_path,

@@ -51,21 +51,20 @@ fn clean_tree_exits_zero() {
 }
 
 #[test]
-fn planted_unwrap_on_the_fault_path_exits_one_and_names_the_rule() {
-    let root = workspace("unwrap", "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n");
+fn planted_page_size_literal_exits_one_and_names_the_rule() {
+    let root = workspace("literal", "fn f() -> u64 {\n    4096\n}\n");
     let out = lint(&root, &[]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/tps-os/src/lib.rs:2:")
-            && stdout.contains("[panic-free-fault-path]"),
+        stdout.contains("crates/tps-os/src/lib.rs:2:") && stdout.contains("[no-magic-page-size]"),
         "{stdout}"
     );
 
     let json = lint(&root, &["--format", "json"]);
     assert_eq!(json.status.code(), Some(1));
     let doc = String::from_utf8_lossy(&json.stdout);
-    assert!(doc.contains("\"rule\": \"panic-free-fault-path\""), "{doc}");
+    assert!(doc.contains("\"rule\": \"no-magic-page-size\""), "{doc}");
     assert!(doc.contains("\"total\": 1"), "{doc}");
     assert!(doc.contains("\"failed\": true"), "{doc}");
     let _ = fs::remove_dir_all(&root);

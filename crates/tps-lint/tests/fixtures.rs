@@ -152,18 +152,8 @@ fn no_magic_page_size_fixtures() {
 }
 
 #[test]
-fn addr_newtype_opacity_fixtures() {
-    check_single_rule("addr-newtype-opacity");
-}
-
-#[test]
 fn no_wildcard_enum_match_fixtures() {
     check_single_rule("no-wildcard-enum-match");
-}
-
-#[test]
-fn pub_item_docs_fixtures() {
-    check_single_rule("pub-item-docs");
 }
 
 #[test]
@@ -179,16 +169,6 @@ fn raw_artifact_io_fixtures() {
 #[test]
 fn unordered_iteration_fixtures() {
     check_single_rule("unordered-iteration");
-}
-
-#[test]
-fn wall_clock_in_sim_fixtures() {
-    check_single_rule("wall-clock-in-sim");
-}
-
-#[test]
-fn unseeded_entropy_fixtures() {
-    check_single_rule("unseeded-entropy");
 }
 
 #[test]

@@ -51,7 +51,7 @@ fn diagnostics_do_not_depend_on_file_order() {
     files.push(tps_lint::file::SourceFile {
         rel_path: "crates/tps-os/src/planted.rs".into(),
         crate_name: "tps-os".into(),
-        text: "fn planted() { let x = y.unwrap(); }\n".into(),
+        text: "fn planted() -> u64 { 4096 }\n".into(),
     });
     let forward = lint_files(&files);
     assert!(!forward.is_empty(), "the planted finding must be reported");

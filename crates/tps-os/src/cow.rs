@@ -71,8 +71,23 @@ impl FrameShares {
     /// Splits the share bookkeeping of a large frame into its constituent
     /// sub-frames at `sub_order` (used by [`CowPolicy::CopySmallest`]):
     /// every sub-frame inherits the parent's sharer count.
-    pub fn split(&mut self, pfn: u64, order: PageOrder, sub_order: PageOrder) {
-        assert!(sub_order < order, "split must reduce the order");
+    ///
+    /// # Errors
+    ///
+    /// A [`TpsError::InvariantViolation`], with nothing changed, unless
+    /// `sub_order` is smaller than `order`.
+    pub fn split(
+        &mut self,
+        pfn: u64,
+        order: PageOrder,
+        sub_order: PageOrder,
+    ) -> Result<(), TpsError> {
+        if sub_order >= order {
+            return Err(TpsError::invariant(
+                InvariantLayer::Os,
+                format!("splitting frame {pfn:#x} from order {order} to {sub_order}"),
+            ));
+        }
         let key = (pfn, order.get());
         if let Some(c) = self.counts.remove(&key) {
             let subs = 1u64 << (order.get() - sub_order.get());
@@ -81,6 +96,7 @@ impl FrameShares {
                     .insert((pfn + i * sub_order.base_pages(), sub_order.get()), c);
             }
         }
+        Ok(())
     }
 
     /// Number of distinct shared frames tracked.
@@ -128,11 +144,20 @@ mod tests {
     fn split_propagates_counts() {
         let mut s = FrameShares::new();
         s.share(64, o(3)); // a shared 32K page at pfn 64
-        s.split(64, o(3), o(0));
+        s.split(64, o(3), o(0)).unwrap();
         for i in 0..8 {
             assert_eq!(s.count(64 + i, o(0)), 2, "sub-page {i}");
         }
         assert_eq!(s.count(64, o(3)), 1, "parent entry gone");
+
+        // A split that does not reduce the order is refused, changing nothing.
+        s.share(128, o(2));
+        for sub in [o(2), o(3)] {
+            let err = s.split(128, o(2), sub).unwrap_err();
+            assert!(err.to_string().contains("splitting frame"), "{err}");
+            assert_eq!(s.count(128, o(2)), 2, "entry kept after {sub}");
+        }
+        assert_eq!(s.len(), 9);
     }
 
     #[test]

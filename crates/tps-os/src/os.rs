@@ -354,6 +354,21 @@ impl Os {
         &mut self.processes[asid as usize]
     }
 
+    /// The process `asid` names, or an error if [`Os::spawn`] never
+    /// returned it. Every `Result`-returning operation that takes an ASID
+    /// checks it here once, on entry, so its later indexing cannot panic.
+    fn checked_proc(&self, asid: Asid) -> Result<&Process, TpsError> {
+        self.processes.get(asid as usize).ok_or_else(|| {
+            TpsError::invariant(
+                InvariantLayer::Os,
+                format!(
+                    "unknown ASID {asid}: only {} processes were spawned",
+                    self.processes.len()
+                ),
+            )
+        })
+    }
+
     /// The page table of a process (for the hardware walker).
     pub fn page_table(&self, asid: Asid) -> &PageTable {
         &self.processes[asid as usize].page_table
@@ -441,8 +456,10 @@ impl Os {
     /// Returns [`TpsError::OutOfMemory`] only for eager policies that could
     /// not back the region at all; reservation failures degrade to demand
     /// 4 KB faulting instead. A zero-length request is reported as
-    /// [`TpsError::InvariantViolation`].
+    /// [`TpsError::InvariantViolation`], as is an `asid` that
+    /// [`Os::spawn`] never returned.
     pub fn mmap(&mut self, asid: Asid, len: u64) -> Result<Vma, TpsError> {
+        self.checked_proc(asid)?;
         let len_r = round_up_pages(len);
         let covering = PageOrder::covering(len_r).unwrap_or(MAX_POLICY_ORDER);
         let align = covering.min(MAX_POLICY_ORDER);
@@ -646,14 +663,16 @@ impl Os {
     /// # Errors
     ///
     /// Returns [`TpsError::Unmapped`] if `va` lies in no VMA (a real
-    /// segfault — the simulator treats this as a workload bug).
+    /// segfault — the simulator treats this as a workload bug), and
+    /// [`TpsError::InvariantViolation`] for an unknown `asid`.
     pub fn handle_fault(
         &mut self,
         asid: Asid,
         va: VirtAddr,
         _is_write: bool,
     ) -> Result<FaultOutcome, TpsError> {
-        let vma = self.processes[asid as usize]
+        let vma = self
+            .checked_proc(asid)?
             .address_space
             .find(va)
             .cloned()
@@ -912,15 +931,14 @@ impl Os {
     /// The child starts with no reservations of its own; its faults to
     /// not-yet-mapped parts of inherited VMAs allocate fresh 4 KB frames.
     ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a live process.
-    ///
     /// # Errors
     ///
-    /// Propagates a page-table failure while downgrading or mirroring a
-    /// leaf (remapping an existing leaf does not fail in practice).
+    /// Returns [`TpsError::InvariantViolation`] if `parent` was never
+    /// spawned (no child is created then). Propagates a page-table failure
+    /// while downgrading or mirroring a leaf (remapping an existing leaf
+    /// does not fail in practice).
     pub fn fork(&mut self, parent: Asid) -> Result<(Asid, Vec<Shootdown>), TpsError> {
+        self.checked_proc(parent)?;
         let child = self.spawn();
         let parent_vmas: Vec<Vma> = self.processes[parent as usize]
             .address_space
@@ -976,16 +994,25 @@ impl Os {
     ///
     /// Returns [`TpsError::Unmapped`] if nothing is mapped at `va`, or
     /// [`TpsError::OutOfMemory`] if the copy target cannot be allocated.
+    /// An unknown `asid`, or a leaf that is already writable (nothing to
+    /// copy on write), is a [`TpsError::InvariantViolation`] and changes
+    /// nothing.
     pub fn handle_cow_fault(
         &mut self,
         asid: Asid,
         va: VirtAddr,
     ) -> Result<Vec<Shootdown>, TpsError> {
-        let leaf = self.processes[asid as usize]
+        let leaf = self
+            .checked_proc(asid)?
             .page_table
             .lookup(va)
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
-        debug_assert!(!leaf.flags.contains(PteFlags::WRITABLE));
+        if leaf.flags.contains(PteFlags::WRITABLE) {
+            return Err(TpsError::invariant(
+                InvariantLayer::Os,
+                format!("CoW fault at {:#x} on a writable leaf", va.value()),
+            ));
+        }
         self.proc_mut(asid).stats.cow_faults += 1;
         self.charge(asid, self.cost.fault_base);
         let order = leaf.order;
@@ -1007,21 +1034,10 @@ impl Os {
                     .map(va_page, leaf.base, order, rw)?;
                 self.charge(asid, self.cost.pte_write * stores);
             }
-            CowPolicy::CopyWholePage => {
-                let new = self.alloc_direct(asid, vma_base, order)?;
-                self.proc_mut(asid).stats.cow_bytes_copied += order.bytes();
-                self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
-                let stores = self
-                    .proc_mut(asid)
-                    .page_table
-                    .map(va_page, new, order, rw)?;
-                self.charge(asid, self.cost.pte_write * stores);
-                self.shares.release(pfn, order)?;
-            }
-            CowPolicy::CopySmallest => {
+            CowPolicy::CopySmallest if order > PageOrder::P4K => {
                 // Split the shared page: every constituent base page keeps
                 // sharing, except the faulting one, which is copied.
-                self.shares.split(pfn, order, PageOrder::P4K);
+                self.shares.split(pfn, order, PageOrder::P4K)?;
                 let ro = PteFlags::USER;
                 for i in 0..order.base_pages() {
                     let sub_va = VirtAddr::new(va_page.value() + i * BASE_PAGE_SIZE);
@@ -1039,6 +1055,18 @@ impl Os {
                 let stores = pt.map(fault_va, new, PageOrder::P4K, rw)?;
                 self.charge(asid, self.cost.pte_write * stores);
                 self.shares.release(pfn + fault_sub, PageOrder::P4K)?;
+            }
+            // A base page is its own smallest piece: copy it whole.
+            CowPolicy::CopyWholePage | CowPolicy::CopySmallest => {
+                let new = self.alloc_direct(asid, vma_base, order)?;
+                self.proc_mut(asid).stats.cow_bytes_copied += order.bytes();
+                self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
+                let stores = self
+                    .proc_mut(asid)
+                    .page_table
+                    .map(va_page, new, order, rw)?;
+                self.charge(asid, self.cost.pte_write * stores);
+                self.shares.release(pfn, order)?;
             }
         }
         let shootdowns = vec![Shootdown {
@@ -1065,6 +1093,7 @@ impl Os {
     /// * [`TpsError::Unmapped`] if the range leaves the VMA.
     /// * [`TpsError::SharedMapping`] if a CoW-shared page intersects the
     ///   range (resolve sharing first). Nothing is changed or charged.
+    /// * [`TpsError::InvariantViolation`] for an unknown `asid`.
     pub fn mprotect(
         &mut self,
         asid: Asid,
@@ -1080,7 +1109,8 @@ impl Os {
         }
         let end = va.value() + len;
         {
-            let vma = self.processes[asid as usize]
+            let vma = self
+                .checked_proc(asid)?
                 .address_space
                 .find(va)
                 .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
@@ -1340,11 +1370,12 @@ impl Os {
     ///
     /// # Errors
     ///
-    /// Returns [`TpsError::Unmapped`] if no VMA starts at `base`.
+    /// Returns [`TpsError::Unmapped`] if no VMA starts at `base`, and
+    /// [`TpsError::InvariantViolation`] for an unknown `asid`.
     pub fn munmap(&mut self, asid: Asid, base: VirtAddr) -> Result<Vec<Shootdown>, TpsError> {
         // Reject ranges with live CoW sharing: the block-ownership model
         // cannot reclaim frames another process still references.
-        let vma = self.processes[asid as usize].address_space.find(base);
+        let vma = self.checked_proc(asid)?.address_space.find(base);
         if let Some(va) = vma.and_then(|vma| self.first_shared_leaf(asid, vma.base(), vma.end())) {
             return Err(TpsError::SharedMapping { vaddr: va.value() });
         }
@@ -1440,6 +1471,55 @@ mod tests {
             }
             va = VirtAddr::new(va.value() + BASE_PAGE_SIZE);
         }
+    }
+
+    #[test]
+    fn unknown_asid_is_an_error_that_changes_nothing() {
+        let (mut os, pid) = os(PolicyKind::Tps);
+        let vma = os.mmap(pid, 64 << 10).unwrap();
+        touch_all(&mut os, pid, &vma);
+        let unknown = os.process_count() as Asid;
+        let state = |os: &Os| (os.stats(), os.buddy().free_bytes(), os.process_count());
+        let before = state(&os);
+        let va = vma.base();
+        let results = [
+            ("mmap", os.mmap(unknown, 64 << 10).map(drop)),
+            ("handle_fault", os.handle_fault(unknown, va, true).map(drop)),
+            (
+                "handle_cow_fault",
+                os.handle_cow_fault(unknown, va).map(drop),
+            ),
+            (
+                "mprotect",
+                os.mprotect(unknown, va, BASE_PAGE_SIZE, false).map(drop),
+            ),
+            ("munmap", os.munmap(unknown, va).map(drop)),
+            ("fork", os.fork(unknown).map(drop)),
+        ];
+        for (op, result) in results {
+            assert!(
+                matches!(
+                    result,
+                    Err(TpsError::InvariantViolation {
+                        layer: InvariantLayer::Os,
+                        ..
+                    })
+                ),
+                "{op}: {result:?}"
+            );
+        }
+        assert_eq!(state(&os), before);
+    }
+
+    #[test]
+    fn cow_fault_on_a_writable_leaf_is_an_error() {
+        let (mut os, pid) = os(PolicyKind::Tps);
+        let vma = os.mmap(pid, 64 << 10).unwrap();
+        touch_all(&mut os, pid, &vma);
+        let before = os.stats();
+        let err = os.handle_cow_fault(pid, vma.base()).unwrap_err();
+        assert!(err.to_string().contains("writable leaf"), "{err}");
+        assert_eq!(os.stats(), before, "nothing counted or charged");
     }
 
     #[test]
@@ -1801,6 +1881,20 @@ mod tests {
         // The big page split into base pages in the child.
         let leaf = os.page_table(child).lookup(vma.base()).unwrap();
         assert_eq!(leaf.order, PageOrder::P4K);
+        assert_eq!(os.stats().cow_bytes_copied, BASE_PAGE_SIZE);
+    }
+
+    #[test]
+    fn cow_copy_smallest_of_a_base_page_copies_it() {
+        let (mut os, parent) = os(PolicyKind::Only4K);
+        os.set_cow_policy(CowPolicy::CopySmallest);
+        let vma = os.mmap(parent, BASE_PAGE_SIZE).unwrap();
+        touch_all(&mut os, parent, &vma);
+        let (child, _) = os.fork(parent).unwrap();
+        let shared_pa = os.page_table(child).translate(vma.base()).unwrap();
+        os.handle_cow_fault(child, vma.base()).unwrap();
+        assert_ne!(os.page_table(child).translate(vma.base()), Some(shared_pa));
+        assert!(!os.needs_cow(child, vma.base()));
         assert_eq!(os.stats().cow_bytes_copied, BASE_PAGE_SIZE);
     }
 

@@ -7,6 +7,18 @@
 //! promotions and shootdowns evict and invalidate another's TLB entries —
 //! the cross-talk the paper's fragmentation story is about.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::config::{MachineConfig, OS_NOISE_PERIOD};
 use crate::mmu::{AccessLevel, Mmu};
 use crate::stats::{HwFaultStats, MachineRunStats, RunStats, TenantOutcome};

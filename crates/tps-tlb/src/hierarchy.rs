@@ -545,6 +545,27 @@ mod tests {
     }
 
     #[test]
+    fn one_gig_shootdown_reaches_both_levels() {
+        for kind in [HierarchyKind::Baseline, HierarchyKind::Rmm] {
+            let mut h = TlbHierarchy::new(TlbConfig::with_kind(kind));
+            let va = VirtAddr::new(3 * GIB);
+            let l = leaf(GIB, PageOrder::P1G.get());
+            h.fill_l1(0, va, &l);
+            h.fill_l2(0, va, &l);
+            assert!(h.lookup_l1(0, va).is_some(), "{kind:?}: L1 fill");
+            assert!(matches!(h.lookup_l2(0, va).0, L2Hit::Stlb(_)), "{kind:?}");
+            h.invalidate_page(0, va, PageOrder::P1G);
+            let inside = va + (GIB - 1);
+            assert!(h.lookup_l1(0, inside).is_none(), "{kind:?}: stale L1");
+            assert_eq!(
+                h.lookup_l2(0, inside).0,
+                L2Hit::Miss,
+                "{kind:?}: stale STLB"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "cannot hold")]
     fn baseline_rejects_tailored_fill() {
         let mut h = TlbHierarchy::new(TlbConfig::default());

@@ -17,7 +17,7 @@
 //! All generators are deterministic: same parameters, same event stream.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod dbx1000;
 mod event;

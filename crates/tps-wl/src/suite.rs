@@ -30,8 +30,8 @@ impl SuiteScale {
         [SuiteScale::Test, SuiteScale::Small, SuiteScale::Paper]
     }
 
-    /// Canonical name as accepted by [`SuiteScale::from_str`] and used in
-    /// CLI flags and JSON labels.
+    /// Canonical name as accepted by the [`FromStr`](std::str::FromStr)
+    /// impl and used in CLI flags and JSON labels.
     pub fn label(self) -> &'static str {
         match self {
             SuiteScale::Test => "test",

@@ -3,9 +3,13 @@
 #
 # Runs the checks CI and reviewers rely on: builds and tests, the
 # determinism, oracle, resume and chaos gates, the benchmark package, the
-# figure gate, then clippy, tps-lint and rustfmt. Fully offline: the workspace vendors a shim crate for its
-# only external dev-dependency (see crates/proptest-shim), so no registry
-# access is needed or attempted.
+# figure gate, then clippy, rustdoc, tps-lint and rustfmt. The build
+# denies missing docs in every library crate; clippy carries the
+# fault path's unwrap/expect/panic ban (crate and module attributes) and
+# the wall-clock and entropy bans (clippy.toml); tps-lint keeps the rules
+# that need the workspace's own vocabulary. Fully offline: the workspace
+# vendors a shim crate for its only external dev-dependency (see
+# crates/proptest-shim), so no registry access is needed or attempted.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -198,8 +202,16 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets lints tests, examples and benches too, not just the
-# library and binary targets.
+# library and binary targets. Beyond clippy's defaults this enforces
+# tps-os, tps-mem, tps-pt and tps-sim's machine.rs denying
+# unwrap/expect/panic!/unreachable!/todo!/unimplemented! outside tests,
+# and clippy.toml's disallowed wall-clock, environment, thread-identity
+# and RandomState calls.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --workspace (RUSTDOCFLAGS=-D warnings)"
+# Broken or private intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> tps-lint --workspace (workspace invariants: any finding fails)"
 cargo run -q --release -p tps-lint -- --workspace
