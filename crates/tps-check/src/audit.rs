@@ -13,35 +13,44 @@
 //! 3. **Page-table ↔ reservation consistency** — every mapped leaf inside
 //!    a VMA is backed either by the reservation covering its address
 //!    (agreeing with [`tps_mem::Reservation::frame_for`]) or by a direct
-//!    block; the per-table walk also re-verifies alias-PTE coherence via
-//!    [`tps_pt::PageTable::check_invariants`], leaves never escape their
-//!    VMA, and no two leaves map overlapping physical ranges.
-//! 4. **Shootdown completeness** — a shadow TLB is filled from fault
-//!    outcomes and invalidated from the shootdown lists the OS emits.
-//!    Every surviving entry must still translate exactly; a stale entry
-//!    means a remapping happened without its shootdown.
+//!    block of its own, or else by another process's block with every
+//!    base page share-counted (a frame that `fork` shared); the per-table
+//!    walk also re-verifies alias-PTE coherence via
+//!    [`tps_pt::PageTable::check_invariants`], and leaves never escape
+//!    their VMA.
+//! 4. **Frame-share conservation** — without sharing, no two leaves map
+//!    overlapping physical ranges. With it, every base page that `n`
+//!    leaves map, and every share-counted one, has count `n` in
+//!    [`Os::frame_shares`], and a base page that two leaves map is
+//!    writable in neither.
+//! 5. **Shootdown completeness** — a shadow TLB is filled from accesses
+//!    and invalidated from the shootdown lists the OS emits. Every
+//!    surviving entry must still translate exactly, and an entry cached
+//!    writable must still be writable; a stale entry means a remapping
+//!    or a permission downgrade happened without its shootdown.
 //!
 //! The auditor is read-only with respect to the OS and returns violations
 //! as strings rather than panicking, so a campaign can collect all
 //! failures from a schedule in one pass.
 
 use std::collections::{BTreeMap, HashMap};
-use tps_core::{PageOrder, PhysAddr, VirtAddr};
-use tps_os::{FaultOutcome, Os, Shootdown};
+use tps_core::{LeafInfo, PageOrder, PhysAddr, PteFlags, VirtAddr};
+use tps_os::{Os, Shootdown};
 use tps_tlb::Asid;
 
-/// One shadow-TLB translation, captured at fault time.
+/// One shadow-TLB translation, captured at access time.
 #[derive(Copy, Clone, Debug)]
 struct ShadowEntry {
     order: PageOrder,
     pa: PhysAddr,
+    writable: bool,
 }
 
 /// Cross-layer invariant checker with a shadow TLB.
 ///
-/// Feed it every [`FaultOutcome`] (a TLB fill) and every shootdown list
-/// the OS returns (invalidations), then call [`Auditor::audit`] as often
-/// as desired — typically every few operations and at schedule end.
+/// Feed it every access (a TLB fill) and every shootdown list the OS
+/// returns (invalidations), then call [`Auditor::audit`] as often as
+/// desired — typically every few operations and at schedule end.
 #[derive(Debug, Default)]
 pub struct Auditor {
     /// Shadow TLB: (asid, leaf base va) → cached translation.
@@ -74,27 +83,28 @@ impl Auditor {
         self.shadow.len()
     }
 
-    /// Records the TLB fill a handled fault implies: the leaf now covering
-    /// the faulted address is cached. Promotions legitimately leave older,
-    /// smaller entries in place — their translations are unchanged, which
-    /// is exactly what `audit` verifies.
-    pub fn record_fill(&mut self, os: &Os, asid: Asid, outcome: &FaultOutcome) {
+    /// Records the TLB fill an access to `va` implies — after a handled
+    /// fault, or a hit on a mapped page: the leaf now covering `va` is
+    /// cached, with its write permission. Promotions legitimately leave
+    /// older, smaller entries in place — their translations are unchanged,
+    /// which is exactly what `audit` verifies.
+    pub fn record_fill(&mut self, os: &Os, asid: Asid, va: VirtAddr) {
         self.fills += 1;
-        match os.page_table(asid).lookup(outcome.va) {
+        match os.page_table(asid).lookup(va) {
             Some(leaf) => {
-                let base = outcome.va.align_down(leaf.order.shift());
+                let base = va.align_down(leaf.order.shift());
                 self.shadow.insert(
                     (asid, base.value()),
                     ShadowEntry {
                         order: leaf.order,
                         pa: leaf.base,
+                        writable: leaf.flags.contains(PteFlags::WRITABLE),
                     },
                 );
             }
             None => self.pending.push(format!(
-                "fault at {:#x} (asid {asid}) reported order {} but left no mapping",
-                outcome.va.value(),
-                outcome.mapped_order.get()
+                "access at {:#x} (asid {asid}) left no mapping",
+                va.value()
             )),
         }
     }
@@ -119,7 +129,8 @@ impl Auditor {
         let mut v = std::mem::take(&mut self.pending);
         self.check_buddy(os, &mut v);
         self.check_ownership(os, &mut v);
-        self.check_page_tables(os, &mut v);
+        let leaves = self.check_page_tables(os, &mut v);
+        check_frame_sharing(os, &leaves, &mut v);
         self.check_shadow_tlb(os, &mut v);
         v
     }
@@ -223,23 +234,37 @@ impl Auditor {
         }
     }
 
-    /// Walks every VMA's leaves: backing, containment, alias coherence,
-    /// no stray leaves, and global frame disjointness.
-    fn check_page_tables(&self, os: &Os, v: &mut Vec<String>) {
-        let mut phys_ranges: Vec<(u64, u64, String)> = Vec::new();
+    /// Walks every VMA's leaves: backing, containment, alias coherence and
+    /// no stray leaves. Returns every leaf found, with its process.
+    fn check_page_tables(&self, os: &Os, v: &mut Vec<String>) -> Vec<(Asid, VirtAddr, LeafInfo)> {
+        // Every process's blocks, and all of them, as sorted intervals for
+        // leaf containment.
+        let mut owned: Vec<Vec<(u64, u64)>> = Vec::new();
+        for asid in 0..os.process_count() as Asid {
+            let proc = os.process(asid);
+            let reserved = proc
+                .reservations()
+                .iter()
+                .flat_map(|res| res.segments().iter().map(|seg| (seg.base, seg.order)));
+            let direct = proc
+                .direct_blocks()
+                .flat_map(|(_, blocks)| blocks.iter().copied());
+            let mut blocks: Vec<(u64, u64)> = reserved
+                .chain(direct)
+                .map(|(pa, order)| (pa.value(), pa.value() + order.bytes()))
+                .collect();
+            blocks.sort_unstable();
+            owned.push(blocks);
+        }
+        let mut everyone: Vec<(u64, u64)> = owned.concat();
+        everyone.sort_unstable();
+        let mut leaves = Vec::new();
         for asid in 0..os.process_count() as Asid {
             let proc = os.process(asid);
             let pt = os.page_table(asid);
             if let Err(e) = pt.check_invariants() {
                 v.push(format!("page table (asid {asid}): {e}"));
             }
-            // Direct blocks as sorted intervals, for leaf containment.
-            let mut direct: Vec<(u64, u64)> = proc
-                .direct_blocks()
-                .flat_map(|(_, blocks)| blocks.iter())
-                .map(|&(pa, order)| (pa.value(), pa.value() + order.bytes()))
-                .collect();
-            direct.sort_unstable();
             let mut walked = 0u64;
             for vma in proc.address_space().iter() {
                 let mut va = vma.base().value();
@@ -261,12 +286,16 @@ impl Auditor {
                         ));
                     }
                     walked += leaf.order.bytes();
-                    self.check_leaf_backing(proc, asid, leaf_va, leaf.base, leaf.order, &direct, v);
-                    phys_ranges.push((
-                        leaf.base.value(),
-                        leaf.base.value() + leaf.order.bytes(),
-                        format!("leaf {:#x} (asid {asid})", leaf_va.value()),
-                    ));
+                    check_leaf_backing(
+                        os,
+                        asid,
+                        leaf_va,
+                        &leaf,
+                        &owned[asid as usize],
+                        &everyone,
+                        v,
+                    );
+                    leaves.push((asid, leaf_va, leaf));
                     va = leaf_end;
                 }
             }
@@ -286,75 +315,141 @@ impl Auditor {
                 }
             }
         }
-        // Without CoW sharing, mapped physical ranges must be disjoint.
-        phys_ranges.sort_unstable_by_key(|r| r.0);
-        for pair in phys_ranges.windows(2) {
-            if pair[1].0 < pair[0].1 {
-                v.push(format!(
-                    "physical overlap: {} [{:#x},{:#x}) vs {} [{:#x},{:#x})",
-                    pair[0].2, pair[0].0, pair[0].1, pair[1].2, pair[1].0, pair[1].1
-                ));
-            }
-        }
+        leaves
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn check_leaf_backing(
-        &self,
-        proc: &tps_os::Process,
-        asid: Asid,
-        leaf_va: VirtAddr,
-        leaf_pa: PhysAddr,
-        order: PageOrder,
-        direct: &[(u64, u64)],
-        v: &mut Vec<String>,
-    ) {
-        // Reservation-backed: the reservation covering this address must
-        // agree on the frame. (A direct block may coexist in the same
-        // chunk when an earlier fault degraded — then the direct check
-        // applies instead.)
-        if let Some(res) = proc.reservations().find(leaf_va) {
-            if res.frame_for(leaf_va - res.va_base()) == Some(leaf_pa) {
-                return;
-            }
-        }
-        let end = leaf_pa.value() + order.bytes();
-        let contained = direct
-            .iter()
-            .take_while(|&&(base, _)| base < end)
-            .any(|&(base, block_end)| base <= leaf_pa.value() && end <= block_end);
-        if !contained {
-            v.push(format!(
-                "leaf {:#x} -> {:#x} (order {}, asid {asid}) backed by neither its \
-                 reservation nor a direct block",
-                leaf_va.value(),
-                leaf_pa.value(),
-                order.get()
-            ));
-        }
-    }
-
-    /// Every surviving shadow-TLB entry must still translate exactly.
+    /// Every surviving shadow-TLB entry must still translate exactly, and
+    /// one cached writable must still be writable.
     fn check_shadow_tlb(&self, os: &Os, v: &mut Vec<String>) {
         for (&(asid, base), entry) in &self.shadow {
             let pt = os.page_table(asid);
-            let last = base + entry.order.bytes() - PageOrder::P4K.bytes();
-            for (va, expect) in [
-                (base, entry.pa.value()),
-                (
-                    last,
-                    entry.pa.value() + entry.order.bytes() - PageOrder::P4K.bytes(),
-                ),
-            ] {
-                match pt.translate(VirtAddr::new(va)) {
-                    Some(pa) if pa.value() == expect => {}
+            let last = entry.order.bytes() - PageOrder::P4K.bytes();
+            for off in [0, last] {
+                let va = VirtAddr::new(base + off);
+                let expect = entry.pa.value() + off;
+                let now = pt.lookup(va).map(|leaf| {
+                    let pa = leaf.base.value() + va.page_offset(leaf.order.shift());
+                    (pa, leaf.flags.contains(PteFlags::WRITABLE))
+                });
+                match now {
+                    Some((pa, writable)) if pa == expect && (writable || !entry.writable) => {}
                     got => v.push(format!(
-                        "stale TLB entry: asid {asid} va {va:#x} cached -> {expect:#x} \
-                         but page table says {:?} — a shootdown was missed",
-                        got.map(|p| p.value())
+                        "stale TLB entry: asid {asid} va {:#x} cached -> {expect:#x} \
+                         (writable: {}) but page table says {got:?} — a shootdown was missed",
+                        va.value(),
+                        entry.writable
                     )),
                 }
             }
+        }
+    }
+}
+
+/// A leaf is backed by the reservation covering its address, by blocks
+/// of its own process, or — a frame `fork` shared — by any process's
+/// blocks with every base page share-counted. `own` holds the process's
+/// blocks and `everyone` every process's, as sorted intervals; a merged
+/// page may span several.
+fn check_leaf_backing(
+    os: &Os,
+    asid: Asid,
+    leaf_va: VirtAddr,
+    leaf: &LeafInfo,
+    own: &[(u64, u64)],
+    everyone: &[(u64, u64)],
+    v: &mut Vec<String>,
+) {
+    if let Some(res) = os.process(asid).reservations().find(leaf_va) {
+        if res.frame_for(leaf_va - res.va_base()) == Some(leaf.base) {
+            return;
+        }
+    }
+    let (start, end) = (leaf.base.value(), leaf.base.value() + leaf.order.bytes());
+    let covered = |blocks: &[(u64, u64)]| {
+        let mut reach = start;
+        for &(base, block_end) in blocks.iter().take_while(|&&(base, _)| base < end) {
+            if base <= reach {
+                reach = reach.max(block_end);
+            }
+        }
+        reach >= end
+    };
+    if covered(own) {
+        return;
+    }
+    let pfn = leaf.base.base_page_number();
+    let counted = os.frame_shares().pages(pfn, leaf.order).count() as u64;
+    if covered(everyone) && counted == leaf.order.base_pages() {
+        return;
+    }
+    v.push(format!(
+        "leaf {:#x} -> {start:#x} (order {}, asid {asid}) backed by neither its \
+         reservation nor a direct block ({counted} of its base pages share-counted)",
+        leaf_va.value(),
+        leaf.order.get()
+    ));
+}
+
+/// Frame-share conservation: without sharing, mapped physical ranges are
+/// disjoint. With it, every base page mapped by `n` leaves or
+/// share-counted has count `n`, and one mapped twice is writable in
+/// neither.
+fn check_frame_sharing(os: &Os, leaves: &[(Asid, VirtAddr, LeafInfo)], v: &mut Vec<String>) {
+    let shares = os.frame_shares();
+    if shares.is_empty() {
+        let mut ranges: Vec<(u64, u64, Asid, VirtAddr)> = leaves
+            .iter()
+            .map(|&(asid, va, leaf)| {
+                let start = leaf.base.value();
+                (start, start + leaf.order.bytes(), asid, va)
+            })
+            .collect();
+        ranges.sort_unstable_by_key(|r| r.0);
+        for pair in ranges.windows(2) {
+            let ((s0, e0, a0, va0), (s1, e1, a1, va1)) = (pair[0], pair[1]);
+            if s1 < e0 {
+                v.push(format!(
+                    "physical overlap: leaf {va0} (asid {a0}) [{s0:#x},{e0:#x}) vs \
+                     leaf {va1} (asid {a1}) [{s1:#x},{e1:#x}) with nothing share-counted"
+                ));
+            }
+        }
+        return;
+    }
+    // Per base page: its mappers, and whether any maps it writable.
+    let mut mapped: BTreeMap<u64, (u32, bool)> = BTreeMap::new();
+    for (_, _, leaf) in leaves {
+        let pfn = leaf.base.base_page_number();
+        for page in pfn..pfn + leaf.order.base_pages() {
+            let entry = mapped.entry(page).or_insert((0, false));
+            entry.0 += 1;
+            entry.1 |= leaf.flags.contains(PteFlags::WRITABLE);
+        }
+    }
+    let counts: BTreeMap<u64, u32> = shares.iter().collect();
+    for (&pfn, &count) in &counts {
+        let mappers = mapped.get(&pfn).map_or(0, |m| m.0);
+        if mappers != count {
+            v.push(format!(
+                "frame-share conservation: base page {pfn:#x} has count {count} \
+                 but {mappers} leaves map it"
+            ));
+        }
+    }
+    for (&pfn, &(mappers, writable)) in &mapped {
+        if mappers < 2 {
+            continue;
+        }
+        if !counts.contains_key(&pfn) {
+            v.push(format!(
+                "frame-share conservation: base page {pfn:#x} is mapped by {mappers} \
+                 leaves but is not share-counted"
+            ));
+        }
+        if writable {
+            v.push(format!(
+                "isolation: base page {pfn:#x} is mapped writable while {mappers} leaves map it"
+            ));
         }
     }
 }
@@ -373,8 +468,8 @@ mod tests {
         let mut auditor = Auditor::new();
         for i in 0..64 {
             let va = VirtAddr::new(vma.base().value() + i * BASE_PAGE_SIZE);
-            let outcome = os.handle_fault(pid, va, true).unwrap();
-            auditor.record_fill(&os, pid, &outcome);
+            os.handle_fault(pid, va, true).unwrap();
+            auditor.record_fill(&os, pid, va);
         }
         assert!(auditor.audit(&os).is_empty());
         assert_eq!(auditor.fills(), 64);
@@ -387,8 +482,8 @@ mod tests {
         let pid = os.spawn();
         let vma = os.mmap(pid, 256 << 10).unwrap();
         let mut auditor = Auditor::new();
-        let outcome = os.handle_fault(pid, vma.base(), true).unwrap();
-        auditor.record_fill(&os, pid, &outcome);
+        os.handle_fault(pid, vma.base(), true).unwrap();
+        auditor.record_fill(&os, pid, vma.base());
         let shootdowns = os.munmap(pid, vma.base()).unwrap();
         auditor.record_shootdowns(&shootdowns);
         assert_eq!(auditor.shadow_len(), 0, "unmap invalidated everything");
@@ -401,8 +496,8 @@ mod tests {
         let pid = os.spawn();
         let vma = os.mmap(pid, 256 << 10).unwrap();
         let mut auditor = Auditor::new();
-        let outcome = os.handle_fault(pid, vma.base(), true).unwrap();
-        auditor.record_fill(&os, pid, &outcome);
+        os.handle_fault(pid, vma.base(), true).unwrap();
+        auditor.record_fill(&os, pid, vma.base());
         // Unmap but "forget" to deliver the shootdowns to the auditor —
         // the shadow TLB now holds a translation the page table revoked.
         let _dropped = os.munmap(pid, vma.base()).unwrap();
@@ -421,8 +516,8 @@ mod tests {
         let mut auditor = Auditor::new();
         for i in 0..16 {
             let va = VirtAddr::new(vma.base().value() + i * BASE_PAGE_SIZE);
-            let outcome = os.handle_fault(pid, va, true).unwrap();
-            auditor.record_fill(&os, pid, &outcome);
+            os.handle_fault(pid, va, true).unwrap();
+            auditor.record_fill(&os, pid, va);
         }
         // The final fault promoted; earlier 4 KB fills survive because
         // promotion preserves every translation (no shootdown required).

@@ -182,7 +182,7 @@ pub fn run_schedule_with_injector(
             let va = VirtAddr::new(vma.base().value() + off);
             if os.page_table(*pid).lookup(va).is_none() {
                 match os.handle_fault(*pid, va, rng.chance(0.5)) {
-                    Ok(outcome) => auditor.record_fill(&os, *pid, &outcome),
+                    Ok(outcome) => auditor.record_fill(&os, *pid, outcome.va),
                     Err(TpsError::OutOfMemory { .. }) => out.oom_events += 1,
                     Err(e) => violation(&mut out, op, format!("fault at {va} failed: {e}")),
                 }

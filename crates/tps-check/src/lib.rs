@@ -19,6 +19,11 @@
 //!   plan and audits as it goes. The headline robustness claim — ~1,000
 //!   seeded schedules complete with zero panics and every invariant held —
 //!   is `tests/campaign.rs` running [`campaign::run_campaign`].
+//! * [`sharing`] — a seeded campaign over the paths that share frames
+//!   and change page sizes in place: `fork`, copy-on-write faults under
+//!   both CoW policies, `mprotect` (whole and straddling), page merging
+//!   and `munmap`, on THP 2 MB pages and TPS tailored pages, audited
+//!   after every operation, including frame-share conservation.
 //! * [`shadow`] — a differential shadow-walk oracle for the *hardware*
 //!   fault sites: it drives the simulator's own `tps_sim::Mmu` under THP,
 //!   CoLT, RMM and TPS with injected walker / MMU-cache / TLB faults and
@@ -52,6 +57,7 @@ pub mod chaos;
 pub mod containment;
 mod schedule;
 pub mod shadow;
+pub mod sharing;
 
 pub use audit::Auditor;
 pub use schedule::{ScheduleConfig, ScheduleFailure};

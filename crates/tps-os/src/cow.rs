@@ -6,8 +6,13 @@
 //! reach) or copy only the written part as a *smaller* page and keep
 //! sharing the rest (cheap, fragments the mapping). Both are implemented
 //! here; the ablation benches compare them.
+//!
+//! Sharing is counted per base page, whatever page sizes map it, so one
+//! process may map a frame as part of a 64 KB page while another maps it
+//! as 4 KB pages. Shrinking a shared page is one `PageTable::split`.
 
-use tps_core::{InvariantLayer, PageOrder, TpsError};
+use std::collections::BTreeMap;
+use tps_core::{InvariantLayer, LeafInfo, PageOrder, TpsError};
 
 /// What the CoW write-fault handler copies on a fault to a shared page.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -16,95 +21,88 @@ pub enum CowPolicy {
     /// but the mapping keeps its large-page TLB reach.
     #[default]
     CopyWholePage,
-    /// Copy only the faulting base page; the rest of the large page is
-    /// re-mapped as smaller pages that keep sharing the original frames.
+    /// Copy only the faulting base page: the large page is split into
+    /// base pages over the same frames, the written one is copied, and the
+    /// rest keep sharing. A written base page that no one else maps any
+    /// more regains write permission without a copy.
     CopySmallest,
 }
 
-/// Reference counts of physically shared pages, keyed by
-/// `(frame base-page number, order)`.
+/// How many leaves map each base page that a `fork` ever shared, keyed by
+/// frame number.
 ///
-/// Only pages that have ever been shared appear; absence means refcount 1.
+/// A base page is tracked from the fork that shares it until its last
+/// mapper unmaps it, so a frame that a copy-on-write left to a single
+/// process that does not own its block stays visible. Untracked pages
+/// count 1: only their owner maps them.
 #[derive(Clone, Debug, Default)]
 pub struct FrameShares {
-    counts: std::collections::HashMap<(u64, u8), u32>,
+    counts: BTreeMap<u64, u32>,
 }
 
 impl FrameShares {
-    /// Creates an empty share table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers one more sharer of a frame (absent entries start at 1).
+    /// Registers one more mapper of every base page of the leaf at `pfn`.
     pub fn share(&mut self, pfn: u64, order: PageOrder) {
-        *self.counts.entry((pfn, order.get())).or_insert(1) += 1;
+        for page in pfn..pfn + order.base_pages() {
+            *self.counts.entry(page).or_insert(1) += 1;
+        }
     }
 
-    /// Current sharer count.
+    /// The sharer count of the leaf at `pfn`: the largest count among its
+    /// base pages (1 if none is tracked).
     pub fn count(&self, pfn: u64, order: PageOrder) -> u32 {
-        self.counts.get(&(pfn, order.get())).copied().unwrap_or(1)
+        self.pages(pfn, order).map(|(_, c)| c).max().unwrap_or(1)
     }
 
-    /// Drops one sharer; returns the remaining count. Entries reaching 1
-    /// are removed (sole ownership).
+    /// True if another leaf maps one of `leaf`'s base pages too.
+    pub fn shared(&self, leaf: &LeafInfo) -> bool {
+        self.count(leaf.base.base_page_number(), leaf.order) > 1
+    }
+
+    /// The tracked base pages of the leaf at `pfn`, with their counts.
+    pub fn pages(&self, pfn: u64, order: PageOrder) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let pages = self.counts.range(pfn..pfn + order.base_pages());
+        pages.map(|(&pfn, &c)| (pfn, c))
+    }
+
+    /// [`Self::forget`] for a leaf whose mapper copied it away.
     ///
     /// # Errors
     ///
-    /// A [`TpsError::InvariantViolation`] if the frame was not shared.
-    pub fn release(&mut self, pfn: u64, order: PageOrder) -> Result<u32, TpsError> {
-        let key = (pfn, order.get());
-        let Some(c) = self.counts.get_mut(&key) else {
+    /// A [`TpsError::InvariantViolation`], with nothing changed, if no base
+    /// page of the leaf was shared.
+    pub fn release(&mut self, pfn: u64, order: PageOrder) -> Result<(), TpsError> {
+        if self.count(pfn, order) <= 1 {
             return Err(TpsError::invariant(
                 InvariantLayer::Os,
                 format!("releasing frame {pfn:#x} (order {order}) that was never shared"),
             ));
-        };
-        *c -= 1;
-        let remaining = *c;
-        if remaining <= 1 {
-            self.counts.remove(&key);
         }
-        Ok(remaining)
-    }
-
-    /// Splits the share bookkeeping of a large frame into its constituent
-    /// sub-frames at `sub_order` (used by [`CowPolicy::CopySmallest`]):
-    /// every sub-frame inherits the parent's sharer count.
-    ///
-    /// # Errors
-    ///
-    /// A [`TpsError::InvariantViolation`], with nothing changed, unless
-    /// `sub_order` is smaller than `order`.
-    pub fn split(
-        &mut self,
-        pfn: u64,
-        order: PageOrder,
-        sub_order: PageOrder,
-    ) -> Result<(), TpsError> {
-        if sub_order >= order {
-            return Err(TpsError::invariant(
-                InvariantLayer::Os,
-                format!("splitting frame {pfn:#x} from order {order} to {sub_order}"),
-            ));
-        }
-        let key = (pfn, order.get());
-        if let Some(c) = self.counts.remove(&key) {
-            let subs = 1u64 << (order.get() - sub_order.get());
-            for i in 0..subs {
-                self.counts
-                    .insert((pfn + i * sub_order.base_pages(), sub_order.get()), c);
-            }
-        }
+        self.forget(pfn, order);
         Ok(())
     }
 
-    /// Number of distinct shared frames tracked.
-    pub fn len(&self) -> usize {
-        self.counts.len()
+    /// Drops one mapper of every tracked base page of the leaf at `pfn`,
+    /// untracking pages no one maps any more.
+    pub fn forget(&mut self, pfn: u64, order: PageOrder) {
+        let mut unmapped = Vec::new();
+        for (&page, c) in self.counts.range_mut(pfn..pfn + order.base_pages()) {
+            *c -= 1;
+            if *c == 0 {
+                unmapped.push(page);
+            }
+        }
+        for page in unmapped {
+            self.counts.remove(&page);
+        }
     }
 
-    /// True if nothing is shared.
+    /// Every tracked base page with its mapper count, by frame number.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.counts.iter().map(|(&pfn, &c)| (pfn, c))
+    }
+
+    /// True if no base page is tracked.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
@@ -120,49 +118,53 @@ mod tests {
 
     #[test]
     fn share_and_release() {
-        let mut s = FrameShares::new();
+        let mut s = FrameShares::default();
         assert_eq!(s.count(100, o(0)), 1);
         s.share(100, o(0));
         assert_eq!(s.count(100, o(0)), 2);
         s.share(100, o(0));
         assert_eq!(s.count(100, o(0)), 3);
-        assert_eq!(s.release(100, o(0)), Ok(2));
-        assert_eq!(s.release(100, o(0)), Ok(1));
-        assert!(s.is_empty(), "sole ownership drops the entry");
+        s.release(100, o(0)).unwrap();
+        assert_eq!(s.count(100, o(0)), 2);
+        s.release(100, o(0)).unwrap();
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [(100, 1)],
+            "last mapper tracked"
+        );
+        s.forget(100, o(0));
+        assert!(s.is_empty(), "unmapped by its last mapper");
         assert_eq!(s.count(100, o(0)), 1);
     }
 
     #[test]
-    fn orders_are_distinct_keys() {
-        let mut s = FrameShares::new();
-        s.share(0, o(3));
-        assert_eq!(s.count(0, o(3)), 2);
-        assert_eq!(s.count(0, o(0)), 1, "different order, different page");
-    }
-
-    #[test]
-    fn split_propagates_counts() {
-        let mut s = FrameShares::new();
+    fn counts_are_per_base_page_whatever_the_leaf_size() {
+        let mut s = FrameShares::default();
         s.share(64, o(3)); // a shared 32K page at pfn 64
-        s.split(64, o(3), o(0)).unwrap();
+        assert_eq!(s.iter().count(), 8);
         for i in 0..8 {
-            assert_eq!(s.count(64 + i, o(0)), 2, "sub-page {i}");
+            assert_eq!(s.count(64 + i, o(0)), 2, "base page {i}");
         }
-        assert_eq!(s.count(64, o(3)), 1, "parent entry gone");
-
-        // A split that does not reduce the order is refused, changing nothing.
-        s.share(128, o(2));
-        for sub in [o(2), o(3)] {
-            let err = s.split(128, o(2), sub).unwrap_err();
-            assert!(err.to_string().contains("splitting frame"), "{err}");
-            assert_eq!(s.count(128, o(2)), 2, "entry kept after {sub}");
-        }
-        assert_eq!(s.len(), 9);
+        assert_eq!(s.count(0, o(7)), 2, "a larger leaf over it");
+        assert_eq!(s.count(72, o(3)), 1, "the next 32K");
+        // One mapper copies base page 5 away: the 32K leaf still counts
+        // 2, and a whole-page copy releases only the still-shared pages.
+        s.release(69, o(0)).unwrap();
+        assert_eq!((s.count(69, o(0)), s.count(64, o(3))), (1, 2));
+        s.release(64, o(3)).unwrap();
+        assert_eq!(s.count(64, o(3)), 1);
+        assert_eq!(s.iter().count(), 7, "page 5 lost its last mapper");
     }
 
     #[test]
     fn release_unshared_is_an_invariant_violation() {
-        let err = FrameShares::new().release(5, o(0)).unwrap_err();
+        let err = FrameShares::default().release(5, o(0)).unwrap_err();
         assert!(err.to_string().contains("never shared"), "{err}");
+        let mut s = FrameShares::default();
+        s.share(8, o(2));
+        s.release(8, o(2)).unwrap();
+        let err = s.release(8, o(2)).unwrap_err();
+        assert!(err.to_string().contains("never shared"), "{err}");
+        assert_eq!(s.iter().count(), 4, "nothing changed");
     }
 }

@@ -7,7 +7,7 @@ use crate::policy::{CostModel, PolicyConfig, PolicyKind, MAX_POLICY_ORDER};
 use std::collections::BTreeMap;
 use tps_core::inject::{self, FaultSite, InjectorHandle};
 use tps_core::{
-    InvariantLayer, PageOrder, PhysAddr, PteFlags, TpsError, VirtAddr, BASE_PAGE_SHIFT,
+    InvariantLayer, LeafInfo, PageOrder, PhysAddr, PteFlags, TpsError, VirtAddr, BASE_PAGE_SHIFT,
     BASE_PAGE_SIZE,
 };
 use tps_mem::compaction::{compact, CompactionOutcome};
@@ -25,6 +25,17 @@ pub struct Shootdown {
     pub va: VirtAddr,
     /// Page order.
     pub order: PageOrder,
+}
+
+impl Shootdown {
+    /// The shootdown of `asid`'s page `leaf`, based at `va`.
+    fn of(asid: Asid, (va, leaf): (VirtAddr, LeafInfo)) -> Self {
+        Shootdown {
+            asid,
+            va,
+            order: leaf.order,
+        }
+    }
 }
 
 /// How the reservation fault path is allowed to grow a mapping.
@@ -211,7 +222,7 @@ impl Os {
             noise_period: 0,
             noise_counter: 0,
             noise_blocks: Vec::new(),
-            shares: FrameShares::new(),
+            shares: FrameShares::default(),
             cow_policy: CowPolicy::default(),
             pt_levels: 4,
             fine_grained_ad: false,
@@ -280,6 +291,11 @@ impl Os {
     /// The physical allocator (inspection only).
     pub fn buddy(&self) -> &BuddyAllocator {
         &self.buddy
+    }
+
+    /// The copy-on-write share counts (inspection only).
+    pub fn frame_shares(&self) -> &FrameShares {
+        &self.shares
     }
 
     /// Number of processes spawned so far (ASIDs are `0..count`).
@@ -488,7 +504,9 @@ impl Os {
                             }
                             self.proc_mut(asid).stats.fallback_4k += 1;
                         } else if self.policy.kind == PolicyKind::TpsEager
-                            && self.map_reservation_eagerly(asid, vma.base()).is_err()
+                            && self
+                                .map_reservation_eagerly(asid, vma.base(), &backup)
+                                .is_err()
                         {
                             self.rollback_reservation(asid, vma.base());
                         }
@@ -519,15 +537,12 @@ impl Os {
             return;
         };
         for seg in res.segments() {
-            let va = VirtAddr::new(va_base.value() + seg.offset);
-            let proc = self.proc_mut(asid);
-            if proc
+            // Fails, changing nothing, where no page of the segment's
+            // order was installed.
+            let _ = self
+                .proc_mut(asid)
                 .page_table
-                .lookup(va)
-                .is_some_and(|l| l.order == seg.order)
-            {
-                let _ = proc.page_table.unmap(va, seg.order);
-            }
+                .unmap(va_base + seg.offset, seg.order);
             let _ = self.buddy.free(seg.base, seg.order);
         }
         self.proc_mut(asid).stats.fallback_4k += 1;
@@ -548,33 +563,20 @@ impl Os {
         Ok(())
     }
 
-    /// Maps every reserved segment as one page of its own order (TPS eager
-    /// paging). The whole cost — zeroing included — lands on the `mmap`.
-    fn map_reservation_eagerly(&mut self, asid: Asid, va_base: VirtAddr) -> Result<(), TpsError> {
-        let segments: Vec<Segment> = {
-            let proc = self.proc_mut(asid);
-            let proc_res = proc.reservations.find(va_base).ok_or_else(|| {
-                TpsError::invariant(
-                    InvariantLayer::Reservation,
-                    format!("just-installed reservation at {va_base} missing"),
-                )
-            })?;
-            proc_res.segments().to_vec()
-        };
-        let mut pte_cost = 0u64;
-        let mut zero_pages = 0u64;
-        {
-            let proc = self.proc_mut(asid);
-            for seg in &segments {
-                let va = VirtAddr::new(va_base.value() + seg.offset);
-                pte_cost += proc.page_table.map(
-                    va,
-                    seg.base,
-                    seg.order,
-                    PteFlags::WRITABLE | PteFlags::USER,
-                )?;
-                zero_pages += seg.order.base_pages();
-            }
+    /// Maps every segment of the reservation just installed at `va_base`
+    /// as one page of its own order (TPS eager paging). The whole cost —
+    /// zeroing included — lands on the `mmap`.
+    fn map_reservation_eagerly(
+        &mut self,
+        asid: Asid,
+        va_base: VirtAddr,
+        segments: &[Segment],
+    ) -> Result<(), TpsError> {
+        let (mut pte_cost, mut zero_pages) = (0, 0);
+        let pt = &mut self.proc_mut(asid).page_table;
+        for seg in segments {
+            pte_cost += pt.map(va_base + seg.offset, seg.base, seg.order, user_flags(true))?;
+            zero_pages += seg.order.base_pages();
         }
         self.charge(
             asid,
@@ -623,31 +625,22 @@ impl Os {
             }
             // Coalesce physically contiguous consecutive segments into
             // ranges (RMM ranges have no size/alignment restrictions).
-            let mut i = 0usize;
-            while i < segments.len() {
-                let start = &segments[i];
-                let mut end_pa = start.base.value() + start.order.bytes();
-                let mut end_off = start.offset + start.order.bytes();
-                let mut j = i + 1;
-                while j < segments.len()
-                    && segments[j].base.value() == end_pa
-                    && segments[j].offset == end_off
-                {
-                    end_pa += segments[j].order.bytes();
-                    end_off += segments[j].order.bytes();
-                    j += 1;
-                }
-                let start_vpn = (vma.base().value() + start.offset) >> BASE_PAGE_SHIFT;
-                let end_vpn = (vma.base().value() + end_off) >> BASE_PAGE_SHIFT;
-                let pfn = start.base.base_page_number();
+            let contiguous = |a: &Segment, b: &Segment| {
+                a.base + a.order.bytes() == b.base && a.offset + a.order.bytes() == b.offset
+            };
+            for run in segments.chunk_by(contiguous) {
+                let (Some(first), Some(last)) = (run.first(), run.last()) else {
+                    continue;
+                };
+                let start_vpn = (vma.base() + first.offset).base_page_number();
+                let end_vpn = (vma.base() + last.offset + last.order.bytes()).base_page_number();
                 proc.ranges.push(RangeEntry {
                     asid,
                     start_vpn,
                     end_vpn,
-                    delta: pfn as i64 - start_vpn as i64,
+                    delta: first.base.base_page_number() as i64 - start_vpn as i64,
                     writable: true,
                 });
-                i = j;
             }
             proc.ranges.sort_by_key(|r| r.start_vpn);
         }
@@ -705,20 +698,27 @@ impl Os {
         vma: &Vma,
         va: VirtAddr,
     ) -> Result<FaultOutcome, TpsError> {
-        let page_va = va.align_down(BASE_PAGE_SHIFT);
         let pa = self.alloc_direct(asid, vma.base(), PageOrder::P4K)?;
+        self.map_direct(asid, va, pa, PageOrder::P4K)
+    }
+
+    /// Maps the freshly allocated direct block `pa` of `order` over the
+    /// page of `va`: the end of every fault served without a reservation.
+    fn map_direct(
+        &mut self,
+        asid: Asid,
+        va: VirtAddr,
+        pa: PhysAddr,
+        order: PageOrder,
+    ) -> Result<FaultOutcome, TpsError> {
         let proc = self.proc_mut(asid);
-        let stores = proc.page_table.map(
-            page_va,
-            pa,
-            PageOrder::P4K,
-            PteFlags::WRITABLE | PteFlags::USER,
-        )?;
+        let page_va = va.align_down(order.shift());
+        let stores = proc.page_table.map(page_va, pa, order, user_flags(true))?;
         proc.touched_pages += 1;
         self.charge(asid, self.cost.pte_write * stores);
         Ok(FaultOutcome {
             va,
-            mapped_order: PageOrder::P4K,
+            mapped_order: order,
             promoted: false,
         })
     }
@@ -730,70 +730,43 @@ impl Os {
         va: VirtAddr,
     ) -> Result<FaultOutcome, TpsError> {
         let chunk = va.align_down(PageOrder::P2M.shift());
-        let chunk_end = chunk.value() + PageOrder::P2M.bytes();
-        if chunk >= vma.base() && chunk_end <= vma.end().value() {
-            if let Ok(pa) = self.alloc_direct(asid, vma.base(), PageOrder::P2M) {
-                let proc = self.proc_mut(asid);
-                let stores = proc.page_table.map(
-                    chunk,
-                    pa,
-                    PageOrder::P2M,
-                    PteFlags::WRITABLE | PteFlags::USER,
-                )?;
-                proc.touched_pages += 1;
-                self.charge(asid, self.cost.pte_write * stores);
-                return Ok(FaultOutcome {
-                    va,
-                    mapped_order: PageOrder::P2M,
-                    promoted: false,
-                });
-            }
-        }
-        // Tail of the VMA (or no 2M contiguity): fall back to 4 KB. Inside
-        // the VMA the only way here is a failed 2 MB allocation.
-        let whole_chunk_inside = chunk >= vma.base() && chunk_end <= vma.end().value();
+        let whole_chunk_inside = chunk >= vma.base() && chunk + PageOrder::P2M.bytes() <= vma.end();
         if whole_chunk_inside {
+            if let Ok(pa) = self.alloc_direct(asid, vma.base(), PageOrder::P2M) {
+                return self.map_direct(asid, va, pa, PageOrder::P2M);
+            }
+            // Inside the VMA the only way here is a failed 2 MB allocation.
             self.proc_mut(asid).stats.oom_fallbacks += 1;
         }
+        // Tail of the VMA (or no 2M contiguity): fall back to 4 KB.
         self.proc_mut(asid).stats.fallback_4k += 1;
         self.fault_direct_4k(asid, vma, va)
     }
 
     fn fault_thp(&mut self, asid: Asid, vma: &Vma, va: VirtAddr) -> Result<FaultOutcome, TpsError> {
         let chunk = va.align_down(PageOrder::P2M.shift());
-        let chunk_end = chunk.value() + PageOrder::P2M.bytes();
         let has_reservation = self.processes[asid as usize]
             .reservations
             .find(va)
             .is_some();
         if !has_reservation {
-            if chunk >= vma.base() && chunk_end <= vma.end().value() {
-                // Try to reserve a whole 2M frame for this chunk.
-                match self.buddy.alloc(PageOrder::P2M) {
-                    Ok(block) => {
-                        self.charge(asid, self.cost.buddy_op);
-                        self.install_reservation(
-                            asid,
-                            chunk,
-                            PageOrder::P2M.bytes(),
-                            vec![Segment {
-                                offset: 0,
-                                base: block,
-                                order: PageOrder::P2M,
-                            }],
-                        )?;
-                    }
-                    Err(_) => {
-                        self.proc_mut(asid).stats.fallback_4k += 1;
-                        self.proc_mut(asid).stats.oom_fallbacks += 1;
-                        return self.fault_direct_4k(asid, vma, va);
-                    }
-                }
-            } else {
-                // VMA tail smaller than 2M: demand 4K.
+            // Try to reserve a whole 2M frame for this chunk; a VMA tail
+            // smaller than 2M, or a failed allocation, demands 4K.
+            let whole_chunk_inside =
+                chunk >= vma.base() && chunk + PageOrder::P2M.bytes() <= vma.end();
+            let block = whole_chunk_inside.then(|| self.buddy.alloc(PageOrder::P2M).ok());
+            let Some(Some(block)) = block else {
                 self.proc_mut(asid).stats.fallback_4k += 1;
+                self.proc_mut(asid).stats.oom_fallbacks += u64::from(whole_chunk_inside);
                 return self.fault_direct_4k(asid, vma, va);
-            }
+            };
+            self.charge(asid, self.cost.buddy_op);
+            let segment = Segment {
+                offset: 0,
+                base: block,
+                order: PageOrder::P2M,
+            };
+            self.install_reservation(asid, chunk, PageOrder::P2M.bytes(), vec![segment])?;
         }
         self.fault_from_reservation(asid, va, PromotionMode::ExactOrder(PageOrder::P2M))
     }
@@ -840,12 +813,9 @@ impl Os {
             if res.utilization_mut().touch(page_idx) {
                 proc.touched_pages += 1;
             }
-            let pa = res
-                .frame_for(offset)
-                .ok_or_else(|| res_invariant("reservation does not cover its own range"))?;
-            let seg_order = res
-                .max_order_at(offset)
-                .ok_or_else(|| res_invariant("reservation does not cover its own range"))?;
+            let uncovered = || res_invariant("reservation does not cover its own range");
+            let pa = res.frame_for(offset).ok_or_else(uncovered)?;
+            let seg_order = res.max_order_at(offset).ok_or_else(uncovered)?;
             let promotable = res.utilization().promotable_order(page_idx, threshold);
             (res.va_base(), offset, pa, seg_order, promotable)
         };
@@ -857,12 +827,9 @@ impl Os {
         let mut mapped_order = match current {
             Some(leaf) => leaf.order,
             None => {
-                let stores = self.proc_mut(asid).page_table.map(
-                    page_va,
-                    pa.align_down(BASE_PAGE_SHIFT),
-                    PageOrder::P4K,
-                    PteFlags::WRITABLE | PteFlags::USER,
-                )?;
+                let frame = pa.align_down(BASE_PAGE_SHIFT);
+                let pt = &mut self.proc_mut(asid).page_table;
+                let stores = pt.map(page_va, frame, PageOrder::P4K, user_flags(true))?;
                 self.charge(asid, self.cost.pte_write * stores);
                 PageOrder::P4K
             }
@@ -888,33 +855,31 @@ impl Os {
             let order = PageOrder::new_unchecked(target);
             let aligned_off = offset & !(order.bytes() - 1);
             let va_k = VirtAddr::new(res_base.value() + aligned_off);
-            // Never promote over copy-on-write-shared leaves: a writable
-            // large page would bypass the sharing (only possible after a
-            // fork, so the scan is free for ordinary processes).
-            let va_end = va_k + order.bytes();
-            if !self.shares.is_empty() && self.first_shared_leaf(asid, va_k, va_end).is_some() {
-                return Ok(FaultOutcome {
-                    va,
-                    mapped_order,
-                    promoted: false,
-                });
-            }
-            let pa_k = {
-                let proc = &self.processes[asid as usize];
-                proc.reservations
-                    .find(va)
-                    .ok_or_else(|| res_invariant("reservation vanished before promotion"))?
-                    .frame_for(aligned_off)
-                    .ok_or_else(|| res_invariant("promotion offset left the reservation"))?
+            let proc = &self.processes[asid as usize];
+            let res = proc
+                .reservations
+                .find(va)
+                .ok_or_else(|| res_invariant("reservation vanished before promotion"))?;
+            let pa_k = res
+                .frame_for(aligned_off)
+                .ok_or_else(|| res_invariant("promotion offset left the reservation"))?;
+            // Promote only over leaves that map the reservation's own frames
+            // and that no one else maps: a CoW copy, a frame inherited by
+            // fork, or a shared one would lose its contents or its sharing
+            // (only possible after a fork, so free for ordinary processes).
+            let foreign = |(leaf_va, leaf): (VirtAddr, LeafInfo)| {
+                res.frame_for(leaf_va - res.va_base()) != Some(leaf.base)
+                    || self.shares.shared(&leaf)
             };
-            debug_assert!(va_k.is_aligned(order.shift()));
-            debug_assert!(pa_k.is_aligned(order.shift()));
-            let rw = PteFlags::WRITABLE | PteFlags::USER;
-            let stores = self.proc_mut(asid).page_table.map(va_k, pa_k, order, rw)?;
-            self.charge(asid, self.cost.pte_write * stores + self.cost.promote_op);
-            self.proc_mut(asid).stats.promotions += 1;
-            mapped_order = order;
-            promoted = true;
+            let va_end = va_k + order.bytes();
+            if self.shares.is_empty() || !proc.page_table.leaves(va_k, va_end).any(foreign) {
+                let pt = &mut self.proc_mut(asid).page_table;
+                let stores = pt.map(va_k, pa_k, order, user_flags(true))?;
+                self.charge(asid, self.cost.pte_write * stores + self.cost.promote_op);
+                self.proc_mut(asid).stats.promotions += 1;
+                mapped_order = order;
+                promoted = true;
+            }
         }
         Ok(FaultOutcome {
             va,
@@ -940,35 +905,21 @@ impl Os {
     pub fn fork(&mut self, parent: Asid) -> Result<(Asid, Vec<Shootdown>), TpsError> {
         self.checked_proc(parent)?;
         let child = self.spawn();
-        let parent_vmas: Vec<Vma> = self.processes[parent as usize]
-            .address_space
-            .iter()
-            .cloned()
+        let from = &self.processes[parent as usize];
+        let leaves: Vec<_> = from
+            .page_table
+            .leaves(VirtAddr::ZERO, VirtAddr::new(u64::MAX))
             .collect();
-        self.processes[child as usize].address_space =
-            self.processes[parent as usize].address_space.clone();
-        let mut shootdowns = Vec::new();
+        self.processes[child as usize].address_space = from.address_space.clone();
+        let shootdowns: Vec<_> = leaves.iter().map(|&l| Shootdown::of(parent, l)).collect();
         let mut stores = 0u64;
-        let ro = PteFlags::USER; // no WRITABLE
-        for vma in &parent_vmas {
-            let mut cursor = vma.base();
-            while let Some((va, leaf)) = self.processes[parent as usize]
-                .page_table
-                .next_leaf(cursor, vma.end())
-            {
-                // Downgrade the parent and mirror into the child.
-                for pid in [parent, child] {
-                    let pt = &mut self.processes[pid as usize].page_table;
-                    stores += pt.map(va, leaf.base, leaf.order, ro)?;
-                }
-                self.shares.share(leaf.base.base_page_number(), leaf.order);
-                shootdowns.push(Shootdown {
-                    asid: parent,
-                    va,
-                    order: leaf.order,
-                });
-                cursor = va + leaf.order.bytes();
+        for (va, leaf) in leaves {
+            // Downgrade the parent and mirror into the child.
+            for pid in [parent, child] {
+                let pt = &mut self.processes[pid as usize].page_table;
+                stores += pt.map(va, leaf.base, leaf.order, user_flags(false))?;
             }
+            self.shares.share(leaf.base.base_page_number(), leaf.order);
         }
         self.charge(parent, self.cost.pte_write * stores);
         self.issue_shootdowns(Some(parent), &shootdowns);
@@ -985,10 +936,12 @@ impl Os {
 
     /// Handles a write fault to a read-only (CoW) mapping.
     ///
-    /// Sole owners simply regain write permission. Shared pages are copied
-    /// per the configured [`CowPolicy`]: the whole page, or only the
-    /// faulting base page (the rest of a large page is remapped as base
-    /// pages that keep sharing).
+    /// A page no other leaf maps regains write permission in place. A
+    /// shared one is copied per the configured [`CowPolicy`]: whole, or
+    /// split into read-only base pages over the same frames, of which only
+    /// the faulting one is copied (or, if no longer shared, made writable).
+    /// Sharing is counted per base page, so this works at every page size.
+    /// The one shootdown covers the page as it was before the fault.
     ///
     /// # Errors
     ///
@@ -1002,97 +955,74 @@ impl Os {
         asid: Asid,
         va: VirtAddr,
     ) -> Result<Vec<Shootdown>, TpsError> {
-        let leaf = self
-            .checked_proc(asid)?
-            .page_table
-            .lookup(va)
-            .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
+        let unmapped = || TpsError::Unmapped { vaddr: va.value() };
+        let proc = self.checked_proc(asid)?;
+        let mut leaf = proc.page_table.lookup(va).ok_or_else(unmapped)?;
         if leaf.flags.contains(PteFlags::WRITABLE) {
             return Err(TpsError::invariant(
                 InvariantLayer::Os,
                 format!("CoW fault at {:#x} on a writable leaf", va.value()),
             ));
         }
+        let vma_base = proc.address_space.find(va).ok_or_else(unmapped)?.base();
         self.proc_mut(asid).stats.cow_faults += 1;
         self.charge(asid, self.cost.fault_base);
-        let order = leaf.order;
-        let va_page = va.align_down(order.shift());
-        let pfn = leaf.base.base_page_number();
-        let rw = PteFlags::WRITABLE | PteFlags::USER;
-        let vma_base = self.processes[asid as usize]
-            .address_space
-            .find(va)
-            .ok_or(TpsError::Unmapped { vaddr: va.value() })?
-            .base();
-
-        match self.cow_policy {
-            // Sole owner: regain write permission in place.
-            _ if self.shares.count(pfn, order) <= 1 => {
-                let stores = self
-                    .proc_mut(asid)
-                    .page_table
-                    .map(va_page, leaf.base, order, rw)?;
-                self.charge(asid, self.cost.pte_write * stores);
-            }
-            CowPolicy::CopySmallest if order > PageOrder::P4K => {
-                // Split the shared page: every constituent base page keeps
-                // sharing, except the faulting one, which is copied.
-                self.shares.split(pfn, order, PageOrder::P4K)?;
-                let ro = PteFlags::USER;
-                for i in 0..order.base_pages() {
-                    let sub_va = VirtAddr::new(va_page.value() + i * BASE_PAGE_SIZE);
-                    let sub_pa = PhysAddr::from_pfn(pfn + i);
-                    let pt = &mut self.proc_mut(asid).page_table;
-                    let stores = pt.map(sub_va, sub_pa, PageOrder::P4K, ro)?;
-                    self.charge(asid, self.cost.pte_write * stores);
-                }
-                let fault_va = va.align_down(BASE_PAGE_SHIFT);
-                let fault_sub = (fault_va - va_page) >> BASE_PAGE_SHIFT;
-                let new = self.alloc_direct(asid, vma_base, PageOrder::P4K)?;
-                self.proc_mut(asid).stats.cow_bytes_copied += BASE_PAGE_SIZE;
-                self.charge(asid, self.cost.zero_4k);
-                let pt = &mut self.proc_mut(asid).page_table;
-                let stores = pt.map(fault_va, new, PageOrder::P4K, rw)?;
-                self.charge(asid, self.cost.pte_write * stores);
-                self.shares.release(pfn + fault_sub, PageOrder::P4K)?;
-            }
-            // A base page is its own smallest piece: copy it whole.
-            CowPolicy::CopyWholePage | CowPolicy::CopySmallest => {
-                let new = self.alloc_direct(asid, vma_base, order)?;
-                self.proc_mut(asid).stats.cow_bytes_copied += order.bytes();
-                self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
-                let stores = self
-                    .proc_mut(asid)
-                    .page_table
-                    .map(va_page, new, order, rw)?;
-                self.charge(asid, self.cost.pte_write * stores);
-                self.shares.release(pfn, order)?;
-            }
-        }
-        let shootdowns = vec![Shootdown {
+        let shootdowns = vec![Shootdown::of(
             asid,
-            va: va_page,
-            order,
-        }];
+            (va.align_down(leaf.order.shift()), leaf),
+        )];
+        if self.cow_policy == CowPolicy::CopySmallest
+            && leaf.order > PageOrder::P4K
+            && self.shares.shared(&leaf)
+        {
+            let pt = &mut self.proc_mut(asid).page_table;
+            let stores = pt.split(va, |_| user_flags(false))?;
+            leaf = pt.lookup(va).ok_or_else(unmapped)?;
+            self.charge(asid, self.cost.pte_write * stores);
+        }
+        // No one else maps the page: it regains write permission in place.
+        let mut frame = leaf.base;
+        if self.shares.shared(&leaf) {
+            frame = self.alloc_direct(asid, vma_base, leaf.order)?;
+            self.proc_mut(asid).stats.cow_bytes_copied += leaf.order.bytes();
+            self.charge(asid, self.cost.zero_4k * leaf.order.base_pages()); // the copy
+            self.shares
+                .release(leaf.base.base_page_number(), leaf.order)?;
+        }
+        let pt = &mut self.proc_mut(asid).page_table;
+        let stores = pt.map(
+            va.align_down(leaf.order.shift()),
+            frame,
+            leaf.order,
+            user_flags(true),
+        )?;
+        self.charge(asid, self.cost.pte_write * stores);
         self.issue_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 
     /// Changes the write permission of `[va, va + len)` (an `mprotect`).
     ///
-    /// Tailored pages that straddle the boundary are **split** into base
-    /// pages first — the cost the paper notes the OS pays when permissions
-    /// diverge inside a large page (§III-C1/§III-C3); [`Os::merge_pages`]
-    /// can rebuild them later if permissions re-converge.
+    /// The at most two pages that straddle an end of the range are
+    /// **split** into base pages first, with the new permission inside the
+    /// range and the old one outside: the cost the paper notes the OS pays
+    /// when permissions diverge inside a large page (§III-C1/§III-C3), at
+    /// any page size. Every other page in the range is rewritten whole.
+    /// [`Os::merge_pages`] can rebuild split pages once permissions
+    /// re-converge.
     ///
-    /// Returns the TLB shootdowns the permission change requires.
+    /// All or nothing: every check runs before the first store, and every
+    /// page it rewrites or splits gets one shootdown, returned in address
+    /// order.
     ///
     /// # Errors
+    ///
+    /// Nothing is changed or charged on any error.
     ///
     /// * [`TpsError::Misaligned`] unless `va`/`len` are base-page aligned.
     /// * [`TpsError::Unmapped`] if the range leaves the VMA.
     /// * [`TpsError::SharedMapping`] if a CoW-shared page intersects the
-    ///   range (resolve sharing first). Nothing is changed or charged.
+    ///   range (resolve sharing first).
     /// * [`TpsError::InvariantViolation`] for an unknown `asid`.
     pub fn mprotect(
         &mut self,
@@ -1107,66 +1037,61 @@ impl Os {
                 shift: BASE_PAGE_SHIFT,
             });
         }
-        let end = va.value() + len;
+        let end = va + len;
         {
             let vma = self
                 .checked_proc(asid)?
                 .address_space
                 .find(va)
                 .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
-            if end > vma.end().value() {
-                return Err(TpsError::Unmapped { vaddr: end });
+            if end > vma.end() {
+                return Err(TpsError::Unmapped { vaddr: end.value() });
             }
         }
-        // Check the whole range before rewriting anything, so a shared
-        // leaf past the start leaves every permission unchanged.
-        if let Some(leaf_va) = self.first_shared_leaf(asid, va, VirtAddr::new(end)) {
+        if let Some(leaf_va) = self.first_shared_leaf(asid, va, end) {
             return Err(TpsError::SharedMapping {
                 vaddr: leaf_va.max(va).value(),
             });
         }
-        let new_flags = if writable {
-            PteFlags::WRITABLE | PteFlags::USER
-        } else {
-            PteFlags::USER
-        };
-        let mut shootdowns = Vec::new();
-        let mut cursor = va;
-        while let Some((leaf_va, leaf)) = self.processes[asid as usize]
-            .page_table
-            .next_leaf(cursor, VirtAddr::new(end))
-        {
-            let leaf_end = leaf_va.value() + leaf.order.bytes();
-            let fully_inside = leaf_va.value() >= va.value() && leaf_end <= end;
-            if fully_inside {
-                let pt = &mut self.proc_mut(asid).page_table;
-                let stores = pt.map(leaf_va, leaf.base, leaf.order, new_flags)?;
-                self.charge(asid, self.cost.pte_write * stores);
-            } else {
-                // Straddling leaf: split to base pages, changing only the
-                // in-range ones.
-                let keep_flags = if leaf.flags.contains(PteFlags::WRITABLE) {
-                    PteFlags::WRITABLE | PteFlags::USER
+        let new_flags = user_flags(writable);
+        let pt = &mut self.proc_mut(asid).page_table;
+        let leaf_end = |(leaf_va, leaf): (VirtAddr, LeafInfo)| leaf_va + leaf.order.bytes();
+        let straddles = |&l: &(VirtAddr, LeafInfo)| l.0 < va || leaf_end(l) > end;
+        let head = pt.next_leaf(va, end).filter(straddles);
+        let last_page = VirtAddr::new(end.value() - BASE_PAGE_SIZE);
+        let tail = pt
+            .next_leaf(last_page, end)
+            .filter(|&l| straddles(&l) && Some(l.0) != head.map(|h| h.0));
+        // Split the straddlers, then rewrite every leaf between them.
+        let (mut lo, mut hi, mut stores) = (va, end, 0);
+        for l in [head, tail].into_iter().flatten() {
+            let keep = user_flags(l.1.flags.contains(PteFlags::WRITABLE));
+            let inside = |sub: VirtAddr| {
+                if sub >= va && sub < end {
+                    new_flags
                 } else {
-                    PteFlags::USER
-                };
-                for i in 0..leaf.order.base_pages() {
-                    let sub_va = VirtAddr::new(leaf_va.value() + i * BASE_PAGE_SIZE);
-                    let sub_pa = PhysAddr::new(leaf.base.value() + i * BASE_PAGE_SIZE);
-                    let inside = sub_va.value() >= va.value() && sub_va.value() < end;
-                    let flags = if inside { new_flags } else { keep_flags };
-                    let pt = &mut self.proc_mut(asid).page_table;
-                    let stores = pt.map(sub_va, sub_pa, PageOrder::P4K, flags)?;
-                    self.charge(asid, self.cost.pte_write * stores);
+                    keep
                 }
+            };
+            stores += pt.split(l.0, inside)?;
+            if l.0 < va {
+                lo = leaf_end(l);
             }
-            shootdowns.push(Shootdown {
-                asid,
-                va: leaf_va,
-                order: leaf.order,
-            });
-            cursor = VirtAddr::new(leaf_end);
+            if leaf_end(l) > end {
+                hi = l.0;
+            }
         }
+        let inner: Vec<_> = pt.leaves(lo, hi).collect();
+        for &(leaf_va, leaf) in &inner {
+            stores += pt.map(leaf_va, leaf.base, leaf.order, new_flags)?;
+        }
+        let shootdowns: Vec<Shootdown> = head
+            .into_iter()
+            .chain(inner)
+            .chain(tail)
+            .map(|l| Shootdown::of(asid, l))
+            .collect();
+        self.charge(asid, self.cost.pte_write * stores);
         self.issue_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
@@ -1259,27 +1184,20 @@ impl Os {
         // Rewrite page-table leaves pointing into moved blocks.
         let mut shootdowns = Vec::new();
         let mut stores = 0u64;
-        for pid in 0..self.processes.len() {
-            let vmas: Vec<Vma> = self.processes[pid].address_space.iter().cloned().collect();
-            for vma in vmas {
-                let pt = &mut self.processes[pid].page_table;
-                let mut cursor = vma.base();
-                while let Some((va, leaf)) = pt.next_leaf(cursor, vma.end()) {
-                    if let Some(new) = relocate(leaf.base) {
-                        stores += pt.map(va, new, leaf.order, leaf.flags).map_err(|e| {
-                            TpsError::invariant(
-                                InvariantLayer::PageTable,
-                                format!("remap to migrated frame at {va} failed: {e}"),
-                            )
-                        })?;
-                        shootdowns.push(Shootdown {
-                            asid: pid as Asid,
-                            va,
-                            order: leaf.order,
-                        });
-                    }
-                    cursor = va + leaf.order.bytes();
-                }
+        for (pid, proc) in self.processes.iter_mut().enumerate() {
+            let pt = &mut proc.page_table;
+            let every_leaf = pt.leaves(VirtAddr::ZERO, VirtAddr::new(u64::MAX));
+            let moved: Vec<_> = every_leaf
+                .filter_map(|(va, leaf)| Some((va, leaf, relocate(leaf.base)?)))
+                .collect();
+            for (va, leaf, new) in moved {
+                stores += pt.map(va, new, leaf.order, leaf.flags).map_err(|e| {
+                    TpsError::invariant(
+                        InvariantLayer::PageTable,
+                        format!("remap to migrated frame at {va} failed: {e}"),
+                    )
+                })?;
+                shootdowns.push(Shootdown::of(pid as Asid, (va, leaf)));
             }
         }
         self.machine_stats.op_cycles += self.cost.pte_write * stores;
@@ -1299,48 +1217,37 @@ impl Os {
     pub fn merge_pages(&mut self, asid: Asid) -> u64 {
         let mut total = 0u64;
         loop {
-            let mut merged_this_pass = 0u64;
-            let vmas: Vec<Vma> = self.processes[asid as usize]
-                .address_space
-                .iter()
-                .cloned()
-                .collect();
-            for vma in vmas {
-                let mut cursor = vma.base();
-                while let Some((va, leaf)) = self.processes[asid as usize]
-                    .page_table
-                    .next_leaf(cursor, vma.end())
-                {
-                    let order = leaf.order;
-                    let next = order.get() + 1;
-                    let buddy_va = VirtAddr::new(va.value() + order.bytes());
-                    let mergeable = next <= MAX_POLICY_ORDER.get()
-                        && va.is_aligned(12 + next as u32)
-                        && leaf.base.is_aligned(12 + next as u32)
-                        && buddy_va.value() < vma.end().value()
-                        && self.shares.count(leaf.base.base_page_number(), order) <= 1
-                        && self.processes[asid as usize]
-                            .page_table
-                            .lookup(buddy_va)
-                            .is_some_and(|b| {
-                                b.order == order
-                                    && b.base.value() == leaf.base.value() + order.bytes()
-                                    && b.flags.contains(PteFlags::WRITABLE)
-                                        == leaf.flags.contains(PteFlags::WRITABLE)
-                                    && self.shares.count(b.base.base_page_number(), order) <= 1
-                            });
-                    cursor = va + order.bytes();
-                    if mergeable {
-                        let merged_order = PageOrder::new_unchecked(next);
-                        // Remapping existing leaves does not fail in
-                        // practice; a pair whose remap fails stays unmerged.
-                        let pt = &mut self.proc_mut(asid).page_table;
-                        if let Ok(stores) = pt.map(va, leaf.base, merged_order, leaf.flags) {
-                            self.charge(asid, self.cost.pte_write * stores + self.cost.promote_op);
-                            merged_this_pass += 1;
-                            cursor = va + merged_order.bytes();
-                        }
+            // Each pass merges the buddy pairs it finds, left to right.
+            let proc = &self.processes[asid as usize];
+            let mut pairs = Vec::new();
+            for vma in proc.address_space.iter() {
+                let leaves: Vec<_> = proc.page_table.leaves(vma.base(), vma.end()).collect();
+                let mut i = 0;
+                while let [(va, a), (buddy_va, b), ..] = leaves[i..] {
+                    let merged = a.order.get() + 1;
+                    let buddies = merged <= MAX_POLICY_ORDER.get()
+                        && va.is_aligned(BASE_PAGE_SHIFT + u32::from(merged))
+                        && a.base.is_aligned(BASE_PAGE_SHIFT + u32::from(merged))
+                        && buddy_va == va + a.order.bytes()
+                        && (b.order, b.base) == (a.order, a.base + a.order.bytes())
+                        && a.flags.contains(PteFlags::WRITABLE)
+                            == b.flags.contains(PteFlags::WRITABLE)
+                        && !self.shares.shared(&a)
+                        && !self.shares.shared(&b);
+                    if buddies {
+                        pairs.push((va, a, PageOrder::new_unchecked(merged)));
                     }
+                    i += if buddies { 2 } else { 1 };
+                }
+            }
+            let mut merged_this_pass = 0u64;
+            for (va, leaf, merged_order) in pairs {
+                // Remapping existing leaves does not fail in practice; a
+                // pair whose remap fails stays unmerged.
+                let pt = &mut self.proc_mut(asid).page_table;
+                if let Ok(stores) = pt.map(va, leaf.base, merged_order, leaf.flags) {
+                    self.charge(asid, self.cost.pte_write * stores + self.cost.promote_op);
+                    merged_this_pass += 1;
                 }
             }
             total += merged_this_pass;
@@ -1354,15 +1261,51 @@ impl Os {
 
     /// The base of the first CoW-shared leaf meeting `[start, end)`.
     fn first_shared_leaf(&self, asid: Asid, start: VirtAddr, end: VirtAddr) -> Option<VirtAddr> {
-        let pt = &self.processes[asid as usize].page_table;
-        let mut cursor = start;
-        while let Some((va, leaf)) = pt.next_leaf(cursor, end) {
-            if self.shares.count(leaf.base.base_page_number(), leaf.order) > 1 {
-                return Some(va);
-            }
-            cursor = va + leaf.order.bytes();
+        if self.shares.is_empty() {
+            return None;
         }
-        None
+        let pt = &self.processes[asid as usize].page_table;
+        let shared = pt
+            .leaves(start, end)
+            .find(|(_, leaf)| self.shares.shared(leaf));
+        shared.map(|(va, _)| va)
+    }
+
+    /// The blocks `asid`'s VMA `vma` owns: its reservations' segments, then
+    /// its direct blocks.
+    fn vma_blocks(&self, asid: Asid, vma: &Vma) -> Vec<(PhysAddr, PageOrder)> {
+        let proc = &self.processes[asid as usize];
+        let reserved = proc
+            .reservations
+            .iter()
+            .filter(|res| vma.contains(res.va_base()));
+        let direct = proc.direct_blocks.get(&vma.base().value());
+        (reserved.flat_map(|res| res.segments()))
+            .map(|seg| (seg.base, seg.order))
+            .chain(direct.into_iter().flatten().copied())
+            .collect()
+    }
+
+    /// True if another process still maps a frame of a block that `vma`
+    /// owns: a copy-on-write left it there when this process copied its
+    /// page away, and freeing the block would free a mapped frame.
+    fn lends_frames(&self, asid: Asid, vma: &Vma) -> bool {
+        if self.shares.is_empty() {
+            return false;
+        }
+        let pt = &self.processes[asid as usize].page_table;
+        let tracked = |(pa, order): (PhysAddr, PageOrder)| {
+            self.shares
+                .pages(pa.base_page_number(), order)
+                .map(|(pfn, _)| pfn)
+        };
+        // The tracked pages this VMA maps itself; it is their only mapper,
+        // as the shared-leaf check ran first.
+        let own: std::collections::BTreeSet<u64> = (pt.leaves(vma.base(), vma.end()))
+            .flat_map(|(_, leaf)| tracked((leaf.base, leaf.order)))
+            .collect();
+        let blocks = self.vma_blocks(asid, vma).into_iter();
+        blocks.flat_map(tracked).any(|pfn| !own.contains(&pfn))
     }
 
     /// Serves `munmap` of the VMA starting at `base`, freeing frames and
@@ -1375,9 +1318,14 @@ impl Os {
     pub fn munmap(&mut self, asid: Asid, base: VirtAddr) -> Result<Vec<Shootdown>, TpsError> {
         // Reject ranges with live CoW sharing: the block-ownership model
         // cannot reclaim frames another process still references.
-        let vma = self.checked_proc(asid)?.address_space.find(base);
-        if let Some(va) = vma.and_then(|vma| self.first_shared_leaf(asid, vma.base(), vma.end())) {
-            return Err(TpsError::SharedMapping { vaddr: va.value() });
+        if let Some(vma) = self.checked_proc(asid)?.address_space.find(base) {
+            let lent = || self.lends_frames(asid, vma).then(|| vma.base());
+            if let Some(va) = self
+                .first_shared_leaf(asid, vma.base(), vma.end())
+                .or_else(lent)
+            {
+                return Err(TpsError::SharedMapping { vaddr: va.value() });
+            }
         }
         let vma = self.proc_mut(asid).address_space.unmap_region(base)?;
         self.proc_mut(asid).stats.munmaps += 1;
@@ -1385,57 +1333,32 @@ impl Os {
 
         // Unmap every leaf in the range.
         let mut stores = 0u64;
-        {
-            let pt = &mut self.proc_mut(asid).page_table;
-            let mut cursor = vma.base();
-            while let Some((va, leaf)) = pt.next_leaf(cursor, vma.end()) {
-                stores += pt.unmap(va, leaf.order).map_err(|e| {
-                    TpsError::invariant(
-                        InvariantLayer::PageTable,
-                        format!("munmap of just-listed leaf at {va} failed: {e}"),
-                    )
-                })?;
-                shootdowns.push(Shootdown {
-                    asid,
-                    va,
-                    order: leaf.order,
-                });
-                cursor = va + leaf.order.bytes();
-            }
+        let pt = &mut self.processes[asid as usize].page_table;
+        let leaves: Vec<_> = pt.leaves(vma.base(), vma.end()).collect();
+        for (va, leaf) in leaves {
+            stores += pt.unmap(va, leaf.order).map_err(|e| {
+                TpsError::invariant(
+                    InvariantLayer::PageTable,
+                    format!("munmap of just-listed leaf at {va} failed: {e}"),
+                )
+            })?;
+            self.shares.forget(leaf.base.base_page_number(), leaf.order);
+            shootdowns.push(Shootdown::of(asid, (va, leaf)));
         }
 
-        // Return reserved frames.
-        let removed = self
-            .proc_mut(asid)
-            .reservations
-            .remove_in_range(vma.base(), vma.end());
-        for res in removed {
-            for seg in res.segments() {
-                self.buddy.free(seg.base, seg.order).map_err(|e| {
-                    TpsError::invariant(
-                        InvariantLayer::Buddy,
-                        format!("munmap free of reserved block {:?} failed: {e}", seg.base),
-                    )
-                })?;
-                self.charge(asid, self.cost.buddy_op);
-            }
-        }
-
-        // Return directly allocated frames.
-        if let Some(blocks) = self
-            .proc_mut(asid)
-            .direct_blocks
-            .remove(&vma.base().value())
-        {
-            for (pa, order) in blocks {
-                self.buddy.free(pa, order).map_err(|e| {
-                    TpsError::invariant(
-                        InvariantLayer::Buddy,
-                        format!("munmap free of direct block {pa:?} failed: {e}"),
-                    )
-                })?;
-                self.charge(asid, self.cost.buddy_op);
-            }
+        // Return reserved, then directly allocated, frames.
+        let blocks = self.vma_blocks(asid, &vma);
+        let proc = self.proc_mut(asid);
+        proc.reservations.remove_in_range(vma.base(), vma.end());
+        proc.direct_blocks.remove(&vma.base().value());
+        for (pa, order) in blocks {
+            self.buddy.free(pa, order).map_err(|e| {
+                TpsError::invariant(
+                    InvariantLayer::Buddy,
+                    format!("munmap free of block {pa:?} failed: {e}"),
+                )
+            })?;
+            self.charge(asid, self.cost.buddy_op);
         }
 
         // Drop RMM ranges inside the region.
@@ -1450,6 +1373,15 @@ impl Os {
         self.charge(asid, self.cost.pte_write * stores);
         self.issue_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
+    }
+}
+
+/// The flags of a user page with or without write permission.
+fn user_flags(writable: bool) -> PteFlags {
+    if writable {
+        PteFlags::WRITABLE | PteFlags::USER
+    } else {
+        PteFlags::USER
     }
 }
 
@@ -2030,6 +1962,193 @@ mod tests {
         assert_eq!(after.0, before.0, "no leaf rewritten");
         assert_eq!(after.1.shootdowns, before.1.shootdowns);
         assert_eq!(after.1.op_cycles, before.1.op_cycles, "nothing charged");
+    }
+
+    /// A THP process with one VMA of `chunks` 2 MB chunks, every chunk
+    /// promoted to a 2 MB page.
+    fn thp_with_2m_pages(chunks: u64) -> (Os, Asid, Vma) {
+        let (mut os, pid) = os(PolicyKind::Thp);
+        let vma = os.mmap(pid, chunks * PageOrder::P2M.bytes()).unwrap();
+        touch_all(&mut os, pid, &vma);
+        for i in 0..chunks {
+            let leaf = os.page_table(pid).lookup(vma.base() + i * (2 << 20));
+            assert_eq!(leaf.unwrap().order, PageOrder::P2M, "chunk {i}");
+        }
+        (os, pid, vma)
+    }
+
+    /// Every leaf of every process, per base page: (asid, frame number,
+    /// writable).
+    fn mapped_base_pages(os: &Os) -> Vec<(Asid, u64, bool)> {
+        let mut out = Vec::new();
+        for asid in 0..os.process_count() as Asid {
+            let pt = os.page_table(asid);
+            let mut cursor = VirtAddr::ZERO;
+            while let Some((va, leaf)) = pt.next_leaf(cursor, VirtAddr::new(u64::MAX)) {
+                let writable = leaf.flags.contains(PteFlags::WRITABLE);
+                let pfn = leaf.base.base_page_number();
+                out.extend((0..leaf.order.base_pages()).map(|i| (asid, pfn + i, writable)));
+                cursor = va + leaf.order.bytes();
+            }
+        }
+        out
+    }
+
+    /// No process holds a writable leaf over a frame another process maps.
+    fn assert_isolated(os: &Os) {
+        let mut mappers: BTreeMap<u64, Vec<(Asid, bool)>> = BTreeMap::new();
+        for (asid, pfn, writable) in mapped_base_pages(os) {
+            mappers.entry(pfn).or_default().push((asid, writable));
+        }
+        for (pfn, m) in mappers {
+            assert!(
+                m.len() == 1 || m.iter().all(|&(_, w)| !w),
+                "frame {pfn:#x} is mapped writable while shared: {m:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mprotect_splits_a_2m_page_around_one_base_page() {
+        let (mut os, pid, vma) = thp_with_2m_pages(1);
+        let before = os.page_table(pid).lookup(vma.base()).unwrap();
+        let target = vma.base() + BASE_PAGE_SIZE;
+        let sds = os.mprotect(pid, target, BASE_PAGE_SIZE, false).unwrap();
+        assert_eq!(
+            sds,
+            [Shootdown {
+                asid: pid,
+                va: vma.base(),
+                order: PageOrder::P2M
+            }]
+        );
+        for i in 0..512u64 {
+            let va = vma.base() + i * BASE_PAGE_SIZE;
+            let leaf = os.page_table(pid).lookup(va).unwrap();
+            assert_eq!(leaf.order, PageOrder::P4K, "page {i}");
+            assert_eq!(leaf.base, before.base + i * BASE_PAGE_SIZE, "page {i}");
+            assert_eq!(leaf.flags.contains(PteFlags::WRITABLE), va != target);
+        }
+        os.page_table(pid).check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mprotect_across_two_2m_pages_rewrites_one_and_splits_the_other() {
+        let (mut os, pid, vma) = thp_with_2m_pages(2);
+        let second = vma.base() + (2 << 20);
+        let frames = [vma.base(), second].map(|va| os.page_table(pid).lookup(va).unwrap().base);
+        let before = os.process(pid).stats();
+        let sds = os
+            .mprotect(pid, vma.base(), (2 << 20) + BASE_PAGE_SIZE, false)
+            .unwrap();
+        let expected = [vma.base(), second].map(|va| Shootdown {
+            asid: pid,
+            va,
+            order: PageOrder::P2M,
+        });
+        assert_eq!(sds, expected, "both leaves changed, both shot down");
+        let after = os.process(pid).stats();
+        assert_eq!(after.shootdowns - before.shootdowns, 2);
+        // The first page is rewritten whole (1 store); the second splits
+        // into a new level-1 table (1 + 512 stores).
+        let cost = CostModel::default();
+        assert_eq!(
+            after.op_cycles - before.op_cycles,
+            cost.pte_write * (1 + 1 + 512) + 2 * cost.shootdown
+        );
+        let pt = os.page_table(pid);
+        let first = pt.lookup(vma.base()).unwrap();
+        assert_eq!((first.order, first.base), (PageOrder::P2M, frames[0]));
+        assert!(!first.flags.contains(PteFlags::WRITABLE));
+        let split = |i: u64| pt.lookup(second + i * BASE_PAGE_SIZE).unwrap();
+        assert_eq!((split(0).order, split(0).base), (PageOrder::P4K, frames[1]));
+        assert!(!split(0).flags.contains(PteFlags::WRITABLE));
+        assert!(split(1).flags.contains(PteFlags::WRITABLE));
+        assert_eq!(split(511).base, frames[1] + 511 * BASE_PAGE_SIZE);
+        pt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_failing_mprotect_over_2m_pages_changes_nothing() {
+        let (mut os, parent, vma) = thp_with_2m_pages(2);
+        os.fork(parent).unwrap();
+        // The parent's write copies the first 2 MB page; the second stays
+        // shared, so a range that reaches into it must be refused whole.
+        os.handle_cow_fault(parent, vma.base()).unwrap();
+        let leaves = |os: &Os| {
+            let pt = os.page_table(parent);
+            [0u64, 1, 512, 513].map(|i| pt.lookup(vma.base() + i * BASE_PAGE_SIZE))
+        };
+        let before = (leaves(&os), os.stats());
+        assert_eq!(
+            os.mprotect(parent, vma.base(), (2 << 20) + BASE_PAGE_SIZE, false),
+            Err(TpsError::SharedMapping {
+                vaddr: vma.base().value() + (2 << 20)
+            })
+        );
+        assert_eq!(
+            (leaves(&os), os.stats()),
+            before,
+            "no leaf, counter or shootdown"
+        );
+    }
+
+    #[test]
+    fn cow_copy_smallest_splits_a_shared_2m_page() {
+        let (mut os, parent, vma) = thp_with_2m_pages(1);
+        os.set_cow_policy(CowPolicy::CopySmallest);
+        let (child, _) = os.fork(parent).unwrap();
+        let shared = os.page_table(child).lookup(vma.base()).unwrap();
+        for page in [3u64, 7] {
+            let va = vma.base() + page * BASE_PAGE_SIZE;
+            let sds = os.handle_cow_fault(parent, va).unwrap();
+            assert_eq!(sds.len(), 1);
+            let leaf = os.page_table(parent).lookup(va).unwrap();
+            assert_eq!(leaf.order, PageOrder::P4K);
+            assert!(leaf.flags.contains(PteFlags::WRITABLE));
+            assert_ne!(leaf.base, shared.base + page * BASE_PAGE_SIZE, "copied");
+            assert_isolated(&os);
+        }
+        assert_eq!(os.stats().cow_faults, 2);
+        assert_eq!(os.stats().cow_bytes_copied, 2 * BASE_PAGE_SIZE);
+        // The rest of the parent's pages keep sharing, read-only; the
+        // child still maps the whole 2 MB page.
+        let kept = os.page_table(parent).lookup(vma.base()).unwrap();
+        assert_eq!((kept.order, kept.base), (PageOrder::P4K, shared.base));
+        assert!(os.needs_cow(parent, vma.base()));
+        assert_eq!(os.page_table(child).lookup(vma.base()), Some(shared));
+        // The child's write to the 2 MB page copies one base page too.
+        os.handle_cow_fault(child, vma.base() + (1 << 20)).unwrap();
+        assert_isolated(&os);
+    }
+
+    #[test]
+    fn cow_copy_smallest_never_unshares_a_page_the_other_process_maps() {
+        let (mut os, parent) = os(PolicyKind::Tps);
+        os.set_cow_policy(CowPolicy::CopySmallest);
+        let vma = os.mmap(parent, 64 << 10).unwrap();
+        touch_all(&mut os, parent, &vma); // one 64K page
+        let (child, _) = os.fork(parent).unwrap();
+        os.handle_cow_fault(child, vma.base() + 0x5000).unwrap();
+        // The parent's 64K page still shares 15 frames with the child:
+        // its write copies page 0 and leaves the other 14 shared.
+        os.handle_cow_fault(parent, vma.base()).unwrap();
+        assert_isolated(&os);
+        assert_eq!(os.stats().cow_bytes_copied, 2 * BASE_PAGE_SIZE);
+        let parent_leaf = |os: &Os, i: u64| {
+            os.page_table(parent)
+                .lookup(vma.base() + i * BASE_PAGE_SIZE)
+                .unwrap()
+        };
+        assert_eq!(parent_leaf(&os, 1).order, PageOrder::P4K);
+        assert!(!parent_leaf(&os, 1).flags.contains(PteFlags::WRITABLE));
+        // Page 5 is the parent's alone now: its write needs no copy.
+        let frame = parent_leaf(&os, 5).base;
+        os.handle_cow_fault(parent, vma.base() + 0x5000).unwrap();
+        assert_eq!(parent_leaf(&os, 5).base, frame);
+        assert!(parent_leaf(&os, 5).flags.contains(PteFlags::WRITABLE));
+        assert_eq!(os.stats().cow_bytes_copied, 2 * BASE_PAGE_SIZE);
+        assert_isolated(&os);
     }
 
     #[test]

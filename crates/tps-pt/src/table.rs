@@ -1,6 +1,7 @@
 //! The 4-level radix page table with tailored-page support.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use tps_core::inject::should_fault;
 use tps_core::{
     level_base_order, level_for_order, FaultSite, InjectorHandle, LeafInfo, PageOrder, PhysAddr,
@@ -20,9 +21,10 @@ pub const PT_POOL_BASE: u64 = 1 << 38;
 /// true PTE plus alias PTEs — within one node, where `rel` is the order
 /// relative to the leaf level.
 ///
-/// [`Self::map`] and [`Self::unmap`] return the PTE stores they made, so the
-/// OS model can charge system time for page-table maintenance, and
-/// [`Self::next_leaf`] lists the mapped pages of a range.
+/// [`Self::map`] grows or remaps a page, [`Self::split`] shrinks one to
+/// base pages, and [`Self::unmap`] removes one. All three return the PTE
+/// stores they made, so the OS model can charge system time for page-table
+/// maintenance, and [`Self::next_leaf`] lists the mapped pages of a range.
 ///
 /// Nodes live in a dense arena: the node at `PT_POOL_BASE + k * 4K` is slot
 /// `k`. Slots are never reused — a freed node leaves an empty slot — so
@@ -183,9 +185,10 @@ impl PageTable {
     }
 
     /// Descends from the root to the leaf covering `va`, returning the node
-    /// holding it, its slot index, its level and the PTE found there (the
-    /// slot may be an alias). `None` if a non-present entry ends the walk.
-    fn find_leaf(&self, va: VirtAddr) -> Option<(PhysAddr, usize, u8, Pte)> {
+    /// holding it, its slot index (maybe an alias), its level and the
+    /// decoded leaf. `None` if a non-present entry ends the walk or the leaf
+    /// is corrupt (hardware would fault).
+    fn find_leaf(&self, va: VirtAddr) -> Option<(PhysAddr, usize, u8, LeafInfo)> {
         let mut node = self.root;
         for level in (1..=self.levels).rev() {
             let idx = va.pt_index(level);
@@ -194,7 +197,8 @@ impl PageTable {
                 return None;
             }
             if pte.is_leaf(level) {
-                return Some((node, idx, level, pte));
+                let leaf = pte.decode_leaf(level).ok()?;
+                return Some((node, idx, level, leaf));
             }
             node = pte.next_table();
         }
@@ -216,8 +220,8 @@ impl PageTable {
             if pte.is_present() {
                 if pte.is_leaf(level) {
                     return Err(TpsError::RangeOverlap {
-                        start: va.align_down(12 + 9 * (level as u32 - 1)).value(),
-                        len: 1u64 << (12 + 9 * (level - 1) as u32),
+                        start: va.align_down(entry_shift(level)).value(),
+                        len: 1u64 << entry_shift(level),
                     });
                 }
                 node = pte.next_table();
@@ -234,11 +238,9 @@ impl PageTable {
     /// Maps a page of the given order at `va -> pa`.
     ///
     /// Writes the true PTE and all alias PTEs for tailored orders. If the
-    /// target slots currently hold smaller-page subtrees (the page-promotion
-    /// path), those subtrees are replaced and their nodes freed. A larger
-    /// tailored leaf at the same level is overwritten in place over just
-    /// this page's slots (the page-split path); the caller then maps the
-    /// rest of the old leaf's slots.
+    /// target slots currently hold smaller pages or their subtrees (the
+    /// page-promotion path), those are replaced and the subtrees' nodes
+    /// freed. Shrinking a page is [`Self::split`]'s job.
     ///
     /// Returns the PTE stores made: new intermediate table entries, the
     /// true PTE and every alias PTE, and each retried alias store.
@@ -247,7 +249,8 @@ impl PageTable {
     ///
     /// * [`TpsError::Misaligned`] if `va` or `pa` is not aligned to the
     ///   page size.
-    /// * [`TpsError::RangeOverlap`] if a *larger* leaf already covers `va`.
+    /// * [`TpsError::RangeOverlap`], with nothing changed, if a *larger*
+    ///   leaf already covers `va`, at this page's level or above.
     pub fn map(
         &mut self,
         va: VirtAddr,
@@ -255,34 +258,30 @@ impl PageTable {
         order: PageOrder,
         flags: PteFlags,
     ) -> Result<u64, TpsError> {
-        if !va.is_aligned(order.shift()) {
-            return Err(TpsError::Misaligned {
-                addr: va.value(),
-                shift: order.shift(),
-            });
-        }
-        if !pa.is_aligned(order.shift()) {
-            return Err(TpsError::Misaligned {
-                addr: pa.value(),
-                shift: order.shift(),
-            });
-        }
+        aligned(va.value(), order)?;
+        aligned(pa.value(), order)?;
         let level = level_for_order(order);
         let (node, mut stores) = self.descend_to(va, level)?;
-        let rel = order.get() - level_base_order(level);
-        let first = va.pt_index(level) & !((1usize << rel) - 1);
-        debug_assert_eq!(
-            va.pt_index(level),
-            first,
-            "va aligned implies index aligned"
-        );
-        self.forget_dirty_vector(va);
-        let pte = Pte::leaf(pa, order, flags);
-        for i in 0..(1usize << rel) {
+        // `va` is aligned, so its slot is the first of the page's run.
+        let first = va.pt_index(level);
+        // The size bits come from `order`, never from the caller's flags
+        // (say, a smaller leaf's, when merging it into a larger one).
+        let size_bits = PteFlags::HUGE.bits() | PteFlags::TAILORED.bits();
+        let pte = Pte::leaf(pa, order, Pte::from_bits(flags.bits() & !size_bits).flags());
+        for i in 0..(1usize << (order.get() - level_base_order(level))) {
             let old = self.read_entry(node, first + i);
             if old.is_present() && !old.is_leaf(level) {
                 // Promotion over an existing subtree: reclaim its nodes.
                 self.free_subtree(old.next_table(), level - 1);
+            } else if i == 0 && old.is_present() {
+                // A larger leaf's aligned run holds this page's whole run,
+                // so the first slot shows it before anything is written.
+                if let Some(cover) = old.decode_leaf(level).ok().filter(|c| c.order > order) {
+                    return Err(TpsError::RangeOverlap {
+                        start: va.align_down(cover.order.shift()).value(),
+                        len: cover.order.bytes(),
+                    });
+                }
             }
             if i > 0 && should_fault(&self.injector, FaultSite::AliasInstall) {
                 // A dropped alias store (pointer or full-copy policy) is
@@ -293,7 +292,61 @@ impl PageTable {
             }
             stores += self.write_entry(node, first + i, pte);
         }
+        self.forget_dirty_vector(va);
         Ok(stores)
+    }
+
+    /// Splits the leaf covering `va` into base pages over the same frames,
+    /// each taking `flags(its va)`: the shrink `mprotect` and copy-on-write
+    /// need when permissions or sharing diverge inside a large page. A
+    /// level-1 run is rewritten slot by slot; a level-2 or level-3 leaf gets
+    /// new child tables under each of its slots, alias slots included.
+    ///
+    /// Returns the PTE stores made, one per entry written. Drops the leaf's
+    /// dirty vector, as [`Self::map`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`TpsError::Unmapped`], with nothing changed, if no leaf covers `va`.
+    pub fn split(
+        &mut self,
+        va: VirtAddr,
+        flags: impl Fn(VirtAddr) -> PteFlags,
+    ) -> Result<u64, TpsError> {
+        let unmapped = TpsError::Unmapped { vaddr: va.value() };
+        let (node, idx, level, leaf) = self.find_leaf(va).ok_or(unmapped)?;
+        let base = va.align_down(leaf.order.shift());
+        let slots = alias_run(idx, level, leaf.order);
+        let stores = self.fill_base_pages(node, slots, level, (base, leaf.base), &flags);
+        self.forget_dirty_vector(base);
+        Ok(stores)
+    }
+
+    /// Maps `va -> pa` with base pages through `slots` of the `level` node
+    /// `node`: 4 KB leaves at level 1, else pointers to new nodes filled
+    /// the same way. Returns the stores made.
+    fn fill_base_pages(
+        &mut self,
+        node: PhysAddr,
+        slots: Range<usize>,
+        level: u8,
+        (va, pa): (VirtAddr, PhysAddr),
+        flags: &impl Fn(VirtAddr) -> PteFlags,
+    ) -> u64 {
+        let mut stores = 0;
+        for (i, slot) in (0u64..).zip(slots) {
+            let off = i << entry_shift(level);
+            let entry = if level == 1 {
+                Pte::leaf(pa + off, PageOrder::P4K, flags(va + off))
+            } else {
+                let child = self.alloc_node();
+                let span = (va + off, pa + off);
+                stores += self.fill_base_pages(child, 0..PT_ENTRIES, level - 1, span, flags);
+                Pte::table(child)
+            };
+            stores += self.write_entry(node, slot, entry);
+        }
+        stores
     }
 
     /// Drops the dirty vector recorded for the page at `va`. Skips the hash
@@ -331,23 +384,13 @@ impl PageTable {
     /// Returns [`TpsError::Unmapped`] if no leaf of exactly this order is
     /// mapped at `va`, or [`TpsError::Misaligned`] for a misaligned `va`.
     pub fn unmap(&mut self, va: VirtAddr, order: PageOrder) -> Result<u64, TpsError> {
-        if !va.is_aligned(order.shift()) {
-            return Err(TpsError::Misaligned {
-                addr: va.value(),
-                shift: order.shift(),
-            });
-        }
-        let unmapped = || TpsError::Unmapped { vaddr: va.value() };
-        let (node, idx, level, pte) = self.find_leaf(va).ok_or_else(unmapped)?;
-        let leaf = pte.decode_leaf(level).map_err(|_| unmapped())?;
-        if leaf.order != order {
-            return Err(unmapped());
-        }
-        let rel = order.get() - level_base_order(level);
-        let first = idx & !((1usize << rel) - 1);
+        aligned(va.value(), order)?;
+        let (node, idx, level, _) = (self.find_leaf(va))
+            .filter(|(.., leaf)| leaf.order == order)
+            .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
         let mut stores = 0;
-        for i in 0..(1usize << rel) {
-            stores += self.write_entry(node, first + i, Pte::EMPTY);
+        for slot in alias_run(idx, level, order) {
+            stores += self.write_entry(node, slot, Pte::EMPTY);
         }
         self.forget_dirty_vector(va);
         Ok(stores)
@@ -355,8 +398,7 @@ impl PageTable {
 
     /// Functional (timing-free) lookup: the leaf covering `va`, if mapped.
     pub fn lookup(&self, va: VirtAddr) -> Option<LeafInfo> {
-        let (_, _, level, pte) = self.find_leaf(va)?;
-        pte.decode_leaf(level).ok()
+        self.find_leaf(va).map(|(.., leaf)| leaf)
     }
 
     /// The leaf covering `from`, or else the first leaf that starts before
@@ -386,7 +428,7 @@ impl PageTable {
                 }
                 // Skip the entry's whole span; re-descend from the root
                 // once the scan leaves this node.
-                let shift = BASE_PAGE_SHIFT + 9 * u32::from(level - 1);
+                let shift = entry_shift(level);
                 va = ((va >> shift) + 1) << shift;
                 if va >= end.value() || VirtAddr::new(va).pt_index(level) == 0 {
                     break;
@@ -394,6 +436,23 @@ impl PageTable {
             }
         }
         None
+    }
+
+    /// The pages meeting `[start, end)`, in address order, as
+    /// [`Self::next_leaf`] lists them.
+    pub fn leaves(
+        &self,
+        start: VirtAddr,
+        end: VirtAddr,
+    ) -> impl Iterator<Item = (VirtAddr, LeafInfo)> + '_ {
+        let mut cursor = Some(start);
+        std::iter::from_fn(move || {
+            let (va, leaf) = self.next_leaf(cursor?, end)?;
+            // `None` once the page ends the address space.
+            let next = va + leaf.order.bytes();
+            cursor = (next > va).then_some(next);
+            Some((va, leaf))
+        })
     }
 
     /// Functional translation of `va` to a physical address.
@@ -408,12 +467,7 @@ impl PageTable {
     /// `va`. Returns `true` if any bit actually changed (i.e. hardware would
     /// have performed a memory store).
     pub fn mark_accessed(&mut self, va: VirtAddr, dirty: bool) -> bool {
-        let Some((node, idx, level, pte)) = self.find_leaf(va) else {
-            return false;
-        };
-        // A leaf that fails to decode is a corrupt entry; hardware would
-        // fault, the model simply performs no store.
-        let Ok(leaf) = pte.decode_leaf(level) else {
+        let Some((node, idx, level, leaf)) = self.find_leaf(va) else {
             return false;
         };
         let mut stored = false;
@@ -430,8 +484,7 @@ impl PageTable {
         }
         // A/D bits live in the *true* PTE (the walker may have landed on an
         // alias slot, but the true PTE is the authority for bookkeeping).
-        let rel = leaf.order.get() - level_base_order(level);
-        let true_idx = idx & !((1usize << rel) - 1);
+        let true_idx = alias_run(idx, level, leaf.order).start;
         let true_pte = self.read_entry(node, true_idx);
         let mut updated = true_pte.with_accessed();
         if dirty {
@@ -448,23 +501,16 @@ impl PageTable {
     /// are not double-counted: only the true PTE (aligned slot) counts.
     pub fn page_census(&self) -> BTreeMap<PageOrder, u64> {
         let mut census = BTreeMap::new();
-        let mut cursor = VirtAddr::ZERO;
-        while let Some((va, leaf)) = self.next_leaf(cursor, VirtAddr::new(u64::MAX)) {
+        for (_, leaf) in self.leaves(VirtAddr::ZERO, VirtAddr::new(u64::MAX)) {
             *census.entry(leaf.order).or_insert(0) += 1;
-            cursor = va + leaf.order.bytes();
-            if cursor <= va {
-                break; // the page ends the address space
-            }
         }
         census
     }
 
     /// Total bytes of virtual address space currently mapped.
     pub fn mapped_bytes(&self) -> u64 {
-        self.page_census()
-            .iter()
-            .map(|(order, count)| order.bytes() * count)
-            .sum()
+        let every_leaf = self.leaves(VirtAddr::ZERO, VirtAddr::new(u64::MAX));
+        every_leaf.map(|(_, leaf)| leaf.order.bytes()).sum()
     }
 
     /// Checks the radix tree's structural invariants; used by the
@@ -477,7 +523,7 @@ impl PageTable {
     ///   identical alias PTEs (the paper's Fig. 5 encoding);
     /// * every leaf's physical base is aligned to its order.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         self.check_node(self.root, self.levels, &mut seen)?;
         if seen.len() != self.live_nodes {
             return Err(format!(
@@ -488,12 +534,7 @@ impl PageTable {
         Ok(())
     }
 
-    fn check_node(
-        &self,
-        node: PhysAddr,
-        level: u8,
-        seen: &mut std::collections::HashSet<u64>,
-    ) -> Result<(), String> {
+    fn check_node(&self, node: PhysAddr, level: u8, seen: &mut HashSet<u64>) -> Result<(), String> {
         if !seen.insert(node.value()) {
             return Err(format!("node {:#x} reachable twice", node.value()));
         }
@@ -551,6 +592,28 @@ impl PageTable {
         }
         Ok(())
     }
+}
+
+/// The slots of the run that holds a page of `order` at `level` around
+/// slot `idx`, the true PTE's first.
+fn alias_run(idx: usize, level: u8, order: PageOrder) -> Range<usize> {
+    let span = 1usize << (order.get() - level_base_order(level));
+    let first = idx & !(span - 1);
+    first..first + span
+}
+
+/// [`TpsError::Misaligned`] unless `addr` is aligned to pages of `order`.
+fn aligned(addr: u64, order: PageOrder) -> Result<(), TpsError> {
+    let shift = order.shift();
+    match addr & (order.bytes() - 1) {
+        0 => Ok(()),
+        _ => Err(TpsError::Misaligned { addr, shift }),
+    }
+}
+
+/// log2 of the bytes one entry spans at `level` (12, 21, 30, ...).
+fn entry_shift(level: u8) -> u32 {
+    BASE_PAGE_SHIFT + 9 * u32::from(level - 1)
 }
 
 #[cfg(test)]
@@ -652,6 +715,128 @@ mod tests {
             pt.map(VirtAddr::new(0x4000_1000), PhysAddr::new(0x5000), o(0), w()),
             Err(TpsError::RangeOverlap { .. })
         ));
+    }
+
+    #[test]
+    fn mapping_a_smaller_page_under_a_larger_leaf_changes_nothing() {
+        let mut pt = PageTable::new();
+        pt.set_fine_grained_ad(true);
+        // A 64 KB leaf at level 1 and an 8 MB leaf at level 2: a smaller
+        // page over either one's first or a later slot is refused.
+        let (small, big) = (VirtAddr::new(0x10_0000), VirtAddr::new(GIB));
+        pt.map(small, PhysAddr::new(2 * MIB), o(4), w()).unwrap();
+        pt.map(big, PhysAddr::new(8 * MIB), o(11), w()).unwrap();
+        pt.mark_accessed(small, true);
+        let before = (pt.page_census(), pt.dirty_vector(small), pt.node_count());
+        for (va, pa, order, cover) in [
+            (small, 4 * MIB, o(0), (small, o(4))),
+            (small + 0x8000, 4 * MIB, o(1), (small, o(4))),
+            (big, 2 * MIB, o(9), (big, o(11))),
+            (big + 6 * MIB, 2 * MIB, o(9), (big, o(11))),
+        ] {
+            assert_eq!(
+                pt.map(va, PhysAddr::new(pa), order, w()),
+                Err(TpsError::RangeOverlap {
+                    start: cover.0.value(),
+                    len: cover.1.bytes()
+                }),
+                "{va} order {order}"
+            );
+        }
+        assert_eq!(
+            (pt.page_census(), pt.dirty_vector(small), pt.node_count()),
+            before
+        );
+        pt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn map_takes_the_page_size_from_the_order_not_the_flags() {
+        // Merging two 1 MB leaves into a 2 MB one with the first leaf's
+        // flags: its TAILORED bit must not make the 2 MB page read as 4 MB.
+        let mut pt = PageTable::new();
+        let va = VirtAddr::new(GIB);
+        pt.map(va, PhysAddr::new(GIB), o(8), w()).unwrap();
+        let flags = pt.lookup(va).unwrap().flags;
+        assert!(flags.contains(PteFlags::TAILORED));
+        pt.map(va, PhysAddr::new(GIB), PageOrder::P2M, flags)
+            .unwrap();
+        assert_eq!(
+            pt.lookup(va + (2 * MIB - BASE_PAGE_SIZE)).unwrap().order,
+            o(9)
+        );
+        assert!(pt.lookup(va + 2 * MIB).is_none());
+        pt.check_invariants().unwrap();
+    }
+
+    /// Splits the page of `order` mapped at `va -> pa`, the first half of
+    /// it read-only, and checks the result: every base page keeps its
+    /// frame and takes its flags, only 4 KB pages remain, the table is
+    /// well formed, and the store count is the number of entries written.
+    fn split_checked(va: u64, pa: u64, order: u8, entries_written: u64, new_nodes: usize) {
+        let mut pt = PageTable::new();
+        let (va, pa, ord) = (VirtAddr::new(va), PhysAddr::new(pa), o(order));
+        pt.map(va, pa, ord, w()).unwrap();
+        let nodes = pt.node_count();
+        let half = va + ord.bytes() / 2;
+        let flags = |sub: VirtAddr| if sub < half { PteFlags::USER } else { w() };
+        // Split from a va inside the page: an alias slot for tailored pages.
+        let inside = va + (ord.bytes() - BASE_PAGE_SIZE);
+        assert_eq!(pt.split(inside, flags).unwrap(), entries_written);
+        assert_eq!(pt.node_count(), nodes + new_nodes);
+        pt.check_invariants().unwrap();
+        let census = pt.page_census();
+        assert_eq!(census.len(), 1, "{census:?}");
+        assert_eq!(census.get(&PageOrder::P4K), Some(&ord.base_pages()));
+        for i in 0..ord.base_pages() {
+            let sub = va + i * BASE_PAGE_SIZE;
+            let leaf = pt.lookup(sub).unwrap();
+            assert_eq!(leaf.order, PageOrder::P4K);
+            assert_eq!(leaf.base, pa + i * BASE_PAGE_SIZE, "page {i}");
+            let writable = |f: PteFlags| f.contains(PteFlags::WRITABLE);
+            assert_eq!(writable(leaf.flags), writable(flags(sub)), "page {i}");
+        }
+        assert!(pt.translate(va + ord.bytes()).is_none());
+        assert!(pt.translate(VirtAddr::new(va.value() - 1)).is_none());
+    }
+
+    #[test]
+    fn split_of_a_64k_page_rewrites_its_slots_once() {
+        split_checked(0x10_0000, 2 * MIB, 4, 16, 0);
+    }
+
+    #[test]
+    fn split_of_a_2m_page_builds_one_level_1_table() {
+        split_checked(GIB + 2 * MIB, 6 * MIB, 9, 1 + 512, 1);
+    }
+
+    #[test]
+    fn split_of_an_8m_page_builds_a_table_under_every_alias_slot() {
+        split_checked(GIB + 8 * MIB, 16 * MIB, 11, 4 * (1 + 512), 4);
+    }
+
+    #[test]
+    fn split_of_a_1g_page_builds_two_levels_of_tables() {
+        split_checked(2 * GIB, GIB, 18, 1 + 512 * (1 + 512), 1 + 512);
+    }
+
+    #[test]
+    fn split_of_nothing_is_unmapped_and_drops_the_dirty_vector() {
+        let mut pt = PageTable::new();
+        pt.set_fine_grained_ad(true);
+        let va = VirtAddr::new(0x10_0000);
+        assert_eq!(
+            pt.split(va, |_| w()),
+            Err(TpsError::Unmapped { vaddr: va.value() })
+        );
+        pt.map(va, PhysAddr::new(2 * MIB), o(4), w()).unwrap();
+        pt.mark_accessed(va + 0x5000, true);
+        assert!(pt.dirty_vector(va).is_some());
+        pt.split(va + 0x5000, |_| w()).unwrap();
+        assert!(pt.dirty_vector(va).is_none());
+        // A base page splits into itself: one store.
+        assert_eq!(pt.split(va, |_| PteFlags::USER), Ok(1));
+        assert!(!pt.lookup(va).unwrap().flags.contains(PteFlags::WRITABLE));
     }
 
     #[test]
@@ -1148,21 +1333,11 @@ mod proptests {
                         }
                     }
                     _ => {
-                        // Split into halves the way `mprotect` does: in
-                        // place within a node, through an unmap across
-                        // levels. A 1 GB page stays whole, so every page
-                        // starts inside a window.
-                        let splits = |l: &LeafInfo| (1..=10).contains(&l.order.get());
-                        if let Some(leaf) = pt.lookup(va).filter(splits) {
-                            let base = va.align_down(leaf.order.shift());
-                            let half = o(leaf.order.get() - 1);
-                            if level_for_order(half) != level_for_order(leaf.order) {
-                                pt.unmap(base, leaf.order).unwrap();
-                            }
-                            for k in 0..2 {
-                                let off = k * half.bytes();
-                                pt.map(base + off, leaf.base + off, half, PteFlags::WRITABLE).unwrap();
-                            }
+                        // Split to base pages the way `mprotect` and CoW
+                        // do. A 1 GB page stays whole, so every page starts
+                        // inside a window.
+                        if pt.lookup(va).is_some_and(|l| l.order < PageOrder::P1G) {
+                            pt.split(va, |_| PteFlags::WRITABLE).unwrap();
                         }
                     }
                 }

@@ -7,7 +7,7 @@
 //! ```
 
 use tps::core::{VirtAddr, BASE_PAGE_SIZE};
-use tps::os::{CowPolicy, Os, PolicyConfig, PolicyKind};
+use tps::os::{CowPolicy, Os, PolicyConfig, PolicyKind, Process};
 use tps::sim::{MachineBuilder, MachineConfig, Mechanism, TenantSpec};
 use tps::wl::{replay, Event, Gups, GupsParams, Recorder, Workload, WorkloadProfile};
 
@@ -51,7 +51,7 @@ fn cow_demo() {
 }
 
 /// Protect part of a tailored page read-only: it splits; re-allow writes
-/// and merge it back together.
+/// and merge it back together. Then split a THP 2 MB page the same way.
 fn mprotect_demo() {
     println!("\n== mprotect split / page merge ==");
     let mut os = Os::new(256 << 20, PolicyConfig::new(PolicyKind::Tps));
@@ -63,22 +63,13 @@ fn mprotect_demo() {
         os.handle_fault(pid, va, true).unwrap();
         va = VirtAddr::new(va.value() + BASE_PAGE_SIZE);
     }
-    let census = |os: &Os| {
-        os.process(pid)
-            .page_table()
-            .page_census()
-            .iter()
-            .map(|(o, n)| format!("{}x{}", n, o.label()))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    println!("  after faulting:  {}", census(&os));
+    println!("  after faulting:  {}", census(os.process(pid)));
     os.mprotect(pid, vma.base() + (32 << 10), 32 << 10, false)
         .unwrap();
-    println!("  after mprotect:  {}", census(&os));
+    println!("  after mprotect:  {}", census(os.process(pid)));
     os.mprotect(pid, vma.base(), 128 << 10, true).unwrap();
     let merges = os.merge_pages(pid);
-    println!("  after {merges} merges: {}", census(&os));
+    println!("  after {merges} merges: {}", census(os.process(pid)));
     // Fine-grained dirty accounting: dirty three sixteenths of the page.
     for i in [0u64, 7, 12] {
         os.hw_mark_accessed(pid, VirtAddr::new(vma.base().value() + i * (8 << 10)), true);
@@ -88,6 +79,35 @@ fn mprotect_demo() {
         os.dirty_writeback_bytes(pid, vma.base()) >> 10,
         128
     );
+    // The same split works at every size: THP promotes a 2 MB page, and
+    // write-protecting one 4 KB page inside it demotes it to base pages.
+    let mut os = Os::new(256 << 20, PolicyConfig::new(PolicyKind::Thp));
+    let pid = os.spawn();
+    let vma = os.mmap(pid, 2 << 20).unwrap();
+    let mut va = vma.base();
+    while va < vma.end() {
+        os.handle_fault(pid, va, true).unwrap();
+        va = VirtAddr::new(va.value() + BASE_PAGE_SIZE);
+    }
+    println!("  THP after faulting: {}", census(os.process(pid)));
+    let sds = os
+        .mprotect(pid, vma.base() + (1 << 20), BASE_PAGE_SIZE, false)
+        .unwrap();
+    println!(
+        "  THP after a 4 KB mprotect: {} ({} shootdown)",
+        census(os.process(pid)),
+        sds.len()
+    );
+}
+
+/// The page census of a process, as "count x size" items.
+fn census(proc: &Process) -> String {
+    proc.page_table()
+        .page_census()
+        .iter()
+        .map(|(o, n)| format!("{}x{}", n, o.label()))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Record a workload to a trace, then replay the trace through a machine.

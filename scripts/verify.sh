@@ -140,6 +140,14 @@ echo "==> artifact chaos gate (pinned seeds: kill / corrupt / storm)"
 # under `cargo test --workspace` above.
 cargo test --release -q -p tps-check --test chaos
 
+echo "==> sharing gate (fork / CoW / mprotect / merge / munmap campaign)"
+# Release build of the sharing campaign: 96 seeded schedules over THP
+# 2 MB pages and TPS tailored pages under both CoW policies, audited after
+# every operation (frame-share conservation, isolation, shootdowns) and
+# torn down to an empty machine. About 3 s in release; the same test
+# also runs (about 30 s) under `cargo test --workspace` above.
+cargo test --release -q -p tps-check --test sharing
+
 echo "==> tenant containment gate (chaos campaign + capped-tenant determinism)"
 # Release build of the multi-tenant containment campaign: 240 seeded
 # schedules mixing hogs, cap overrunners and malformed event streams
